@@ -2,6 +2,7 @@
 report/plot-data emission.
 
 Every run writes a directory named <command>-<config digest>-<timestamp>
+(suffixed -1, -2, ... when an identical run in the same second took the name)
 containing report.json (the resolved config echo plus verdicts, margins,
 counterexamples, timing, and artifact paths) and the command's CSV artifacts.
 
@@ -71,8 +72,7 @@ class _Run:
         self.command = command
         self.seed = cfg.battery_seed if seed is None else seed
         stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-        self.dir = Path(out_dir) / f"{command}-{cfg.digest()}-{stamp}"
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir = _fresh_dir(Path(out_dir), f"{command}-{cfg.digest()}-{stamp}")
         self.t0 = time.perf_counter()
         self.report = {
             "command": command,
@@ -97,6 +97,21 @@ class _Run:
             json.dump(self.report, fh, indent=2, default=_json_default)
         click.echo(f"report: {out}")
         return out
+
+
+def _fresh_dir(root: Path, name: str) -> Path:
+    """Create and return root/name, or root/name-1, root/name-2, ... when an
+    identical run in the same second already took the name."""
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / name
+    suffix = 0
+    while True:
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            suffix += 1
+            path = root / f"{name}-{suffix}"
 
 
 def _json_default(value):
@@ -124,7 +139,6 @@ def _load(config_path: str) -> RunConfig:
 _common = [
     click.option("--config", "config_path", required=True, type=click.Path(), help="YAML run configuration"),
     click.option("--out", "out_dir", default="runs", show_default=True, help="output directory root"),
-    click.option("--threads", default=1, show_default=True, type=int, help="worker threads where a command supports them"),
     click.option("--seed", default=None, type=int, help="override battery.seed"),
 ]
 
@@ -144,7 +158,7 @@ def main():
 @main.command()
 @common_options
 @click.option("--x0", default=None, help="initial state, comma-separated (overrides the simulate block)")
-def simulate(config_path, out_dir, threads, seed, x0):
+def simulate(config_path, out_dir, seed, x0):
     """Integrate the policy battery from one initial state; one CSV per
     trajectory plus an index JSON."""
     cfg = _load(config_path)
@@ -159,10 +173,13 @@ def simulate(config_path, out_dir, threads, seed, x0):
     except (ConfigError, ValueError) as ex:
         _fail_config(ex)
     run = _Run(cfg, "simulate", out_dir, seed)
-    trajectories = ensemble(
-        cfg.system, start, battery, cfg.horizon, cfg.dt,
-        blowup_bound=cfg.blowup_bound, threads=max(1, threads),
-    )
+    try:
+        trajectories = ensemble(
+            cfg.system, start, battery, cfg.horizon, cfg.dt,
+            blowup_bound=cfg.blowup_bound,
+        )
+    except ValueError as ex:
+        _fail_config(ex)
     index = []
     for i, (pol, tr) in enumerate(zip(battery, trajectories)):
         name = f"trajectory_{i:03d}.csv"
@@ -184,7 +201,7 @@ def simulate(config_path, out_dir, threads, seed, x0):
 
 @main.command()
 @common_options
-def reach(config_path, out_dir, threads, seed):
+def reach(config_path, out_dir, seed):
     """Sampled reach tube of the initial set over the configured horizon."""
     cfg = _load(config_path)
     try:
@@ -215,7 +232,7 @@ def reach(config_path, out_dir, threads, seed):
 
 @main.command("invariant-set")
 @common_options
-def invariant_set(config_path, out_dir, threads, seed):
+def invariant_set(config_path, out_dir, seed):
     """Sampled maximal invariant subset of the target set."""
     cfg = _load(config_path)
     try:
@@ -244,7 +261,7 @@ def invariant_set(config_path, out_dir, threads, seed):
 
 @main.command("winning-set")
 @common_options
-def winning_set_cmd(config_path, out_dir, threads, seed):
+def winning_set_cmd(config_path, out_dir, seed):
     """Cells whose battery trajectories all converge to the stable set while
     avoiding the unsafe set."""
     cfg = _load(config_path)
@@ -280,7 +297,7 @@ _VERDICT_EXIT = {"yes_sampled": EXIT_YES, "no": EXIT_NO, "inconclusive": EXIT_IN
 
 @main.command("verify-ras")
 @common_options
-def verify_ras(config_path, out_dir, threads, seed):
+def verify_ras(config_path, out_dir, seed):
     """Check the reach-avoid-stay specification (initial, unsafe, target)."""
     cfg = _load(config_path)
     try:
@@ -308,7 +325,7 @@ def verify_ras(config_path, out_dir, threads, seed):
 
 @main.command("verify-sws")
 @common_options
-def verify_sws(config_path, out_dir, threads, seed):
+def verify_sws(config_path, out_dir, seed):
     """Check the stability-with-safety specification (initial, unsafe, stable)."""
     cfg = _load(config_path)
     try:
@@ -337,7 +354,7 @@ def verify_sws(config_path, out_dir, threads, seed):
 
 @main.command("probe-uas")
 @common_options
-def probe_uas_cmd(config_path, out_dir, threads, seed):
+def probe_uas_cmd(config_path, out_dir, seed):
     """Probe uniform asymptotic stability of the stable set."""
     cfg = _load(config_path)
     try:
@@ -365,7 +382,7 @@ def probe_uas_cmd(config_path, out_dir, threads, seed):
 
 @main.command("check-cert")
 @common_options
-def check_cert(config_path, out_dir, threads, seed):
+def check_cert(config_path, out_dir, seed):
     """Check a Lyapunov (or Lyapunov-barrier) certificate on the grid."""
     cfg = _load(config_path)
     try:
@@ -426,7 +443,7 @@ def check_cert(config_path, out_dir, threads, seed):
 
 @main.command("construct-lyapunov")
 @common_options
-def construct_lyapunov(config_path, out_dir, threads, seed):
+def construct_lyapunov(config_path, out_dir, seed):
     """Estimate the decay envelope, fit the comparison pair, build the
     numerical Lyapunov function, and validate it."""
     cfg = _load(config_path)

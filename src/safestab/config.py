@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .dynamics import PerturbedSystem, default_policy_battery
+from .dynamics import PerturbedSystem, default_policy_battery, step_count
 from .expr import ParseError, parse_scalar_field, parse_vector_field
 from .geometry import Box, BoxComplement, Grid, SetSpec, Sublevel, Union, make_grid
 
@@ -50,6 +50,13 @@ def _num(value, path: str, *, positive=False, nonnegative=False) -> float:
     if nonnegative and v < 0:
         raise ConfigError(path, f"must be nonnegative, got {v}")
     return v
+
+
+def _whole_steps(span: float, dt: float, path: str) -> None:
+    try:
+        step_count(span, dt, path.rsplit(".", 1)[-1])
+    except ValueError as ex:
+        raise ConfigError(path, str(ex)) from None
 
 
 def _vector(value, dim: int, path: str) -> tuple:
@@ -288,6 +295,9 @@ def load_config(path: str) -> RunConfig:
     horizon = _num(integ.get("horizon", 30.0), "integration.horizon", positive=True)
     if dt > horizon:
         raise ConfigError("integration.dt", f"dt={dt} exceeds horizon={horizon}")
+    _whole_steps(horizon, dt, "integration.horizon")
+    if n_random > 0:
+        _whole_steps(dwell, dt, "battery.dwell")
     blowup = _num(integ.get("blowup_bound", 1e6), "integration.blowup_bound", positive=True)
 
     tol = raw.get("tolerances") or {}

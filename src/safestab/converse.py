@@ -204,7 +204,8 @@ def estimate_kl_envelope(
     n_steps = int(round(horizon / dt))
     t_idx = np.unique(np.linspace(0, n_steps, n_t).astype(int))
     t_samples = t_idx * dt
-    profiles = np.zeros((m * P, t_idx.size))
+    # frozen rows are escapes: their later columns keep the inf fill
+    profiles = np.full((m * P, t_idx.size), np.inf)
     col_of = {int(k): j for j, k in enumerate(t_idx)}
 
     def obs(step, t, X, active, s_ix, p_ix, D):
@@ -212,8 +213,8 @@ def estimate_kl_envelope(
         if j is None:
             return
         vals = np.asarray(omega.value_many(X), dtype=float)
-        vals[~active & (step > 0)] = np.inf  # frozen rows are escapes
-        profiles[:, j] = vals
+        live = active | (step == 0)
+        profiles[live, j] = vals[live]
 
     res = run_sweep(
         sys, X0, battery, horizon, dt,

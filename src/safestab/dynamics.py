@@ -8,15 +8,15 @@ results "sampled".
 
 Integration is fixed-step RK4 with the disturbance held constant within each
 step.  The batched engine (`run_sweep`) advances many trajectories at once as
-numpy arrays; `integrate` is the single-trajectory wrapper that also records
-the full path.  Both share the same arithmetic, and results are bit-identical
-for identical (system, start, policy, horizon, dt, seed).
+numpy arrays; `ensemble` runs one such sweep over a whole battery from one
+start and records every path, and `integrate` is its one-policy case.  A row's
+result does not depend on the other rows of its sweep, so results are
+bit-identical for identical (system, start, policy, horizon, dt, seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "ensemble",
     "default_policy_battery",
     "run_sweep",
+    "step_count",
     "SweepResult",
     "STATUS_RUNNING",
     "STATUS_HORIZON",
@@ -48,6 +49,10 @@ STATUS_HORIZON = 1
 STATUS_BLOWUP = 2
 STATUS_LEFT_DOMAIN = 3
 STATUS_ABORTED = 4
+
+#: relative slack allowed when a time span must be a whole number of steps
+_WHOLE_STEP_RTOL = 1e-9
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 _STATUS_REASON = {
     STATUS_HORIZON: "horizon_reached",
@@ -157,6 +162,8 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         self._dt = 1.0
 
     def prepare(self, sys, horizon, dt):
+        # the table is indexed by t/dwell, so a refresh must land on every dwell
+        step_count(self.dwell, dt, "dwell")
         n_dwell = int(math.ceil(horizon / self.dwell)) + 2
         rng = np.random.default_rng(self.seed)
         raw = rng.standard_normal((n_dwell, sys.dim))
@@ -234,6 +241,23 @@ class SweepResult:
         return _STATUS_REASON.get(int(self.status[row]), "running")
 
 
+def step_count(span: float, dt: float, name: str = "horizon") -> int:
+    """Number of dt-steps in ``span``.  A span that is not a whole number of
+    steps (relative tolerance 1e-9) raises ValueError: rounding it would
+    silently change its meaning."""
+    if dt <= 0 or span <= 0:
+        raise ValueError(f"{name} and dt must be positive")
+    if dt > span:
+        raise ValueError(f"dt={dt} exceeds {name}={span}")
+    ratio = span / dt
+    n = int(round(ratio))
+    if n < 1 or abs(ratio - n) > _WHOLE_STEP_RTOL * n:
+        raise ValueError(
+            f"{name}={span:g} is not a whole number of dt={dt:g} steps ({ratio:.6g})"
+        )
+    return n
+
+
 def run_sweep(
     sys: PerturbedSystem,
     starts: np.ndarray,
@@ -248,19 +272,20 @@ def run_sweep(
 ) -> SweepResult:
     """Advance every (start, policy) pair with fixed-step RK4.
 
-    Rows that blow up (non-finite or |x|_inf > blowup_bound) or leave
-    ``freeze_domain`` are frozen at their last state and excluded from further
-    updates; this is always recorded in ``status``, never silent.
+    ``horizon`` must be a whole number of ``dt`` steps.  Rows that blow up
+    (non-finite or |x|_inf > blowup_bound) or leave ``freeze_domain`` are
+    frozen at their last state and excluded from further updates; this is
+    always recorded in ``status``, never silent.
 
     ``observer(step, t, X, active, start_index, policy_index, D)`` is invoked
     once at t=0 and after every step; it must treat the arrays as read-only.
     An observer returning a truthy value aborts the sweep early; rows still
-    running are then marked ``aborted``.
+    running are then marked ``aborted``.  The sweep stops after the step at
+    which the last row froze: the observer is not called for the remaining
+    steps, so it must record nothing for inactive rows, and snapshots due
+    later hold the frozen states.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
-    if dt > horizon:
-        raise ValueError(f"dt={dt} exceeds horizon={horizon}")
+    n_steps = step_count(horizon, dt)
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
     if not np.all(np.isfinite(starts)):
         raise ValueError("initial states must be finite")
@@ -280,9 +305,6 @@ def run_sweep(
     end_times = np.full(R, horizon)
     D = np.zeros((R, n))
 
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1:
-        n_steps = 1
     snap_steps = {}
     for ts in snapshot_times:
         k = int(round(ts / dt))
@@ -291,8 +313,14 @@ def run_sweep(
     groups = []
     for p, pol in enumerate(policies):
         pol.prepare(sys, horizon, dt)
-        rows = slice(p * m, (p + 1) * m)
-        groups.append((pol, rows, pol.refresh_period(dt), pol.needs_state))
+        groups.append((pol, slice(p * m, (p + 1) * m)))
+    # state-feedback groups refresh every step; the others by refresh period
+    feedback = [g for g in groups if g[0].needs_state]
+    timed: dict[int, list] = {}
+    for g in groups:
+        if not g[0].needs_state:
+            timed.setdefault(g[0].refresh_period(dt), []).append(g)
+    timed = list(timed.items())
 
     comps = [c._compiled for c in sys.f.components]
     k1 = np.empty((R, n))
@@ -300,19 +328,28 @@ def run_sweep(
     k3 = np.empty((R, n))
     k4 = np.empty((R, n))
     Xt = np.empty((R, n))
+    X_cols = [X[:, j] for j in range(n)]
+    Xt_cols = [Xt[:, j] for j in range(n)]
+    mag = np.empty((R, n))
+    within = np.empty((R, n), dtype=bool)
+    advance = np.empty(R, dtype=bool)
+    # |x| <= bound is False for NaN and +-inf, so one comparison covers both
+    bound = min(float(blowup_bound), _FLOAT_MAX)
 
-    def rhs(Xin: np.ndarray, out: np.ndarray) -> np.ndarray:
-        cols = [Xin[:, j] for j in range(n)]
+    def rhs(cols, out: np.ndarray) -> np.ndarray:
         for j, c in enumerate(comps):
             out[:, j] = c(*cols)
         out += D
         return out
 
+    def refresh(pol, rows, t):
+        pol.values(t, X[rows], D[rows])
+        _project_ball(D[rows], sys.delta)
+
     active = status == STATUS_RUNNING
     snapshots: dict = {}
-    for pol, rows, _, _ in groups:
-        pol.values(0.0, X[rows], D[rows])
-    _project_ball(D, sys.delta)
+    for pol, rows in groups:
+        refresh(pol, rows, 0.0)
 
     if freeze_domain is not None:
         inside = freeze_domain.contains_many(X)
@@ -320,6 +357,7 @@ def run_sweep(
         status[newly] = STATUS_LEFT_DOMAIN
         end_times[newly] = 0.0
         active = status == STATUS_RUNNING
+    n_active = int(np.count_nonzero(active))
 
     aborted = False
     if observer is not None:
@@ -329,25 +367,26 @@ def run_sweep(
 
     half = 0.5 * dt
     sixth = dt / 6.0
+    k = 0
     with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            if aborted:
-                break
+        while k < n_steps and n_active and not aborted:
             t = k * dt
-            for pol, rows, period, needs_state in groups:
-                if needs_state or k % period == 0:
-                    pol.values(t, X[rows], D[rows])
-                    _project_ball(D[rows], sys.delta)
-            rhs(X, k1)
+            for period, members in timed:
+                if k % period == 0:
+                    for pol, rows in members:
+                        refresh(pol, rows, t)
+            for pol, rows in feedback:
+                refresh(pol, rows, t)
+            rhs(X_cols, k1)
             np.multiply(k1, half, out=Xt)
             Xt += X
-            rhs(Xt, k2)
+            rhs(Xt_cols, k2)
             np.multiply(k2, half, out=Xt)
             Xt += X
-            rhs(Xt, k3)
+            rhs(Xt_cols, k3)
             np.multiply(k3, dt, out=Xt)
             Xt += X
-            rhs(Xt, k4)
+            rhs(Xt_cols, k4)
             # Xt := X + dt/6 (k1 + 2 k2 + 2 k3 + k4)
             np.add(k2, k3, out=k2)
             k2 *= 2.0
@@ -356,29 +395,43 @@ def run_sweep(
             np.multiply(k2, sixth, out=Xt)
             Xt += X
 
-            t1 = (k + 1) * dt
-            ok = np.isfinite(Xt).all(axis=1) & (np.abs(Xt).max(axis=1) <= blowup_bound)
-            newly_blown = active & ~ok
-            if np.any(newly_blown):
+            k += 1
+            t1 = k * dt
+            np.abs(Xt, out=mag)
+            np.less_equal(mag, bound, out=within)
+            ok = within.all(axis=1) if n > 1 else within[:, 0]
+            np.logical_and(active, ok, out=advance)
+            n_advance = int(np.count_nonzero(advance))
+            changed = n_advance != n_active
+            if changed:
+                newly_blown = active & ~ok
                 status[newly_blown] = STATUS_BLOWUP
                 end_times[newly_blown] = t1
-            advance = active & ok
-            X[advance] = Xt[advance]
+            if n_advance == R:
+                np.copyto(X, Xt)
+            elif n_advance:
+                np.copyto(X, Xt, where=advance[:, None])
             if freeze_domain is not None:
                 inside = freeze_domain.contains_many(X)
-                newly_out = active & ok & ~inside
+                newly_out = advance & ~inside
                 if np.any(newly_out):
                     status[newly_out] = STATUS_LEFT_DOMAIN
                     end_times[newly_out] = t1
-            active = status == STATUS_RUNNING
+                    changed = True
+            if changed:
+                active = status == STATUS_RUNNING
+                n_active = int(np.count_nonzero(active))
             if observer is not None:
-                aborted = bool(observer(k + 1, t1, X, active, start_index, policy_index, D))
-            if (k + 1) in snap_steps:
-                snapshots[snap_steps[k + 1]] = X.copy()
+                aborted = bool(observer(k, t1, X, active, start_index, policy_index, D))
+            if k in snap_steps:
+                snapshots[snap_steps[k]] = X.copy()
             if aborted:
                 end_times[status == STATUS_RUNNING] = t1
-                break
 
+    if not n_active:
+        for s in sorted(snap_steps):
+            if s > k:
+                snapshots[snap_steps[s]] = X.copy()
     status[status == STATUS_RUNNING] = STATUS_ABORTED if aborted else STATUS_HORIZON
     return SweepResult(X, status, end_times, start_index, policy_index, snapshots)
 
@@ -430,44 +483,7 @@ def integrate(
 ) -> Trajectory:
     """Integrate one trajectory, recording every step.  Non-finite states
     terminate with reason 'blow_up'; they never raise."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n_steps = int(round(horizon / dt))
-    n = x0.size
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, n))
-    dists = np.zeros((n_steps + 1, n))
-
-    def recorder(step, t, X, active, s_idx, p_idx, D):
-        times[step] = t
-        states[step] = X[0]
-        dists[step] = D[0]
-
-    res = run_sweep(
-        sys,
-        x0[None, :],
-        [policy],
-        horizon,
-        dt,
-        blowup_bound=blowup_bound,
-        freeze_domain=domain,
-        observer=recorder,
-    )
-    reason = res.reason(0)
-    if reason == "horizon_reached":
-        last = n_steps
-    elif reason == "blow_up":
-        # the state at the freeze time is undefined; keep the last good one
-        last = int(round(res.end_times[0] / dt)) - 1
-    else:  # left_domain: the exit state is defined and recorded
-        last = int(round(res.end_times[0] / dt))
-    last = min(max(last, 0), n_steps)
-    return Trajectory(
-        times[: last + 1].copy(),
-        states[: last + 1].copy(),
-        dists[: last + 1].copy(),
-        terminated_reason=reason,
-        policy_label=policy.label,
-    )
+    return ensemble(sys, x0, [policy], horizon, dt, blowup_bound=blowup_bound, domain=domain)[0]
 
 
 def ensemble(
@@ -479,21 +495,56 @@ def ensemble(
     *,
     blowup_bound: float = 1e6,
     domain: Box | None = None,
-    threads: int = 1,
 ) -> list[Trajectory]:
-    """One trajectory per policy from the same start; per-trajectory failures
-    terminate that trajectory without aborting the ensemble."""
+    """One trajectory per policy from the same start, integrated together in
+    one sweep; per-trajectory failures terminate that trajectory without
+    aborting the ensemble."""
     policies = list(policies)
     if not policies:
         raise ValueError("ensemble needs a non-empty policy list")
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n_steps = step_count(horizon, dt)
+    shape = (n_steps + 1, len(policies), x0.size)
+    times = np.empty(n_steps + 1)
+    states = np.empty(shape)
+    dists = np.zeros(shape)
 
-    def one(pol):
-        return integrate(sys, x0, pol, horizon, dt, blowup_bound=blowup_bound, domain=domain)
+    def recorder(step, t, X, active, s_idx, p_idx, D):
+        times[step] = t
+        states[step] = X
+        dists[step] = D
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(one, policies))
-    return [one(pol) for pol in policies]
+    res = run_sweep(
+        sys,
+        x0[None, :],
+        policies,
+        horizon,
+        dt,
+        blowup_bound=blowup_bound,
+        freeze_domain=domain,
+        observer=recorder,
+    )
+    trajectories = []
+    for p, pol in enumerate(policies):
+        reason = res.reason(p)
+        if reason == "horizon_reached":
+            last = n_steps
+        elif reason == "blow_up":
+            # the state at the freeze time is undefined; keep the last good one
+            last = int(round(res.end_times[p] / dt)) - 1
+        else:  # left_domain: the exit state is defined and recorded
+            last = int(round(res.end_times[p] / dt))
+        last = min(max(last, 0), n_steps)
+        trajectories.append(
+            Trajectory(
+                times[: last + 1].copy(),
+                states[: last + 1, p].copy(),
+                dists[: last + 1, p].copy(),
+                terminated_reason=reason,
+                policy_label=pol.label,
+            )
+        )
+    return trajectories
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,31 @@ class TestConfigValidation:
             load_config(path)
         assert err.value.path == "integration.dt"
 
+    def test_non_integral_horizon_exits_2(self, tmp_path):
+        # horizon 1.0 with dt 0.3 would stop at 0.9 and report 1.0
+        cfg = base_config(integration={"dt": 0.3, "horizon": 1.0}, simulate={"x0": [-1.0]})
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "integration.horizon"
+        result = run_cli(["simulate", "--config", path, "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert "integration.horizon" in result.output
+
+    def test_non_integral_dwell_exits_2(self, tmp_path):
+        # dwell 0.1 with dt 0.03 would give a first segment of 0.18, then 0.09
+        cfg = base_config(integration={"dt": 0.03, "horizon": 3.0})
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.path == "battery.dwell"
+        result = run_cli(["verify-ras", "--config", path, "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert "battery.dwell" in result.output
+        # the dwell is unused, and not checked, without random policies
+        cfg["battery"] = {"n_random": 0}
+        assert load_config(write_config(tmp_path, cfg)).battery_dwell == 0.1
+
     def test_extremal_sets_need_sublevel(self, tmp_path):
         cfg = base_config()
         cfg["battery"]["extremal_sets"] = ["W"]
@@ -132,6 +157,35 @@ class TestSimulate:
         tables = [np.loadtxt(p, delimiter=",", skiprows=1) for p in sorted(run_dir.glob("*.csv"))]
         for t in tables[1:]:
             assert np.array_equal(t, tables[0])
+
+    def test_non_finite_start_exits_2(self, tmp_path):
+        cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
+        path = write_config(tmp_path, cfg)
+        result = run_cli(
+            ["simulate", "--config", path, "--out", str(tmp_path / "r"), "--x0", "nan"]
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_same_second_runs_keep_both_reports(self, tmp_path, monkeypatch):
+        from datetime import datetime
+
+        import safestab.cli as cli_mod
+
+        class FrozenClock:
+            @staticmethod
+            def now(tz=None):
+                return datetime(2026, 1, 2, 3, 4, 5, tzinfo=tz)
+
+        monkeypatch.setattr(cli_mod, "datetime", FrozenClock)
+        cfg = base_config(simulate={"x0": [-1.0]}, integration={"dt": 0.01, "horizon": 1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        for _ in range(2):
+            assert run_cli(["simulate", "--config", path, "--out", str(out)]).exit_code == 0
+        reports = sorted(out.glob("*/report.json"))
+        assert len(reports) == 2
+        assert reports[0].parent.name + "-1" == reports[1].parent.name
 
     def test_x0_flag_overrides(self, tmp_path):
         cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safestab import (
     Box,
@@ -17,6 +19,7 @@ from safestab import (
     parse_vector_field,
     run_sweep,
 )
+from safestab.dynamics import STATUS_BLOWUP, STATUS_HORIZON, STATUS_LEFT_DOMAIN, step_count
 
 
 class TestIntegrate:
@@ -166,12 +169,31 @@ class TestEnsemble:
         assert trs[0].terminated_reason == "blow_up"
         assert trs[1].terminated_reason == "horizon_reached"
 
-    def test_threads_match_serial(self, bench_sys):
-        bat = default_policy_battery(bench_sys, n_random=2, seed=3)
-        serial = ensemble(bench_sys, [-1.0], bat, 2.0, 1e-2, threads=1)
-        par = ensemble(bench_sys, [-1.0], bat, 2.0, 1e-2, threads=4)
-        for a, b in zip(serial, par):
-            assert np.array_equal(a.states, b.states)
+    def test_matches_per_policy_integrate_bitwise(self, bench_sys):
+        # from 0.7 the +0.25 member blows up and the others do not
+        bat = default_policy_battery(bench_sys, n_random=3, seed=3)
+        trs = ensemble(bench_sys, [0.7], bat, 40.0, 1e-2)
+        assert {tr.terminated_reason for tr in trs} == {"blow_up", "horizon_reached"}
+        for pol, tr in zip(bat, trs):
+            alone = integrate(bench_sys, [0.7], pol, 40.0, 1e-2)
+            assert tr.terminated_reason == alone.terminated_reason
+            assert tr.policy_label == alone.policy_label == pol.label
+            assert np.array_equal(tr.times, alone.times)
+            assert np.array_equal(tr.states, alone.states)
+            assert np.array_equal(tr.disturbances, alone.disturbances)
+
+    def test_left_domain_rows_cut_at_their_own_exit(self):
+        sys = PerturbedSystem(parse_vector_field(["0"], ["x"]), 1.0)
+        bat = [ConstantPolicy([1.0]), ConstantPolicy([0.5]), ZeroPolicy()]
+        trs = ensemble(sys, [0.0], bat, 4.0, 1e-2, domain=Box((-1.0,), (1.0,)))
+        assert [tr.terminated_reason for tr in trs] == ["left_domain", "left_domain",
+                                                        "horizon_reached"]
+        # each exit record ends at the first state outside, within one step
+        for tr, t_exit in zip(trs[:2], (1.0, 2.0)):
+            assert tr.final_time == pytest.approx(t_exit, abs=0.0101)
+            assert tr.states[-1, 0] > 1.0 >= tr.states[-2, 0]
+        assert trs[2].final_time == pytest.approx(4.0, abs=1e-9)
+        assert trs[2].times.size == 401
 
 
 class TestComparisonPrinciple:
@@ -217,6 +239,66 @@ class TestSweepEngine:
         assert res.snapshots[0.5][0, 0] == pytest.approx(math.exp(-0.5), abs=1e-7)
         assert res.snapshots[1.0][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
+    def test_stops_once_every_row_froze(self, bench_sys):
+        # blows up near t = 10 of a 300 time-unit horizon
+        calls = []
+        res = run_sweep(
+            bench_sys, np.array([[0.6]]), [ConstantPolicy([0.25])], 300.0, 5e-3,
+            observer=lambda step, *rest: calls.append(step),
+            snapshot_times=(1.0, 200.0, 300.0),
+        )
+        assert res.reason(0) == "blow_up"
+        assert 9.0 < res.end_times[0] < 12.0
+        assert calls == list(range(calls[-1] + 1))
+        assert calls[-1] == round(res.end_times[0] / 5e-3)
+        assert set(res.snapshots) == {1.0, 200.0, 300.0}
+        assert np.array_equal(res.snapshots[200.0], res.states)
+        assert np.array_equal(res.snapshots[300.0], res.states)
+        assert res.snapshots[1.0][0, 0] < res.states[0, 0]
+
+    def test_frozen_at_start_runs_no_step(self):
+        sys = PerturbedSystem(parse_vector_field(["1"], ["x"]), 0.0)
+        calls = []
+        res = run_sweep(
+            sys, np.array([[5.0]]), [ZeroPolicy()], 2.0, 1e-2,
+            freeze_domain=Box((-1.0,), (1.0,)),
+            observer=lambda step, *rest: calls.append(step), snapshot_times=(1.0,),
+        )
+        assert calls == [0]
+        assert res.reason(0) == "left_domain" and res.end_times[0] == 0.0
+        assert res.snapshots[1.0][0, 0] == 5.0
+
+    def test_infinite_blowup_bound_still_catches_overflow(self):
+        sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0)
+        res = run_sweep(sys, np.array([[2.0], [-0.5]]), [ZeroPolicy()], 5.0, 1e-3,
+                        blowup_bound=math.inf)
+        assert res.reason(0) == "blow_up"
+        assert np.isfinite(res.states[0, 0])
+        assert res.reason(1) == "horizon_reached"
+
+    def test_non_integral_horizon_rejected(self, linear_sys):
+        # 1.0 / 0.3: the run would stop at 0.9 while reporting 1.0
+        with pytest.raises(ValueError, match="whole number"):
+            run_sweep(linear_sys, np.array([[1.0]]), [ZeroPolicy()], 1.0, 0.3)
+        with pytest.raises(ValueError, match="whole number"):
+            integrate(linear_sys, [1.0], ZeroPolicy(), 1.0, 0.3)
+
+    def test_non_integral_dwell_rejected(self, bench_sys):
+        # dwell 0.1 with dt 0.03: first segment 0.18, the rest 0.09
+        pol = PiecewiseRandomPolicy(seed=1, dwell=0.1)
+        with pytest.raises(ValueError, match="dwell"):
+            pol.prepare(bench_sys, 3.0, 0.03)
+        with pytest.raises(ValueError, match="dwell"):
+            run_sweep(bench_sys, np.array([[0.0]]), [pol], 3.0, 0.03)
+
+    def test_integral_ratios_with_rounding_noise_accepted(self, bench_sys):
+        # 0.1 / 0.005 and 0.3 / 0.1 are not exact in binary floating point
+        assert step_count(0.3, 0.1) == 3
+        assert step_count(0.1, 5e-3, "dwell") == 20
+        pol = PiecewiseRandomPolicy(seed=1, dwell=0.1)
+        pol.prepare(bench_sys, 0.3, 5e-3)
+        assert pol.refresh_period(5e-3) == 20
+
     def test_rejects_bad_arguments(self, linear_sys):
         with pytest.raises(ValueError):
             run_sweep(linear_sys, np.array([[1.0]]), [], 1.0, 1e-3)
@@ -224,3 +306,78 @@ class TestSweepEngine:
             run_sweep(linear_sys, np.array([[np.nan]]), [ZeroPolicy()], 1.0, 1e-3)
         with pytest.raises(ValueError):
             run_sweep(linear_sys, np.array([[1.0]]), [ZeroPolicy()], 1.0, 2.0)
+
+
+def _bench_policy(code: int):
+    """A fresh policy per call: the sweep prepares the policies it is given."""
+    if code == 0:
+        return ZeroPolicy()
+    if code == 1:
+        return ConstantPolicy([0.25])
+    if code == 2:
+        return ConstantPolicy([-0.25])
+    if code == 3:
+        return ExtremalFeedbackPolicy(parse_scalar_field("x^2", ["x"]), +1)
+    return PiecewiseRandomPolicy(seed=code, dwell=0.05)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    starts=st.lists(st.floats(-1.8, 4.0), min_size=1, max_size=4),
+    codes=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+    bound=st.sampled_from([1e6, 50.0]),
+)
+def test_batched_row_equals_row_alone(bench_field, starts, codes, bound):
+    """Each (start, policy) row of a sweep is bitwise what it is when run
+    alone, including rows that blow up and rows that leave the domain."""
+    sys = PerturbedSystem(bench_field, 0.25)
+    domain = Box((-1.5,), (100.0,))
+    horizon, dt = 2.0, 1e-2
+    X0 = np.array(starts)[:, None]
+    batch = run_sweep(sys, X0, [_bench_policy(c) for c in codes], horizon, dt,
+                      blowup_bound=bound, freeze_domain=domain)
+    for r in range(batch.status.size):
+        i, p = batch.start_index[r], batch.policy_index[r]
+        alone = run_sweep(sys, X0[i:i + 1], [_bench_policy(codes[p])], horizon, dt,
+                          blowup_bound=bound, freeze_domain=domain)
+        assert np.array_equal(batch.states[r], alone.states[0])
+        assert batch.status[r] == alone.status[0]
+        assert batch.end_times[r] == alone.end_times[0]
+
+
+def test_batched_property_reaches_every_status(bench_field):
+    # the property's ranges produce blow-ups, domain exits and full runs
+    sys = PerturbedSystem(bench_field, 0.25)
+    starts = np.array([[-1.8], [0.0], [4.0]])
+    for bound, last in ((50.0, STATUS_BLOWUP), (1e6, STATUS_LEFT_DOMAIN)):
+        res = run_sweep(sys, starts, [ConstantPolicy([0.25])], 2.0, 1e-2,
+                        blowup_bound=bound, freeze_domain=Box((-1.5,), (100.0,)))
+        assert res.status.tolist() == [STATUS_LEFT_DOMAIN, STATUS_HORIZON, last]
+        assert 0.0 < res.end_times[2] < 1.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    starts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=3),
+    n_random=st.integers(0, 2),
+)
+def test_batched_row_equals_row_alone_2d(starts, n_random):
+    """Same property on a 2-D field with transcendental terms, whose state
+    columns are strided views."""
+    sys = PerturbedSystem(parse_vector_field(["-x + y^2", "-y + sin(3*x)*exp(y)"], ["x", "y"]),
+                          0.3)
+    domain = Box((-2.5, -2.5), (2.5, 2.5))
+    g = parse_scalar_field("x^2 + y^2", ["x", "y"])
+    X0 = np.array(starts, dtype=float)
+
+    def battery():
+        return default_policy_battery(sys, n_random=n_random, seed=4, set_fields=[g])
+
+    batch = run_sweep(sys, X0, battery(), 1.0, 1e-2, freeze_domain=domain)
+    for r in range(batch.status.size):
+        i, p = batch.start_index[r], batch.policy_index[r]
+        alone = run_sweep(sys, X0[i:i + 1], [battery()[p]], 1.0, 1e-2, freeze_domain=domain)
+        assert np.array_equal(batch.states[r], alone.states[0])
+        assert batch.status[r] == alone.status[0]
+        assert batch.end_times[r] == alone.end_times[0]
