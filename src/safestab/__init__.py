@@ -28,7 +28,6 @@ from .geometry import (
     SetSpec,
     Sublevel,
     Union,
-    dist_to_set,
     make_grid,
 )
 from .dynamics import (

@@ -20,7 +20,7 @@ from .dynamics import PerturbedSystem, default_policy_battery, step_count
 from .expr import ParseError, parse_scalar_field, parse_vector_field
 from .geometry import Box, BoxComplement, Grid, SetSpec, Sublevel, Union, make_grid
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "CommandBlock", "RunConfig", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -59,12 +59,17 @@ def _whole_steps(span: float, dt: float, path: str) -> None:
         raise ConfigError(path, str(ex)) from None
 
 
-def _vector(value, dim: int, path: str) -> tuple:
+def _numbers(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
-    if len(value) != dim:
-        raise ConfigError(path, f"expected {dim} entries, got {len(value)}")
-    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _vector(value, dim: int, path: str) -> tuple:
+    vec = _numbers(value, path)
+    if len(vec) != dim:
+        raise ConfigError(path, f"expected {dim} entries, got {len(vec)}")
+    return tuple(vec)
 
 
 @dataclass
@@ -107,11 +112,11 @@ class RunConfig:
             raise ConfigError(path, f"unknown set {name!r}; declared sets: {sorted(self.sets)}")
         return self.sets[name]
 
-    def command_block(self, name: str) -> dict:
+    def command_block(self, name: str) -> "CommandBlock":
         blk = self.commands.get(name)
         if blk is None:
             raise ConfigError(name, "missing command block in the config file")
-        return blk
+        return CommandBlock(self, name, blk)
 
     def resolved(self) -> dict:
         out = {
@@ -150,6 +155,48 @@ class RunConfig:
     def digest(self) -> str:
         blob = json.dumps(self.resolved(), sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:8]
+
+
+class CommandBlock:
+    """One command's block of the config file.  Every typed read validates
+    the field and names its dotted path in the ConfigError."""
+
+    def __init__(self, cfg: RunConfig, path: str, raw: dict):
+        self.cfg = cfg
+        self.path = path
+        self.raw = raw
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.raw
+
+    def get(self, key: str, default=None):
+        return self.raw.get(key, default)
+
+    def num(self, key: str, default=None) -> float | None:
+        """A number (None when absent without a default)."""
+        value = self.raw.get(key, default)
+        return None if value is None else _num(value, f"{self.path}.{key}")
+
+    def nums(self, key: str, default) -> list:
+        return _numbers(self.raw.get(key, default), f"{self.path}.{key}")
+
+    def span(self, key: str, default=None) -> float | None:
+        """A time span that must be a whole number of integration steps."""
+        value = self.num(key, default)
+        if value is not None:
+            _whole_steps(value, self.cfg.dt, f"{self.path}.{key}")
+        return value
+
+    def set(self, key: str, default=None) -> SetSpec:
+        return self.cfg.get_set(self.raw.get(key, default), f"{self.path}.{key}")
+
+    def block(self, key: str, default=None) -> "CommandBlock":
+        """A nested mapping, read the same way; an absent or null one is ``default``."""
+        raw = self.raw.get(key)
+        raw = default if raw is None else raw
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{self.path}.{key}", "expected a mapping")
+        return CommandBlock(self.cfg, f"{self.path}.{key}", raw)
 
 
 _COMMAND_BLOCKS = (

@@ -213,8 +213,7 @@ def estimate_kl_envelope(
         if j is None:
             return
         vals = np.asarray(omega.value_many(X), dtype=float)
-        live = active | (step == 0)
-        profiles[live, j] = vals[live]
+        profiles[active, j] = vals[active]
 
     res = run_sweep(
         sys, X0, battery, horizon, dt,
@@ -450,9 +449,6 @@ class NumericLyapunov:
                 self._cache[X[i].tobytes()] = float(v)
         return out
 
-    def value_on_grid(self, grid) -> np.ndarray:
-        return self.value_many(grid.points)
-
     def _evaluate(self, X0: np.ndarray) -> np.ndarray:
         m = X0.shape[0]
         P = len(self.battery)
@@ -472,8 +468,7 @@ class NumericLyapunov:
         def obs(step, t, X, active, s_ix, p_ix, D):
             vals = np.asarray(omega.value_many(X), dtype=float)
             weighted = alpha1.value_many(vals) * math.exp(mu * t)
-            consider = active | (step == 0)
-            np.maximum(running, np.where(consider, weighted, -np.inf), out=running)
+            np.maximum(running, np.where(active, weighted, -np.inf), out=running)
             if caps is not None and step % check_every == 0 and step > 0:
                 # nothing after t can raise the max once the certified bound is below it
                 return bool(np.all(caps * math.exp(-decay * t) <= running))

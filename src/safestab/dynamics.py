@@ -279,7 +279,9 @@ def run_sweep(
 
     ``observer(step, t, X, active, start_index, policy_index, D)`` is invoked
     once at t=0 and after every step; it must treat the arrays as read-only.
-    An observer returning a truthy value aborts the sweep early; rows still
+    ``active`` marks the rows to observe: every row at t=0 (a start frozen
+    there is still a state the row took), then the rows still running.  An
+    observer returning a truthy value aborts the sweep early; rows still
     running are then marked ``aborted``.  The sweep stops after the step at
     which the last row froze: the observer is not called for the remaining
     steps, so it must record nothing for inactive rows, and snapshots due
@@ -361,7 +363,8 @@ def run_sweep(
 
     aborted = False
     if observer is not None:
-        aborted = bool(observer(0, 0.0, X, active, start_index, policy_index, D))
+        live = np.ones(R, dtype=bool)
+        aborted = bool(observer(0, 0.0, X, live, start_index, policy_index, D))
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = X.copy()
 

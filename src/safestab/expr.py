@@ -689,12 +689,6 @@ class VectorField:
                 out[:, j] = c._compiled(*cols)
         return out
 
-    def eval_into(self, cols: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-        """Hot path used by the sweep engine: writes f(points) into ``out``."""
-        for j, c in enumerate(self.components):
-            out[:, j] = c._compiled(*cols)
-        return out
-
     def __repr__(self) -> str:
         return f"VectorField([{', '.join(c.source for c in self.components)}])"
 

@@ -39,7 +39,6 @@ __all__ = [
     "make_grid",
     "GridSizeError",
     "EmptySetError",
-    "dist_to_set",
     "ProperIndicator",
     "DistanceIndicator",
 ]
@@ -411,12 +410,6 @@ class MaskSet(SetSpec):
 # Distances and proper indicators
 
 
-def dist_to_set(x, S: SetSpec) -> float:
-    """Euclidean distance from x to S; exact for boxes/complements/unions of
-    them, approximate (multistart descent) for sublevel sets."""
-    return S.dist(x)
-
-
 def _dist_to_complement_many(D: SetSpec, X: np.ndarray) -> np.ndarray:
     """||x||_{R^n \\ D}: distance from x to the complement of D."""
     if isinstance(D, Box):
@@ -437,7 +430,7 @@ def _dist_to_complement_many(D: SetSpec, X: np.ndarray) -> np.ndarray:
             else:
                 out[i] = np.sqrt(np.sum((unmarked - x) ** 2, axis=1)).min()
         return out
-    raise TypeError(f"distance to complement not implemented for {type(D).__name__}")
+    raise ValueError(f"distance to complement not implemented for {type(D).__name__}")
 
 
 def _dist_between(A: SetSpec, D: SetSpec, refine_tol: float = 1e-6) -> float:
@@ -459,7 +452,7 @@ def _dist_between(A: SetSpec, D: SetSpec, refine_tol: float = 1e-6) -> float:
 def _sampled_dist(A: SetSpec, D: SetSpec, refine_tol: float) -> float:
     hull = A.hull_box() if hasattr(A, "hull_box") else None
     if hull is None:
-        raise TypeError(f"cannot sample boundary of {type(A).__name__}")
+        raise ValueError(f"cannot sample boundary of {type(A).__name__}")
     per_axis = 33
     box = hull
     best_val, best_pt = math.inf, None

@@ -23,6 +23,7 @@ from .dynamics import (
     STATUS_LEFT_DOMAIN,
     PerturbedSystem,
     run_sweep,
+    step_count,
 )
 from .geometry import Box, Grid, MaskSet, SetSpec
 
@@ -85,6 +86,97 @@ def _tolerant_membership(S: SetSpec, grid: Grid | None, tol: float):
     if S.exact_distance:
         return lambda X: S.dist_many(X) <= tol
     return lambda X: S.contains_many(X)
+
+
+def _counterexample(res, starts, battery, r, time, kind, value=math.nan) -> Counterexample:
+    """The counterexample of sweep row ``r``: its start point and the label
+    of its battery policy."""
+    return Counterexample(
+        x0=tuple(float(v) for v in starts[res.start_index[r]]),
+        policy=battery[res.policy_index[r]].label,
+        time=float(time),
+        kind=kind,
+        value=float(value),
+    )
+
+
+class _Monitor:
+    """Per-row outcome table of one sweep; the observer behind every battery
+    check here.  At t=0 and then every ``stride`` steps it looks at the rows
+    the sweep marks live and records, per row,
+
+    * ``first``: the first time ``first(pts, g)`` flagged the row (inf if never);
+    * ``last``: the last time ``last(pts, g)`` flagged it (-inf if never), of
+      shape (k, R) when ``last`` flags k levels at once;
+    * ``peak`` and ``latest``: the running max and the latest value of
+      ``gauge(pts)``, which the two events receive as ``g``.
+
+    Only what the caller passes is computed.  With ``abort=True`` the sweep
+    stops at the first call on which ``first`` flags a row.
+    """
+
+    def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
+                 abort: bool = False, stride: int = 1):
+        self.first_event = first
+        self.last_event = last
+        self.gauge = gauge
+        self.abort = abort
+        self.stride = max(1, stride)
+        self.n_rows = n_rows
+        self.first = np.full(n_rows, np.inf)
+        self.last = None  # shaped by the first flags seen (every row is live at t=0)
+        self.peak = self.latest = None
+        if gauge is not None:
+            self.peak = np.full(n_rows, -np.inf)
+            self.latest = np.zeros(n_rows)
+
+    def __call__(self, step, t, X, active, s_idx, p_idx, D):
+        if step % self.stride:
+            return False
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            return False
+        pts = X[rows]
+        g = None
+        if self.gauge is not None:
+            g = self.gauge(pts)
+            self.peak[rows] = np.maximum(self.peak[rows], g)
+            self.latest[rows] = g
+        hit = False
+        if self.first_event is not None:
+            flags = self.first_event(pts, g)
+            hit = bool(flags.any())
+            if hit:
+                fresh = flags & np.isinf(self.first[rows])
+                self.first[rows[fresh]] = t
+        if self.last_event is not None:
+            flags = self.last_event(pts, g)
+            if self.last is None:
+                self.last = np.full(flags.shape[:-1] + (self.n_rows,), -np.inf)
+            if flags.ndim == 1:
+                self.last[rows[flags]] = t
+            else:
+                for level, f in zip(self.last, flags):
+                    level[rows[f]] = t
+        return self.abort and hit
+
+
+def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt,
+                      blowup_bound, gauge=None):
+    """The sweep shared by ``check_ras`` and ``winning_set``: per row, the
+    first entry into U (``first``) and the last time outside the target
+    (``last``)."""
+    mon = _Monitor(
+        starts.shape[0] * len(battery),
+        first=lambda pts, g: U.contains_many(pts),
+        last=lambda pts, g: ~target_member(pts),
+        gauge=gauge,
+    )
+    res = run_sweep(
+        sys, starts, battery, horizon, dt,
+        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=mon,
+    )
+    return res, mon
 
 
 # ---------------------------------------------------------------------------
@@ -214,22 +306,6 @@ class InvarianceReport:
         }
 
 
-class _FirstExit:
-    """Per-row first time the membership test fails."""
-
-    def __init__(self, member, n_rows: int):
-        self.member = member
-        self.time = np.full(n_rows, np.inf)
-
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        fresh = active & np.isinf(self.time)
-        if not np.any(fresh):
-            return
-        rows = np.nonzero(fresh)[0]
-        out = ~self.member(X[rows])
-        self.time[rows[out]] = t
-
-
 def check_invariance(
     sys: PerturbedSystem,
     S: SetSpec,
@@ -253,33 +329,20 @@ def check_invariance(
     if tol is None:
         tol = grid.cell_radius
     member = _tolerant_membership(S, grid, tol)
-    obs = _FirstExit(member, starts.shape[0] * len(battery))
+    mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g: ~member(pts))
     res = run_sweep(
         sys, starts, battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=obs,
+        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=mon,
     )
-    escapes = []
-    order = np.argsort(obs.time, kind="stable")
-    for r in order:
-        if not np.isfinite(obs.time[r]):
-            break
-        escapes.append(
-            Counterexample(
-                x0=tuple(float(v) for v in starts[res.start_index[r]]),
-                policy=battery[res.policy_index[r]].label,
-                time=float(obs.time[r]),
-                kind="escape",
-            )
-        )
-    for r in np.nonzero(res.status == STATUS_BLOWUP)[0]:
-        escapes.append(
-            Counterexample(
-                x0=tuple(float(v) for v in starts[res.start_index[r]]),
-                policy=battery[res.policy_index[r]].label,
-                time=float(res.end_times[r]),
-                kind="blow_up",
-            )
-        )
+    order = np.argsort(mon.first, kind="stable")
+    escapes = [
+        _counterexample(res, starts, battery, r, mon.first[r], "escape")
+        for r in order[np.isfinite(mon.first[order])]
+    ]
+    escapes += [
+        _counterexample(res, starts, battery, r, res.end_times[r], "blow_up")
+        for r in np.nonzero(res.status == STATUS_BLOWUP)[0]
+    ]
     verdict = YES if not escapes else NO
     return InvarianceReport(verdict, escapes, float(tol), starts.shape[0], len(battery))
 
@@ -369,7 +432,7 @@ def maximal_invariant(
     starts = grid.point_of(cells0)
     m = starts.shape[0]
     P = len(battery)
-    w_steps = max(1, int(round(dwell_window / dt)))
+    w_steps = step_count(dwell_window, dt, "dwell_window")
 
     trace = _CellTrace(grid, m * P, w_steps)
     run_sweep(
@@ -456,26 +519,6 @@ class WinningSetResult:
         return int(self.inconclusive.sum())
 
 
-class _WinObserver:
-    def __init__(self, target_member, unsafe: SetSpec, n_rows: int):
-        self.target_member = target_member
-        self.unsafe = unsafe
-        self.entered_unsafe = np.full(n_rows, np.inf)
-        self.last_outside_target = np.full(n_rows, -np.inf)
-
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        consider = active | (step == 0)
-        rows = np.nonzero(consider)[0]
-        if rows.size == 0:
-            return
-        pts = X[rows]
-        hit = self.unsafe.contains_many(pts)
-        fresh = hit & np.isinf(self.entered_unsafe[rows])
-        self.entered_unsafe[rows[fresh]] = t
-        outside = ~self.target_member(pts)
-        self.last_outside_target[rows[outside]] = t
-
-
 def winning_set(
     sys: PerturbedSystem,
     A: SetSpec,
@@ -509,14 +552,10 @@ def winning_set(
     starts = grid.point_of(eval_cells)
     m, P = starts.shape[0], len(battery)
     member = _tolerant_membership(A, grid, conv_radius)
-    obs = _WinObserver(member, U, m * P)
-    res = run_sweep(
-        sys, starts, battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=obs,
-    )
+    res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt, blowup_bound)
     deadline = settle_fraction * horizon
-    safe_row = np.isinf(obs.entered_unsafe)
-    settled_row = (obs.last_outside_target <= deadline) & (res.status == STATUS_HORIZON)
+    safe_row = np.isinf(mon.first)
+    settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
     safe = safe_row.reshape(P, m).all(axis=0)
     settled = settled_row.reshape(P, m).all(axis=0)
 
@@ -557,31 +596,6 @@ class SpecVerdict:
         }
 
 
-class _RasObserver:
-    def __init__(self, omega_member, unsafe: SetSpec, n_rows: int):
-        self.omega_member = omega_member
-        self.unsafe = unsafe
-        self.entered_unsafe = np.full(n_rows, np.inf)
-        self.last_outside_omega = np.full(n_rows, -np.inf)
-        self.min_unsafe_dist = math.inf
-
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        consider = active | (step == 0)
-        rows = np.nonzero(consider)[0]
-        if rows.size == 0:
-            return
-        pts = X[rows]
-        hit = self.unsafe.contains_many(pts)
-        fresh = hit & np.isinf(self.entered_unsafe[rows])
-        self.entered_unsafe[rows[fresh]] = t
-        if self.unsafe.exact_distance:
-            d = self.unsafe.dist_many(pts).min()
-            if d < self.min_unsafe_dist:
-                self.min_unsafe_dist = float(d)
-        outside = ~self.omega_member(pts)
-        self.last_outside_omega[rows[outside]] = t
-
-
 def check_ras(
     sys: PerturbedSystem,
     W: SetSpec,
@@ -608,38 +622,29 @@ def check_ras(
     starts = grid.point_of(starts_idx)
     m, P = starts.shape[0], len(battery)
     member = _tolerant_membership(Omega, grid, grid.cell_radius if omega_tol is None else omega_tol)
-    obs = _RasObserver(member, U, m * P)
-    res = run_sweep(
-        sys, starts, battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=obs,
-    )
+    # the running max of -dist(x, U) is minus the closest approach to U
+    gauge = (lambda pts: -U.dist_many(pts)) if U.exact_distance else None
+    res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
+                                 blowup_bound, gauge)
     deadline = settle_fraction * horizon
 
     counterexamples: list[Counterexample] = []
     soft = 0
     for r in range(m * P):
-        x0 = tuple(float(v) for v in starts[res.start_index[r]])
-        label = battery[res.policy_index[r]].label
-        if np.isfinite(obs.entered_unsafe[r]):
-            counterexamples.append(
-                Counterexample(x0, label, float(obs.entered_unsafe[r]), "entered_unsafe")
-            )
+        if np.isfinite(mon.first[r]):
+            time, kind = mon.first[r], "entered_unsafe"
         elif res.status[r] == STATUS_BLOWUP:
-            counterexamples.append(
-                Counterexample(x0, label, float(res.end_times[r]), "blow_up")
-            )
+            time, kind = res.end_times[r], "blow_up"
         elif res.status[r] == STATUS_LEFT_DOMAIN:
-            counterexamples.append(
-                Counterexample(x0, label, float(res.end_times[r]), "left_grid_domain")
-            )
-            soft += 1
-        elif obs.last_outside_omega[r] > deadline:
-            counterexamples.append(
-                Counterexample(x0, label, float(obs.last_outside_omega[r]), "never_settled")
-            )
-            soft += 1
+            time, kind = res.end_times[r], "left_grid_domain"
+        elif mon.last[r] > deadline:
+            time, kind = mon.last[r], "never_settled"
+        else:
+            continue
+        counterexamples.append(_counterexample(res, starts, battery, r, time, kind))
+        soft += kind in ("left_grid_domain", "never_settled")
 
-    hard = [c for c in counterexamples if c.kind in ("entered_unsafe", "blow_up")]
+    hard = len(counterexamples) - soft
     if hard:
         verdict = NO
     elif soft:
@@ -648,15 +653,14 @@ def check_ras(
         verdict = YES
     witness_T = None
     if verdict == YES:
-        last = obs.last_outside_omega.max()
+        last = mon.last.max()
         witness_T = float(max(0.0, last + dt)) if np.isfinite(last) else 0.0
+    closest = -float(mon.peak.max()) if gauge is not None else math.inf
     details = {
         "n_starts": m,
         "n_policies": P,
         "settle_deadline": deadline,
-        "min_dist_to_unsafe": None
-        if not math.isfinite(obs.min_unsafe_dist)
-        else obs.min_unsafe_dist,
+        "min_dist_to_unsafe": closest if math.isfinite(closest) else None,
     }
     return SpecVerdict("ras", verdict, witness_T, counterexamples, details)
 
@@ -766,37 +770,6 @@ def _shell_points(hull: Box, c: float) -> np.ndarray:
     return uniq
 
 
-class _DistTracker:
-    """Distance-to-A statistics, sampled every ``stride`` steps (containment
-    is sampled semantics anyway; the stride trades resolution for speed)."""
-
-    def __init__(self, A: SetSpec, n_rows: int, abort_above: float | None = None,
-                 stride: int = 1):
-        self.A = A
-        self.max_dist = np.zeros(n_rows)
-        self.first_exceed = np.full(n_rows, np.inf)
-        self.final_dist = np.zeros(n_rows)
-        self.abort_above = abort_above
-        self.stride = max(1, stride)
-
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        if step % self.stride and step != 0:
-            return False
-        consider = active | (step == 0)
-        rows = np.nonzero(consider)[0]
-        if rows.size == 0:
-            return False
-        d = self.A.dist_many(X[rows])
-        grow = d > self.max_dist[rows]
-        self.max_dist[rows[grow]] = d[grow]
-        self.final_dist[rows] = d
-        if self.abort_above is not None:
-            exceed = (d >= self.abort_above) & np.isinf(self.first_exceed[rows])
-            self.first_exceed[rows[exceed]] = t
-            return bool(np.any(self.max_dist >= self.abort_above))
-        return False
-
-
 def probe_uas(
     sys: PerturbedSystem,
     A: SetSpec,
@@ -832,42 +805,35 @@ def probe_uas(
         raise ValueError("eps_schedule must be non-empty")
     hull = A.hull_box() if hasattr(A, "hull_box") else None
     if hull is None:
-        raise TypeError(f"probe needs a box hull for {type(A).__name__}")
+        raise ValueError(f"probe needs a box hull for {type(A).__name__}")
 
     counterexamples: list[Counterexample] = []
     violated = False
+    # distances are sampled every `stride` steps: containment is sampled
+    # semantics anyway, and the stride trades resolution for speed
     stride = max(1, int(round(observe_dt / dt)))
 
-    def shell_run(c: float, eps: float):
+    def shell_run(c: float, eps: float) -> Counterexample | None:
+        """The worst failure from the shell at distance c, or None."""
         starts = _shell_points(hull, c)
-        tracker = _DistTracker(A, starts.shape[0] * len(battery), abort_above=eps,
-                               stride=stride)
+        mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
+                       first=lambda pts, d: d >= eps, abort=True, stride=stride)
         res = run_sweep(
             sys, starts, battery, horizon, dt,
-            blowup_bound=blowup_bound, observer=tracker,
+            blowup_bound=blowup_bound, observer=mon,
         )
-        hard = (tracker.max_dist >= eps) | (res.status == STATUS_BLOWUP)
-        soft = tracker.final_dist > growth_flag * c
-        fails = hard | soft
-        if np.any(fails):
-            r = int(np.argmax(np.where(hard, tracker.max_dist, -np.inf)))
-            if not hard[r]:
-                r = int(np.nonzero(fails)[0][0])
-            t_fail = tracker.first_exceed[r]
-            if not np.isfinite(t_fail):
-                t_fail = res.end_times[r]
-            kind = "blow_up" if res.status[r] == STATUS_BLOWUP else (
-                "left_eps_shell" if hard[r] else "still_growing_at_horizon"
-            )
-            ce = Counterexample(
-                x0=tuple(float(v) for v in starts[res.start_index[r]]),
-                policy=battery[res.policy_index[r]].label,
-                time=float(t_fail),
-                kind=kind,
-                value=float(tracker.max_dist[r]),
-            )
-            return False, ce
-        return True, None
+        hard = (mon.peak >= eps) | (res.status == STATUS_BLOWUP)
+        fails = hard | (mon.latest > growth_flag * c)
+        if not np.any(fails):
+            return None
+        r = int(np.argmax(np.where(hard, mon.peak, -np.inf)))
+        if not hard[r]:
+            r = int(np.nonzero(fails)[0][0])
+        t_fail = mon.first[r] if np.isfinite(mon.first[r]) else res.end_times[r]
+        kind = "blow_up" if res.status[r] == STATUS_BLOWUP else (
+            "left_eps_shell" if hard[r] else "still_growing_at_horizon"
+        )
+        return _counterexample(res, starts, battery, r, t_fail, kind, mon.peak[r])
 
     eps_table: list[tuple[float, float]] = []
     best = 0.0
@@ -878,8 +844,8 @@ def probe_uas(
             mid = 0.5 * (lo_c + hi_c)
             if mid < delta_floor:
                 break  # the stability radius is already known to be sub-floor
-            ok, ce = shell_run(mid, eps)
-            if ok:
+            ce = shell_run(mid, eps)
+            if ce is None:
                 lo_c = mid
             else:
                 hi_c = mid
@@ -897,32 +863,27 @@ def probe_uas(
         if rho_used is None:
             rho_used = 0.9 * best if best > 0 else delta_floor
         starts = _shell_points(hull, rho_used)
-        obs = _SettleObserver(A, eps_schedule, starts.shape[0] * len(battery),
-                              stride=stride)
+        # settle time into each eps neighborhood: the last time at distance >= eps
+        levels = np.asarray(eps_schedule)[:, None]
+        mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
+                       last=lambda pts, d: d >= levels, stride=stride)
         res = run_sweep(
             sys, starts, battery, horizon, dt,
-            blowup_bound=blowup_bound, observer=obs,
+            blowup_bound=blowup_bound, observer=mon,
         )
         bad = res.status == STATUS_BLOWUP
-        unsettled = obs.final_dist >= eps_schedule[0]
+        unsettled = mon.latest >= eps_schedule[0]
         if np.any(bad) or np.any(unsettled):
             violated = True
-            r = int(np.argmax(np.where(bad, np.inf, obs.final_dist)))
-            counterexamples.append(
-                Counterexample(
-                    x0=tuple(float(v) for v in starts[res.start_index[r]]),
-                    policy=battery[res.policy_index[r]].label,
-                    time=float(horizon),
-                    kind="blow_up" if bad[r] else "not_attracted",
-                    value=float(obs.final_dist[r]),
-                )
-            )
+            r = int(np.argmax(np.where(bad, np.inf, mon.latest)))
+            counterexamples.append(_counterexample(
+                res, starts, battery, r, horizon,
+                "blow_up" if bad[r] else "not_attracted", mon.latest[r],
+            ))
             attractivity = [(eps, math.inf) for eps in eps_schedule]
         else:
-            times = []
-            for j in range(len(eps_schedule)):
-                worst = obs.last_above[j].max()
-                times.append(float(worst + dt) if np.isfinite(worst) else 0.0)
+            times = [float(worst + dt) if np.isfinite(worst) else 0.0
+                     for worst in mon.last.max(axis=1)]
             for j in range(1, len(times)):  # T(eps) nonincreasing in eps
                 times[j] = min(times[j], times[j - 1])
             attractivity = list(zip(eps_schedule, times))
@@ -932,28 +893,3 @@ def probe_uas(
         eps_table, rho_used, attractivity, verdict, counterexamples,
         delta_floor, horizon,
     )
-
-
-class _SettleObserver:
-    """Last time each row was at distance >= eps, for every eps at once,
-    plus the final distance (for the never-settled check)."""
-
-    def __init__(self, A: SetSpec, thresholds, n_rows: int, stride: int = 1):
-        self.A = A
-        self.thresholds = np.asarray(sorted(thresholds))
-        self.last_above = np.full((len(self.thresholds), n_rows), -np.inf)
-        self.final_dist = np.zeros(n_rows)
-        self.stride = max(1, stride)
-
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        if step % self.stride and step != 0:
-            return
-        consider = active | (step == 0)
-        rows = np.nonzero(consider)[0]
-        if rows.size == 0:
-            return
-        d = self.A.dist_many(X[rows])
-        self.final_dist[rows] = d
-        for j, thr in enumerate(self.thresholds):
-            above = d >= thr
-            self.last_above[j, rows[above]] = t

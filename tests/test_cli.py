@@ -390,3 +390,59 @@ class TestLyapunovCommand:
         result = run_cli(["construct-lyapunov", "--config", path, "--out", str(tmp_path / "r")])
         assert result.exit_code == 2
         assert "lambda" in result.output
+
+
+COMMAND_BLOCKS = {
+    "simulate": "simulate",
+    "reach": "reach",
+    "invariant-set": "invariant_set",
+    "winning-set": "winning_set",
+    "verify-ras": "ras",
+    "verify-sws": "sws",
+    "probe-uas": "uas",
+    "check-cert": "certificate",
+    "construct-lyapunov": "lyapunov",
+}
+
+
+def assert_no_run_dir(out):
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", sorted(COMMAND_BLOCKS))
+    def test_missing_block_exits_2_and_writes_nothing(self, tmp_path, command):
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "runs"
+        result = run_cli([command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert COMMAND_BLOCKS[command] in result.output
+        assert_no_run_dir(out)
+
+    @pytest.mark.parametrize(
+        "command, blocks, args, message",
+        [
+            ("reach", {"reach": {"initial": "W", "t_lo": "abc"}}, [], "reach.t_lo"),
+            ("winning-set", {"winning_set": {"stable": "A", "unsafe": "U", "conv_radius": "abc"}},
+             [], "winning_set.conv_radius"),
+            ("check-cert", {"certificate": {
+                "check": "single", "V": "x^2", "domain": "Omega",
+                "alpha1": {"power": 2}, "alpha2": {"power": 2},
+                "omega": {"stable": "A", "domain": "G"}}}, [], "Sublevel"),
+            ("probe-uas", {"uas": {"stable": "G"}}, [], "box hull"),
+            ("simulate", {}, ["--x0", "inf"], "finite"),
+            # 0.015 at dt 0.01 would silently become a 0.02 window
+            ("invariant-set", {"invariant_set": {"target": "Omega", "dwell_window": 0.015}},
+             [], "invariant_set.dwell_window"),
+        ],
+    )
+    def test_malformed_input_exits_2_and_writes_nothing(self, tmp_path, command, blocks,
+                                                         args, message):
+        cfg = base_config(integration={"dt": 0.01, "horizon": 1.0}, **blocks)
+        cfg["sets"]["G"] = {"kind": "sublevel", "expr": "x^2 - 1", "level": 0.0}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli([command, "--config", path, "--out", str(out), *args])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert_no_run_dir(out)

@@ -13,7 +13,6 @@ from safestab import (
     ProperIndicator,
     Sublevel,
     Union,
-    dist_to_set,
     make_grid,
     parse_scalar_field,
 )
@@ -48,11 +47,11 @@ class TestMembership:
 class TestDistance:
     def test_clamp_formula(self):
         A = Box((-0.2071,), (0.5,))
-        assert abs(dist_to_set([0.7], A) - 0.2) < 1e-12
+        assert abs(A.dist([0.7]) - 0.2) < 1e-12
 
     def test_inside_is_zero(self):
         A = Box((-0.2071,), (0.5,))
-        assert dist_to_set([0.1], A) == 0.0
+        assert A.dist([0.1]) == 0.0
 
     def test_zero_iff_member_for_boxes(self, rng):
         B = Box((-1.0, 0.5), (1.0, 2.0))

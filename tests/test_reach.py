@@ -220,6 +220,14 @@ class TestMaximalInvariant:
         with pytest.raises(ValueError):
             maximal_invariant(sys, Box((5.0,), (6.0,)), grid, battery, 1.0, 1e-2)
 
+    def test_non_integral_dwell_window_rejected(self, linear_sys):
+        grid = make_grid(Box((-1.5,), (1.5,)), 0.05)
+        with pytest.raises(ValueError, match="dwell_window"):
+            maximal_invariant(
+                linear_sys, Box((-1.0,), (1.0,)), grid, [ZeroPolicy()], 1.0, 1e-2,
+                dwell_window=0.015,
+            )
+
 
 # ---------------------------------------------------------------------------
 # winning_set
@@ -374,3 +382,52 @@ class TestProbeUas:
         rep = probe_uas(sys, Box((0.0,), (0.0,)), [0.1, 0.5], [ZeroPolicy()], 5.0, 1e-2)
         assert rep.verdict == "violated"
         assert any(c.kind == "not_attracted" for c in rep.counterexamples)
+
+
+# ---------------------------------------------------------------------------
+# event times, replayed one trajectory at a time
+
+
+class TestEventTimesReplay:
+    """The counterexample times match a replay with ``ensemble`` and a plain
+    membership test on the recorded states, not the sweep's observer."""
+
+    def replay(self, sys, grid, battery, x0, horizon, dt):
+        from safestab import ensemble
+
+        trs = ensemble(sys, list(x0), battery, horizon, dt, domain=grid.domain)
+        return {pol.label: tr for pol, tr in zip(battery, trs)}
+
+    def test_entered_unsafe_at_first_step_in_U(self, bench, bench_sets):
+        sys, grid, battery = bench
+        tight_U = BoxComplement(Box((-1e9,), (0.3,)))
+        horizon, dt = 10.0, 5e-3
+        v = check_ras(sys, bench_sets["W"], tight_U, bench_sets["Omega"],
+                      grid, battery, horizon, dt)
+        got = {(c.x0, c.policy): c.time for c in v.counterexamples
+               if c.kind == "entered_unsafe"}
+        assert got
+        want = {}
+        for x0 in grid.point_of(grid.select(bench_sets["W"])):
+            x0 = tuple(float(v) for v in x0)
+            for label, tr in self.replay(sys, grid, battery, x0, horizon, dt).items():
+                inside = np.nonzero(tight_U.contains_many(tr.states))[0]
+                if inside.size:
+                    want[(x0, label)] = float(tr.times[inside[0]])
+        assert got == want
+
+    def test_escape_at_first_step_outside_tolerant_S(self, bench):
+        sys, grid, battery = bench
+        S = Box((-0.25,), (0.3,))
+        horizon, dt = 5.0, 5e-3
+        rep = check_invariance(sys, S, grid, battery, horizon, dt)
+        got = {(c.x0, c.policy): c.time for c in rep.escapes if c.kind == "escape"}
+        assert got
+        want = {}
+        for x0 in grid.point_of(grid.select(S)):
+            x0 = tuple(float(v) for v in x0)
+            for label, tr in self.replay(sys, grid, battery, x0, horizon, dt).items():
+                out = np.nonzero(S.dist_many(tr.states) > grid.cell_radius)[0]
+                if out.size:
+                    want[(x0, label)] = float(tr.times[out[0]])
+        assert got == want
