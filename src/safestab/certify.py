@@ -15,7 +15,8 @@ the usual sampled semantics.
 Strict inequalities are machine-checked with scaled tolerances: "< 0" becomes
 "<= -strict_tol*(1+|value|)", and positive definiteness off the target set is
 checked against the floor pd_coeff*min(r, r^2) with r the distance to the
-set.  All tolerances appear in the report.
+set.  Non-strict inequalities get the additive slack COND_TOL*(1+|value|).
+All tolerances appear in the report.
 """
 
 from __future__ import annotations
@@ -28,16 +29,20 @@ import numpy as np
 
 from .converse import MonotoneFn
 from .dynamics import PerturbedSystem
-from .expr import Const, ScalarField, Binary, NonSmoothError
+from .expr import Const, ScalarField, Binary
 from .geometry import Grid, SetSpec
+
+#: relative slack of the non-strict certificate inequalities
+COND_TOL = 1e-9
+#: a constructed barrier's level, as a multiple of the largest V on K union W
+LEVEL_MARGIN = 1.05
 
 __all__ = [
     "Certificate",
     "CertificateError",
     "ConditionResult",
     "CertificateReport",
-    "worst_case_lie",
-    "best_case_lie",
+    "lie_many",
     "check_lyapunov_certificate",
     "check_lyapunov_barrier_pair",
     "barrier_from_lyapunov",
@@ -127,23 +132,10 @@ class CertificateReport:
 # Worst-case Lie derivatives
 
 
-def worst_case_lie(V: ScalarField, sys: PerturbedSystem, x) -> float:
-    """sup over |d| <= delta of grad V(x).(f(x)+d), evaluated in closed form."""
-    x = np.asarray(x, dtype=float).ravel()
-    g = V.grad(require_smooth=True)(x)
-    fx = sys.f(x)
-    return float(g @ fx + sys.delta * np.linalg.norm(g))
-
-
-def best_case_lie(B: ScalarField, sys: PerturbedSystem, x) -> float:
-    """inf over |d| <= delta of grad B(x).(f(x)+d), evaluated in closed form."""
-    x = np.asarray(x, dtype=float).ravel()
-    g = B.grad(require_smooth=True)(x)
-    fx = sys.f(x)
-    return float(g @ fx - sys.delta * np.linalg.norm(g))
-
-
-def _lie_many(V: ScalarField, sys: PerturbedSystem, X: np.ndarray, sign: float) -> np.ndarray:
+def lie_many(V: ScalarField, sys: PerturbedSystem, X: np.ndarray, sign: float) -> np.ndarray:
+    """Extreme Lie derivative of V over |d| <= delta at each row of X, in
+    closed form: the sup grad V.f + delta*|grad V| for sign=+1, the inf
+    grad V.f - delta*|grad V| for sign=-1.  V must be smooth."""
     G = V.grad(require_smooth=True).eval_many(X)
     F = sys.f.eval_many(X)
     return np.sum(G * F, axis=1) + sign * sys.delta * np.sqrt(np.sum(G * G, axis=1))
@@ -180,8 +172,6 @@ def check_lyapunov_certificate(
     cert: Certificate,
     sys: PerturbedSystem,
     grid: Grid,
-    *,
-    cond_tol: float = 1e-9,
 ) -> CertificateReport:
     """Check the single-function certificate on every grid point inside D:
 
@@ -190,7 +180,7 @@ def check_lyapunov_certificate(
         sup_d grad V.(f+d) <= -V(x) + tol
 
     Points outside D are skipped and counted.  The additive tolerance scales
-    as cond_tol*(1+|V(x)|).
+    as COND_TOL*(1+|V(x)|).
     """
     if cert.alpha1 is None or cert.alpha2 is None or cert.omega is None:
         raise CertificateError("this check needs alpha1, alpha2, and omega")
@@ -204,8 +194,8 @@ def check_lyapunov_certificate(
     w = np.asarray(cert.omega.value_many(X), dtype=float)
     a1 = cert.alpha1.value_many(w)
     a2 = cert.alpha2.value_many(w)
-    lie = _lie_many(cert.V, sys, X, +1.0)
-    tol = cond_tol * (1.0 + np.abs(V))
+    lie = lie_many(cert.V, sys, X, +1.0)
+    tol = COND_TOL * (1.0 + np.abs(V))
 
     conditions = {
         "lower_bound": _reduce("lower_bound", V + tol - a1, X, lhs=a1, rhs=V),
@@ -214,7 +204,7 @@ def check_lyapunov_certificate(
     }
     report = CertificateReport(
         conditions,
-        {"cond_tol": cond_tol},
+        {"cond_tol": COND_TOL},
         skipped_points=skipped,
     )
     _collect_counterexamples(report)
@@ -231,7 +221,6 @@ def check_lyapunov_barrier_pair(
     *,
     strict_tol: float = 1e-9,
     pd_coeff: float = 1e-6,
-    cond_tol: float = 1e-9,
 ) -> CertificateReport:
     """Check the (V, B) pair certificate for stability with safety:
 
@@ -256,7 +245,7 @@ def check_lyapunov_barrier_pair(
     on_A = rA == 0.0
     off_A = rA > grid.cell_radius  # exclude the discretization tube around A
     V = cert.V.eval_many(X)
-    tolV = cond_tol * (1.0 + np.abs(V))
+    tolV = COND_TOL * (1.0 + np.abs(V))
 
     conditions = {}
     conditions["V_zero_on_A"] = _reduce(
@@ -268,7 +257,7 @@ def check_lyapunov_barrier_pair(
         "V_positive_definite", V[off_A] - floor, X[off_A], lhs=V[off_A], rhs=floor,
         note=f"floor pd_coeff*min(r, r^2), pd_coeff={pd_coeff:g}",
     )
-    lieV = _lie_many(cert.V, sys, X, +1.0)
+    lieV = lie_many(cert.V, sys, X, +1.0)
     strict = _strict_tol(V, strict_tol)
     conditions["V_strict_decrease_off_A"] = _reduce(
         "V_strict_decrease_off_A", (-strict[off_A]) - lieV[off_A], X[off_A],
@@ -288,8 +277,8 @@ def check_lyapunov_barrier_pair(
         note="U checked on U intersected with the grid domain",
     )
 
-    lieB = _lie_many(cert.B, sys, X, -1.0)
-    tolB = cond_tol * (1.0 + np.abs(cert.B.eval_many(X)))
+    lieB = lie_many(cert.B, sys, X, -1.0)
+    tolB = COND_TOL * (1.0 + np.abs(cert.B.eval_many(X)))
     conditions["B_nondecreasing"] = _reduce(
         "B_nondecreasing", lieB + tolB, X, lhs=lieB,
         note="best-case Lie derivative of B >= 0 on D",
@@ -297,7 +286,7 @@ def check_lyapunov_barrier_pair(
 
     report = CertificateReport(
         conditions,
-        {"strict_tol": strict_tol, "pd_coeff": pd_coeff, "cond_tol": cond_tol,
+        {"strict_tol": strict_tol, "pd_coeff": pd_coeff, "cond_tol": COND_TOL,
          "A_tube": grid.cell_radius},
         skipped_points=skipped,
     )
@@ -323,10 +312,8 @@ def barrier_from_lyapunov(
     K: SetSpec,
     W: SetSpec,
     grid: Grid,
-    *,
-    level_margin: float = 1.05,
 ) -> ScalarField:
-    """B = c - V with c = level_margin * max of V over the grid points of
+    """B = c - V with c = LEVEL_MARGIN * max of V over the grid points of
     K union W.  A V that certifies stability of A with domain K union W then
     yields a pair (V, B) certifying safety as well: B >= 0 where V <= c and
     the Lie derivative of B is the negated one of V."""
@@ -337,5 +324,5 @@ def barrier_from_lyapunov(
     vmax = float(V.eval_many(pts[sel]).max())
     if not math.isfinite(vmax):
         raise CertificateError("V is not finite on K union W")
-    c = level_margin * vmax if vmax > 0 else level_margin
+    c = LEVEL_MARGIN * vmax if vmax > 0 else LEVEL_MARGIN
     return ScalarField(Binary("-", Const(c), V.expr), V.var_names)

@@ -44,6 +44,7 @@ from .dynamics import ensemble
 from .expr import parse_scalar_field
 from .geometry import Box, DistanceIndicator, ProperIndicator, make_grid
 from .reach import (
+    DELTA_FLOOR,
     check_ras,
     check_sws,
     maximal_invariant,
@@ -303,7 +304,7 @@ def probe_uas_cmd(cfg, run):
     report = probe_uas(
         cfg.system, A, blk.nums("eps_schedule", [0.1, 0.25, 0.5]), cfg.make_battery(run.seed),
         blk.span("horizon", cfg.horizon), cfg.dt,
-        rho=blk.num("rho"), delta_floor=blk.num("delta_floor", 1e-3),
+        rho=blk.num("rho"), delta_floor=blk.num("delta_floor", DELTA_FLOOR),
         blowup_bound=cfg.blowup_bound,
     )
     run.finish(probe=report.to_dict())
@@ -375,9 +376,9 @@ def construct_lyapunov(cfg, run):
         else ProperIndicator(A, blk.set("omega_domain", om_dom))
     )
     sample_res = blk.num("sample_resolution", 10 * cfg.grid_resolution)
-    n_validation = int(blk.num("n_validation", 200))
-    n_bins = int(blk.num("n_bins", 20))
-    taus = blk.nums("taus", [0.5, 1.0, 2.0])
+    n_validation = blk.count("n_validation", 200)
+    n_bins = blk.count("n_bins", 20)
+    taus = blk.spans("taus", [0.5, 1.0, 2.0])
     horizon = blk.span("horizon", cfg.horizon)
     lam_cfg = blk.num("lam")
     mu_cfg = blk.num("mu")

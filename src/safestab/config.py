@@ -52,6 +52,19 @@ def _num(value, path: str, *, positive=False, nonnegative=False) -> float:
     return v
 
 
+def _count(value, path: str, minimum: int) -> int:
+    """A whole number >= minimum (a YAML bool is not one).  Integers are kept
+    as they are: a large seed must not pass through a float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        v = value
+    else:
+        f = _num(value, path)
+        v = int(f) if f.is_integer() else None
+    if v is None or v < minimum:
+        raise ConfigError(path, f"expected a whole number >= {minimum}, got {value!r}")
+    return v
+
+
 def _whole_steps(span: float, dt: float, path: str) -> None:
     try:
         step_count(span, dt, path.rsplit(".", 1)[-1])
@@ -180,12 +193,23 @@ class CommandBlock:
     def nums(self, key: str, default) -> list:
         return _numbers(self.raw.get(key, default), f"{self.path}.{key}")
 
+    def count(self, key: str, default: int) -> int:
+        """A positive whole number."""
+        return _count(self.raw.get(key, default), f"{self.path}.{key}", 1)
+
     def span(self, key: str, default=None) -> float | None:
         """A time span that must be a whole number of integration steps."""
         value = self.num(key, default)
         if value is not None:
             _whole_steps(value, self.cfg.dt, f"{self.path}.{key}")
         return value
+
+    def spans(self, key: str, default) -> list:
+        """A list of time spans, each a whole number of integration steps."""
+        values = self.nums(key, default)
+        for i, v in enumerate(values):
+            _whole_steps(v, self.cfg.dt, f"{self.path}.{key}[{i}]")
+        return values
 
     def set(self, key: str, default=None) -> SetSpec:
         return self.cfg.get_set(self.raw.get(key, default), f"{self.path}.{key}")
@@ -273,9 +297,7 @@ def load_config(path: str) -> RunConfig:
     system = raw.get("system")
     if not isinstance(system, dict):
         raise ConfigError("system", "missing system section")
-    dim = _need(system, "dim", "system")
-    if not isinstance(dim, int) or dim < 1:
-        raise ConfigError("system.dim", f"expected a positive integer, got {dim!r}")
+    dim = _count(_need(system, "dim", "system"), "system.dim", 1)
     var_names = system.get("state_vars")
     if var_names is None:
         var_names = ["x"] if dim == 1 else [f"x{i+1}" for i in range(dim)]
@@ -309,21 +331,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("grid.domain", "grid domain must be bounded")
     grid_domain = Box(lo, hi)
     resolution = _num(_need(grid, "resolution", "grid"), "grid.resolution", positive=True)
-    size_cap = grid.get("size_cap", 10_000_000)
-    if not isinstance(size_cap, int) or size_cap < 1:
-        raise ConfigError("grid.size_cap", "expected a positive integer")
+    size_cap = _count(grid.get("size_cap", 10_000_000), "grid.size_cap", 1)
 
     battery = raw.get("battery") or {}
-    n_random = battery.get("n_random", 8)
-    if not isinstance(n_random, int) or n_random < 0:
-        raise ConfigError("battery.n_random", "expected a nonnegative integer")
+    n_random = _count(battery.get("n_random", 8), "battery.n_random", 0)
     seed = battery.get("seed")
     if n_random > 0 and seed is None:
         raise ConfigError("battery.seed", "a seed is mandatory when n_random > 0")
-    if seed is None:
-        seed = 0
-    if not isinstance(seed, int):
-        raise ConfigError("battery.seed", "expected an integer")
+    seed = _count(0 if seed is None else seed, "battery.seed", 0)
     dwell = _num(battery.get("dwell", 0.1), "battery.dwell", positive=True)
     extremal = []
     for i, name in enumerate(battery.get("extremal_sets", []) or []):

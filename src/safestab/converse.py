@@ -23,7 +23,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import STATUS_ABORTED, STATUS_HORIZON, PerturbedSystem, run_sweep
+from .dynamics import (
+    STATUS_ABORTED,
+    STATUS_BLOWUP,
+    STATUS_HORIZON,
+    PerturbedSystem,
+    run_sweep,
+    step_count,
+)
+
+#: time columns of the envelope table (fewer when the horizon has fewer steps)
+ENVELOPE_TIMES = 241
+#: largest final/initial envelope ratio that still counts as settling
+MAX_SETTLE_RATIO = 0.25
+#: the default lambda, and the largest one accepted, as a fraction of the
+#: fitted envelope decay rate
+SAFETY_FACTOR = 0.5
+#: largest integer power tried for alpha1
+MAX_POWER = 8
+#: steps between two checks of the certified truncation bound of V
+TRUNCATE_CHECK_STEPS = 250
+#: additive floor of the validation inequalities
+ZERO_FLOOR = 1e-12
 
 
 def _freeze_box(region):
@@ -65,12 +86,6 @@ class MonotoneFn:
 
     def value_many(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, s):
-        arr = np.asarray(s, dtype=float)
-        if arr.ndim == 0:
-            return self.value(float(arr))
-        return self.value_many(arr)
 
 
 class PiecewiseMonotone(MonotoneFn):
@@ -143,24 +158,10 @@ class KLEnvelope:
     settle_ratio: float     # max over bins of final/initial column
     n_trajectories: int = 0
 
-    def value(self, s: float, t: float) -> float:
-        """Interpolated envelope; s rounds up to the next bin so the result
-        keeps dominating the data used to build the table."""
-        j = int(np.searchsorted(self.s_bins, s, side="left"))
-        if j >= self.s_bins.size:
-            base = self.table[-1]
-            scale = s / self.s_bins[-1] if self.s_bins[-1] > 0 else 1.0
-            base = base * scale  # linear extension beyond the largest bin
-        else:
-            base = self.table[j]
-        return float(np.interp(t, self.t_samples, base))
-
     def to_csv(self, path) -> None:
-        rows = []
-        for i, s in enumerate(self.s_bins):
-            for j, t in enumerate(self.t_samples):
-                rows.append((s, t, self.table[i, j]))
-        np.savetxt(path, np.asarray(rows), delimiter=",", header="s,t,beta", comments="")
+        s, t = np.meshgrid(self.s_bins, self.t_samples, indexing="ij")
+        rows = np.column_stack([s.ravel(), t.ravel(), self.table.ravel()])
+        np.savetxt(path, rows, delimiter=",", header="s,t,beta", comments="")
 
     def check_monotone(self) -> bool:
         ok_s = np.all(np.diff(self.table, axis=0) >= -1e-15)
@@ -177,8 +178,6 @@ def estimate_kl_envelope(
     dt: float,
     *,
     n_bins: int = 20,
-    n_t: int = 241,
-    settle_ratio: float = 0.25,
     blowup_bound: float = 1e6,
     region=None,
 ) -> KLEnvelope:
@@ -188,7 +187,7 @@ def estimate_kl_envelope(
     the slowest least-squares log-slope across bins.
 
     Trajectories must settle: a blow-up, an exit from ``region``, or a final
-    envelope column above ``settle_ratio`` of the initial one raises
+    envelope column above MAX_SETTLE_RATIO of the initial one raises
     NotSettlingError naming an offending start (the sampled region is then
     not inside the domain of attraction).
     """
@@ -202,18 +201,18 @@ def estimate_kl_envelope(
         raise ValueError(f"omega is not finite at sample {X0[bad].tolist()}")
 
     n_steps = int(round(horizon / dt))
-    t_idx = np.unique(np.linspace(0, n_steps, n_t).astype(int))
+    t_idx = np.unique(np.linspace(0, n_steps, ENVELOPE_TIMES).astype(int))
     t_samples = t_idx * dt
     # frozen rows are escapes: their later columns keep the inf fill
     profiles = np.full((m * P, t_idx.size), np.inf)
     col_of = {int(k): j for j, k in enumerate(t_idx)}
 
-    def obs(step, t, X, active, s_ix, p_ix, D):
+    def obs(step, t, X, live, D):
         j = col_of.get(step)
         if j is None:
             return
         vals = np.asarray(omega.value_many(X), dtype=float)
-        profiles[active, j] = vals[active]
+        profiles[live, j] = vals[live]
 
     res = run_sweep(
         sys, X0, battery, horizon, dt,
@@ -225,7 +224,7 @@ def estimate_kl_envelope(
         raise NotSettlingError(
             f"trajectory from {X0[res.start_index[r]].tolist()} under policy "
             f"'{battery[res.policy_index[r]].label}' "
-            f"{'blew up' if res.status[r] == 2 else 'left the region'}; the sampled "
+            f"{'blew up' if res.status[r] == STATUS_BLOWUP else 'left the region'}; the sampled "
             "region is not inside the attraction domain"
         )
     if not np.all(np.isfinite(profiles)):
@@ -263,7 +262,7 @@ def estimate_kl_envelope(
     ratio = 0.0
     if np.any(nonzero):
         ratio = float(np.max(table[nonzero, -1] / np.maximum(table[nonzero, 0], 1e-300)))
-    if ratio > settle_ratio:
+    if ratio > MAX_SETTLE_RATIO:
         b = int(np.argmax(table[:, -1] / np.maximum(table[:, 0], 1e-300)))
         raise NotSettlingError(
             f"envelope bin s={s_bins[b]:.4g} only decayed to "
@@ -323,29 +322,27 @@ class SontagPair:
 def fit_sontag_pair(
     env: KLEnvelope,
     lam: float | None = None,
-    *,
-    safety_factor: float = 0.5,
-    max_power: int = 8,
 ) -> SontagPair:
     """alpha1 is the smallest integer power r^p whose weighted envelope
     alpha1(beta(s,t)) e^{lam t} peaks inside the table for every bin (so the
     supremum over all t >= 0 is finite, not a horizon artifact); alpha2 is the
     per-bin maximum of that weighted envelope, upper-enveloped to be strictly
     increasing.  The split inequality is re-verified on the whole table before
-    returning.
+    returning.  ``lam`` defaults to, and may not exceed, SAFETY_FACTOR times
+    the envelope decay rate.
     """
     if lam is None:
-        lam = safety_factor * env.decay_rate
+        lam = SAFETY_FACTOR * env.decay_rate
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if lam > safety_factor * env.decay_rate * (1.0 + 1e-9):
+    if lam > SAFETY_FACTOR * env.decay_rate * (1.0 + 1e-9):
         raise ValueError(
             f"lambda={lam:.4g} exceeds safety_factor*decay_rate="
-            f"{safety_factor * env.decay_rate:.4g}; choose a smaller lambda"
+            f"{SAFETY_FACTOR * env.decay_rate:.4g}; choose a smaller lambda"
         )
     weights = np.exp(lam * env.t_samples)[None, :]
     chosen_p = None
-    for p in range(1, max_power + 1):
+    for p in range(1, MAX_POWER + 1):
         weighted = np.power(env.table, p) * weights
         peak = weighted.argmax(axis=1)
         if np.all(peak < env.t_samples.size - 2):
@@ -394,7 +391,6 @@ class NumericLyapunov:
         pair: "SontagPair | None" = None,
         region=None,
         blowup_bound: float = 1e6,
-        truncate_check_steps: int = 250,
     ):
         if mu <= 0:
             raise ValueError("mu must be positive")
@@ -412,7 +408,6 @@ class NumericLyapunov:
         self.pair = pair
         self.region = region
         self.blowup_bound = blowup_bound
-        self.truncate_check_steps = int(truncate_check_steps)
         self._cache: dict[bytes, float] = {}
 
     @property
@@ -428,9 +423,6 @@ class NumericLyapunov:
 
     def value(self, x) -> float:
         return float(self.value_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    def __call__(self, x) -> float:
-        return self.value(x)
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -456,7 +448,6 @@ class NumericLyapunov:
         mu = self.mu
         alpha1 = self.alpha1
         omega = self.omega
-        check_every = max(1, self.truncate_check_steps)
         if self.pair is not None:
             s0 = np.asarray(omega.value_many(X0), dtype=float)
             caps = np.tile(np.asarray(self.pair.alpha2.value_many(s0)), P)
@@ -465,11 +456,11 @@ class NumericLyapunov:
             caps = None
             decay = 0.0
 
-        def obs(step, t, X, active, s_ix, p_ix, D):
+        def obs(step, t, X, live, D):
             vals = np.asarray(omega.value_many(X), dtype=float)
             weighted = alpha1.value_many(vals) * math.exp(mu * t)
-            np.maximum(running, np.where(active, weighted, -np.inf), out=running)
-            if caps is not None and step % check_every == 0 and step > 0:
+            np.maximum(running, np.where(live, weighted, -np.inf), out=running)
+            if caps is not None and step % TRUNCATE_CHECK_STEPS == 0 and step > 0:
                 # nothing after t can raise the max once the certified bound is below it
                 return bool(np.all(caps * math.exp(-decay * t) <= running))
             return False
@@ -526,14 +517,15 @@ def validate_lyapunov(
     *,
     taus=(0.5, 1.0, 2.0),
     tol: float = 0.05,
-    zero_floor: float = 1e-12,
 ) -> LyapunovValidation:
     """At each sample x check the sandwich alpha1(omega(x)) <= V(x) <=
     alpha2(omega(x))*(1+tol), and along every battery trajectory check the
-    decrease V(phi(tau;x,d)) <= V(x) e^{-mu tau} (1+tol) for each tau.
+    decrease V(phi(tau;x,d)) <= V(x) e^{-mu tau} (1+tol) for each tau.  Both
+    inequalities get the additive slack ZERO_FLOOR.
 
-    alpha1(omega(x)) <= V(x) holds by construction (the t=0 term of the
-    maximum); it is still checked and reported.
+    Each tau must be a positive whole number of ``Vnum.dt`` steps, or
+    ValueError is raised.  alpha1(omega(x)) <= V(x) holds by construction
+    (the t=0 term of the maximum); it is still checked and reported.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     m = X.shape[0]
@@ -541,14 +533,15 @@ def validate_lyapunov(
     battery = Vnum.battery
     P = len(battery)
     taus = tuple(float(t) for t in taus)
+    tau_steps = [step_count(tau, Vnum.dt, "tau") for tau in taus]
 
     Vx = Vnum.value_many(X)
     w = np.asarray(Vnum.omega.value_many(X), dtype=float)
     a1 = Vnum.alpha1.value_many(w)
     a2 = np.asarray(alpha2.value_many(w), dtype=float)
 
-    lower_slack = Vx - a1 + zero_floor
-    upper_slack = a2 * (1.0 + tol) - Vx + zero_floor
+    lower_slack = Vx - a1 + ZERO_FLOOR
+    upper_slack = a2 * (1.0 + tol) - Vx + ZERO_FLOOR
     sandwich_margin = float(np.minimum(lower_slack, upper_slack).min())
     failures = []
     for i in np.nonzero((lower_slack < 0) | (upper_slack < 0))[0]:
@@ -557,22 +550,26 @@ def validate_lyapunov(
              "V": float(Vx[i]), "alpha2": float(a2[i])}
         )
 
+    states_at = {}  # step -> states of every row; a frozen row keeps its frozen state
+
+    def record(step, t, Y, live, D):
+        if step in tau_steps:
+            states_at[step] = Y.copy()
+
     res = run_sweep(
         sys, X, battery, max(taus), Vnum.dt,
-        blowup_bound=Vnum.blowup_bound, snapshot_times=taus,
+        blowup_bound=Vnum.blowup_bound, observer=record,
         freeze_domain=_freeze_box(Vnum.region),
     )
     worst_ratio = 0.0
     decrease_ok = True
-    for tau in taus:
-        Y = res.snapshots[tau]
-        Vy = Vnum.value_many(Y)
-        bound = np.tile(Vx, P) * math.exp(-Vnum.mu * tau) * (1.0 + tol) + zero_floor
-        ratio = np.where(
-            np.tile(Vx, P) > zero_floor,
-            Vy / np.maximum(np.tile(Vx, P) * math.exp(-Vnum.mu * tau), 1e-300),
-            0.0,
-        )
+    V_start = np.tile(Vx, P)  # V at each row's start
+    for tau, k in zip(taus, tau_steps):
+        # the sweep stops once every row froze: later states are the final ones
+        Vy = Vnum.value_many(states_at.get(k, res.states))
+        decayed = V_start * math.exp(-Vnum.mu * tau)
+        bound = decayed * (1.0 + tol) + ZERO_FLOOR
+        ratio = np.where(V_start > ZERO_FLOOR, Vy / np.maximum(decayed, 1e-300), 0.0)
         worst_ratio = max(worst_ratio, float(ratio.max()) if ratio.size else 0.0)
         bad = Vy > bound
         if np.any(bad):

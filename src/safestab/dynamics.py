@@ -17,7 +17,7 @@ bit-identical for identical (system, start, policy, horizon, dt, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +159,6 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         self.dwell = float(dwell)
         self.label = f"random[seed={self.seed},dwell={self.dwell:g}]"
         self._table: np.ndarray | None = None
-        self._dt = 1.0
 
     def prepare(self, sys, horizon, dt):
         # the table is indexed by t/dwell, so a refresh must land on every dwell
@@ -170,7 +169,6 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         norms = np.sqrt(np.sum(raw * raw, axis=1))
         norms[norms == 0.0] = 1.0
         self._table = (sys.delta / norms)[:, None] * raw
-        self._dt = dt
 
     def refresh_period(self, dt: float) -> int:
         return max(1, int(round(self.dwell / dt)))
@@ -235,7 +233,6 @@ class SweepResult:
     end_times: np.ndarray     # (R,) time of freeze or horizon
     start_index: np.ndarray   # (R,) row -> index into `starts`
     policy_index: np.ndarray  # (R,) row -> index into `policies`
-    snapshots: dict = field(default_factory=dict)  # time -> (R, n) copies
 
     def reason(self, row: int) -> str:
         return _STATUS_REASON.get(int(self.status[row]), "running")
@@ -268,7 +265,6 @@ def run_sweep(
     blowup_bound: float = 1e6,
     freeze_domain: Box | None = None,
     observer=None,
-    snapshot_times=(),
 ) -> SweepResult:
     """Advance every (start, policy) pair with fixed-step RK4.
 
@@ -277,15 +273,19 @@ def run_sweep(
     frozen at their last state and excluded from further updates; this is
     always recorded in ``status``, never silent.
 
-    ``observer(step, t, X, active, start_index, policy_index, D)`` is invoked
-    once at t=0 and after every step; it must treat the arrays as read-only.
-    ``active`` marks the rows to observe: every row at t=0 (a start frozen
-    there is still a state the row took), then the rows still running.  An
-    observer returning a truthy value aborts the sweep early; rows still
-    running are then marked ``aborted``.  The sweep stops after the step at
-    which the last row froze: the observer is not called for the remaining
-    steps, so it must record nothing for inactive rows, and snapshots due
-    later hold the frozen states.
+    The observer is the only view of a sweep in progress.
+    ``observer(step, t, X, live, D)`` is invoked once at t=0 and after every
+    step with the states ``X`` and the disturbances ``D`` of every row; it
+    must treat the arrays as read-only.  ``live`` marks the rows to observe:
+    every row at t=0 (a start frozen there is still a state the row took),
+    then the rows still running.  Row r starts at
+    ``starts[r % len(starts)]`` under ``policies[r // len(starts)]``
+    (``SweepResult.start_index``/``policy_index``).  An observer returning a
+    truthy value aborts the sweep early; rows still running are then marked
+    ``aborted``.  The sweep stops after the step at which the last row
+    froze: the observer is not called for the remaining steps, so it must
+    record nothing for rows that are not live, and a state wanted at a later
+    step is the row's final state.
     """
     n_steps = step_count(horizon, dt)
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
@@ -306,11 +306,6 @@ def run_sweep(
     status = np.zeros(R, dtype=np.int8)
     end_times = np.full(R, horizon)
     D = np.zeros((R, n))
-
-    snap_steps = {}
-    for ts in snapshot_times:
-        k = int(round(ts / dt))
-        snap_steps.setdefault(min(max(k, 0), n_steps), float(ts))
 
     groups = []
     for p, pol in enumerate(policies):
@@ -349,7 +344,6 @@ def run_sweep(
         _project_ball(D[rows], sys.delta)
 
     active = status == STATUS_RUNNING
-    snapshots: dict = {}
     for pol, rows in groups:
         refresh(pol, rows, 0.0)
 
@@ -364,9 +358,7 @@ def run_sweep(
     aborted = False
     if observer is not None:
         live = np.ones(R, dtype=bool)
-        aborted = bool(observer(0, 0.0, X, live, start_index, policy_index, D))
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = X.copy()
+        aborted = bool(observer(0, 0.0, X, live, D))
 
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -425,18 +417,12 @@ def run_sweep(
                 active = status == STATUS_RUNNING
                 n_active = int(np.count_nonzero(active))
             if observer is not None:
-                aborted = bool(observer(k, t1, X, active, start_index, policy_index, D))
-            if k in snap_steps:
-                snapshots[snap_steps[k]] = X.copy()
+                aborted = bool(observer(k, t1, X, active, D))
             if aborted:
                 end_times[status == STATUS_RUNNING] = t1
 
-    if not n_active:
-        for s in sorted(snap_steps):
-            if s > k:
-                snapshots[snap_steps[s]] = X.copy()
     status[status == STATUS_RUNNING] = STATUS_ABORTED if aborted else STATUS_HORIZON
-    return SweepResult(X, status, end_times, start_index, policy_index, snapshots)
+    return SweepResult(X, status, end_times, start_index, policy_index)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +498,7 @@ def ensemble(
     states = np.empty(shape)
     dists = np.zeros(shape)
 
-    def recorder(step, t, X, active, s_idx, p_idx, D):
+    def recorder(step, t, X, live, D):
         times[step] = t
         states[step] = X
         dists[step] = D

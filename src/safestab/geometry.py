@@ -28,6 +28,12 @@ import numpy as np
 
 from .expr import ScalarField
 
+#: descent starts and iterations per start of the sublevel-set distance
+SUBLEVEL_DIST_STARTS = 8
+SUBLEVEL_DIST_ITERS = 200
+#: sample spacing at which the sampled dist(A, complement of D) stops refining
+REFINE_TOL = 1e-6
+
 __all__ = [
     "SetSpec",
     "Box",
@@ -180,18 +186,18 @@ class Sublevel(SetSpec):
         X = self._check_dim(X)
         return np.array([self._dist_single(x) for x in X])
 
-    def _dist_single(self, x: np.ndarray, n_starts: int = 8, n_iter: int = 200) -> float:
+    def _dist_single(self, x: np.ndarray) -> float:
         if self.contains(x):
             return 0.0
         grad = self.g.grad()
         rng = np.random.default_rng(12345)
         best = math.inf
         starts = [x.copy()]
-        for _ in range(n_starts - 1):
+        for _ in range(SUBLEVEL_DIST_STARTS - 1):
             starts.append(x + rng.normal(scale=0.5 * (1.0 + np.linalg.norm(x)), size=x.shape))
         for y in starts:
             y = y.astype(float)
-            for _ in range(n_iter):
+            for _ in range(SUBLEVEL_DIST_ITERS):
                 gval = self.g(y)
                 if gval > self.level:
                     gv = grad(y)
@@ -433,23 +439,23 @@ def _dist_to_complement_many(D: SetSpec, X: np.ndarray) -> np.ndarray:
     raise ValueError(f"distance to complement not implemented for {type(D).__name__}")
 
 
-def _dist_between(A: SetSpec, D: SetSpec, refine_tol: float = 1e-6) -> float:
+def _dist_between(A: SetSpec, D: SetSpec) -> float:
     """dist(A, R^n \\ D) = inf_{a in A} ||a||_{complement of D}.
 
     Exact for a box (or union of boxes) inside a box; otherwise computed by
-    sampling A with refinement down to ``refine_tol``.
+    sampling A with refinement down to REFINE_TOL.
     """
     if isinstance(A, Box) and isinstance(D, Box):
         gaps = [min(a - dl, dh - b) for a, b, dl, dh in zip(A.lo, A.hi, D.lo, D.hi)]
         return float(min(gaps))
     if isinstance(A, Union):
-        return min(_dist_between(m, D, refine_tol) for m in A.members)
+        return min(_dist_between(m, D) for m in A.members)
     if isinstance(A, MaskSet):
-        return _dist_between(A.hull_box(), D, refine_tol) if isinstance(D, Box) else _sampled_dist(A, D, refine_tol)
-    return _sampled_dist(A, D, refine_tol)
+        return _dist_between(A.hull_box(), D) if isinstance(D, Box) else _sampled_dist(A, D)
+    return _sampled_dist(A, D)
 
 
-def _sampled_dist(A: SetSpec, D: SetSpec, refine_tol: float) -> float:
+def _sampled_dist(A: SetSpec, D: SetSpec) -> float:
     hull = A.hull_box() if hasattr(A, "hull_box") else None
     if hull is None:
         raise ValueError(f"cannot sample boundary of {type(A).__name__}")
@@ -466,7 +472,7 @@ def _sampled_dist(A: SetSpec, D: SetSpec, refine_tol: float) -> float:
         if vals[i] < best_val:
             best_val, best_pt = float(vals[i]), pts[i]
         span = max(b - a for a, b in zip(box.lo, box.hi)) / (per_axis - 1)
-        if span < refine_tol:
+        if span < REFINE_TOL:
             break
         lo = np.maximum(np.asarray(hull.lo), best_pt - 2 * span)
         hi = np.minimum(np.asarray(hull.hi), best_pt + 2 * span)
@@ -487,7 +493,7 @@ class ProperIndicator:
     to the distance to A.
     """
 
-    def __init__(self, A: SetSpec, D: SetSpec | None = None, refine_tol: float = 1e-6):
+    def __init__(self, A: SetSpec, D: SetSpec | None = None):
         self.A = A
         self.D = D
         if D is None:
@@ -495,7 +501,7 @@ class ProperIndicator:
         else:
             if A.dim != D.dim:
                 raise ValueError("A and D dimensions differ")
-            gap = _dist_between(A, D, refine_tol)
+            gap = _dist_between(A, D)
             if gap <= 0.0:
                 raise ValueError(
                     "A must lie strictly inside D (dist(A, complement of D) = "
@@ -518,16 +524,6 @@ class ProperIndicator:
         with np.errstate(divide="ignore"):
             boundary = np.where(depth > 0.0, 1.0 / depth, np.inf) - 2.0 / self.dist_A_to_Dc
         return np.maximum(base, boundary)
-
-    def __call__(self, x) -> float:
-        return self.value(x)
-
-    def describe(self) -> dict:
-        return {
-            "kind": "proper_indicator",
-            "dist_A_to_Dc": self.dist_A_to_Dc,
-            "has_domain_branch": self.D is not None,
-        }
 
 
 def DistanceIndicator(A: SetSpec) -> ProperIndicator:

@@ -48,6 +48,19 @@ YES = "yes_sampled"
 NO = "no"
 INCONCLUSIVE = "inconclusive"
 
+#: "late" and "settled" mean the final (1 - SETTLE_FRACTION) of the horizon:
+#: the invariant core's tail occupancy, the winning set's and check_ras's
+#: settle deadline
+SETTLE_FRACTION = 0.75
+#: smallest stability radius probe_uas resolves
+DELTA_FLOOR = 1e-3
+#: bisection steps per eps level of probe_uas
+BISECT_ITERS = 10
+#: a probe run whose final distance exceeds GROWTH_FLAG times its start fails
+GROWTH_FLAG = 1.25
+#: time between two distance samples of probe_uas
+OBSERVE_DT = 0.01
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -86,6 +99,14 @@ def _tolerant_membership(S: SetSpec, grid: Grid | None, tol: float):
     if S.exact_distance:
         return lambda X: S.dist_many(X) <= tol
     return lambda X: S.contains_many(X)
+
+
+def _grid_starts(grid: Grid, S: SetSpec, name: str):
+    """The flat indices and the centers of the grid cells in S."""
+    cells = grid.select(S)
+    if cells.size == 0:
+        raise ValueError(f"{name} contains no grid points; refine the grid")
+    return cells, grid.point_of(cells)
 
 
 def _counterexample(res, starts, battery, r, time, kind, value=math.nan) -> Counterexample:
@@ -130,10 +151,10 @@ class _Monitor:
             self.peak = np.full(n_rows, -np.inf)
             self.latest = np.zeros(n_rows)
 
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
+    def __call__(self, step, t, X, live, D):
         if step % self.stride:
             return False
-        rows = np.flatnonzero(active)
+        rows = np.flatnonzero(live)
         if rows.size == 0:
             return False
         pts = X[rows]
@@ -188,46 +209,13 @@ class ReachResult:
     grid: Grid
     mask: np.ndarray           # boolean, one entry per grid cell
     horizon: tuple             # (t_lo, t_hi)
-    semantics: str             # 'sampled_under' or 'lipschitz_over'
+    semantics: str             # 'sampled_under': an under-approximation
     boundary_exits: int = 0
     n_starts: int = 0
     n_policies: int = 0
-    notes: str = ""
 
     def mask_set(self) -> MaskSet:
         return MaskSet(self.grid, self.mask)
-
-    def inflated(self, sys: PerturbedSystem, sample: int = 400) -> "ReachResult":
-        """Heuristic over-approximation: dilate the sampled tube by a
-        cell-radius ball grown at the sampled Lipschitz rate of f over the
-        grid domain.  Diagnostic only; the growth factor is usually huge."""
-        lip = _lipschitz_estimate(sys, self.grid, sample)
-        t_span = self.horizon[1]
-        growth = self.grid.cell_radius * math.exp(min(lip * t_span, 60.0))
-        cells = int(math.ceil(growth / self.grid.widths.min()))
-        if cells >= max(self.grid.shape):
-            mask = np.ones(self.grid.size, dtype=bool)
-            note = f"heuristic: Lipschitz growth {growth:.3g} exceeds the grid"
-        else:
-            mask = self.grid.dilate(self.mask, cells)
-            note = f"heuristic: dilated by {cells} cells (L~{lip:.3g})"
-        return ReachResult(
-            self.grid, mask, self.horizon, "lipschitz_over",
-            self.boundary_exits, self.n_starts, self.n_policies, note,
-        )
-
-
-def _lipschitz_estimate(sys: PerturbedSystem, grid: Grid, sample: int) -> float:
-    n = sys.dim
-    pts = grid.points
-    if pts.shape[0] > sample:
-        idx = np.linspace(0, pts.shape[0] - 1, sample).astype(int)
-        pts = pts[idx]
-    J = np.empty((pts.shape[0], n, n))
-    for i, comp in enumerate(sys.f.components):
-        J[:, i, :] = comp.grad().eval_many(pts)
-    J = np.where(np.isfinite(J), J, 0.0)
-    return float(np.linalg.norm(J, ord=2, axis=(1, 2)).max()) if pts.size else 0.0
 
 
 class _Occupancy:
@@ -236,10 +224,10 @@ class _Occupancy:
         self.t_lo = t_lo
         self.mask = np.zeros(grid.size, dtype=bool)
 
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
-        if t < self.t_lo or not np.any(active):
+    def __call__(self, step, t, X, live, D):
+        if t < self.t_lo or not np.any(live):
             return
-        flat, inside = self.grid.cell_index_many(X[active])
+        flat, inside = self.grid.cell_index_many(X[live])
         self.mask[flat[inside]] = True
 
 
@@ -255,16 +243,12 @@ def reach_tube(
 ) -> ReachResult:
     """Cells visited by any battery trajectory started from the grid points
     in W during [t_lo, t_hi] (scalar horizon means [0, horizon])."""
+    battery = list(battery)
     if isinstance(horizon, (tuple, list)):
         t_lo, t_hi = float(horizon[0]), float(horizon[1])
     else:
         t_lo, t_hi = 0.0, float(horizon)
-    starts_idx = grid.select(W)
-    if starts_idx.size == 0:
-        raise ValueError(
-            "W contains no grid points; refine the grid resolution or enlarge W"
-        )
-    starts = grid.point_of(starts_idx)
+    _, starts = _grid_starts(grid, W, "W")
     occ = _Occupancy(grid, t_lo)
     res = run_sweep(
         sys, starts, battery, t_hi, dt,
@@ -273,7 +257,7 @@ def reach_tube(
     exits = int(np.count_nonzero(res.status == STATUS_LEFT_DOMAIN))
     return ReachResult(
         grid, occ.mask, (t_lo, t_hi), "sampled_under",
-        boundary_exits=exits, n_starts=starts.shape[0], n_policies=len(list(battery)),
+        boundary_exits=exits, n_starts=starts.shape[0], n_policies=len(battery),
     )
 
 
@@ -289,10 +273,6 @@ class InvarianceReport:
     n_starts: int
     n_policies: int
     semantics: str = "sampled"
-
-    @property
-    def first_escape(self):
-        return self.escapes[0] if self.escapes else None
 
     def to_dict(self) -> dict:
         return {
@@ -314,20 +294,15 @@ def check_invariance(
     horizon: float,
     dt: float,
     *,
-    tol: float | None = None,
     blowup_bound: float = 1e6,
 ) -> InvarianceReport:
-    """Simulate the battery from every grid point in S and report the first
-    escape (point, policy, time) or a sampled-invariance verdict.  Containment
-    is tested with a one-cell-radius tolerance by default, consistent with the
-    grid resolution."""
+    """Simulate the battery from every grid point in S and report every
+    escape (point, policy, time), earliest first, or a sampled-invariance
+    verdict.  Containment is tested with a one-cell-radius tolerance,
+    consistent with the grid resolution."""
     battery = list(battery)
-    starts_idx = grid.select(S)
-    if starts_idx.size == 0:
-        raise ValueError("S contains no grid points; refine the grid")
-    starts = grid.point_of(starts_idx)
-    if tol is None:
-        tol = grid.cell_radius
+    _, starts = _grid_starts(grid, S, "S")
+    tol = grid.cell_radius
     member = _tolerant_membership(S, grid, tol)
     mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g: ~member(pts))
     res = run_sweep(
@@ -387,9 +362,9 @@ class _CellTrace:
         self.grid = grid
         self.cells = np.full((n_rows, n_steps + 1), -1, dtype=np.int64)
 
-    def __call__(self, step, t, X, active, s_idx, p_idx, D):
+    def __call__(self, step, t, X, live, D):
         flat, inside = self.grid.cell_index_many(X)
-        flat = np.where(inside & active, flat, -1)
+        flat = np.where(inside & live, flat, -1)
         self.cells[:, step] = flat
 
 
@@ -403,7 +378,6 @@ def maximal_invariant(
     *,
     dwell_window: float | None = None,
     mode: str = "core",
-    tail_fraction: float = 0.75,
     blowup_bound: float = 1e6,
 ) -> InvariantSetResult:
     """Largest sampled subset of Omega from which no battery trajectory can be
@@ -415,7 +389,7 @@ def maximal_invariant(
     (window traces are simulated once; the pruning cascades over them).
 
     mode='core' (default) additionally trims transient cells: it keeps the
-    cells occupied at late times (t >= tail_fraction * horizon) by battery
+    cells occupied at late times (t >= SETTLE_FRACTION * horizon) by battery
     runs started all over the kernel, closed forward under the battery.  The
     core is an inner estimate of the kernel that discards one-way-transit
     regions; it is the set a long-run battery simulation actually settles
@@ -426,10 +400,7 @@ def maximal_invariant(
     battery = list(battery)
     if dwell_window is None:
         dwell_window = 10.0 * dt
-    cells0 = grid.select(omega_set)
-    if cells0.size == 0:
-        raise ValueError("Omega contains no grid points; refine the grid")
-    starts = grid.point_of(cells0)
+    cells0, starts = _grid_starts(grid, omega_set, "Omega")
     m = starts.shape[0]
     P = len(battery)
     w_steps = step_count(dwell_window, dt, "dwell_window")
@@ -470,7 +441,7 @@ def maximal_invariant(
 
     # late-time occupancy over the kernel, then forward closure
     kern_idx = np.nonzero(kernel_mask)[0]
-    tail = _Occupancy(grid, t_lo=tail_fraction * horizon)
+    tail = _Occupancy(grid, t_lo=SETTLE_FRACTION * horizon)
     run_sweep(
         sys, grid.point_of(kern_idx), battery, horizon, dt,
         blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=tail,
@@ -529,13 +500,12 @@ def winning_set(
     dt: float,
     *,
     conv_radius: float | None = None,
-    settle_fraction: float = 0.75,
     eval_cells: np.ndarray | None = None,
     blowup_bound: float = 1e6,
 ) -> WinningSetResult:
     """Mark the grid cells from which every battery trajectory (i) never
-    enters U and (ii) has entered A + conv_radius*B by the settle deadline and
-    stays there for the rest of the horizon.  Sampled semantics throughout.
+    enters U and (ii) has entered A + conv_radius*B by the settle deadline
+    SETTLE_FRACTION*horizon and stays there for the rest of the horizon.  Sampled semantics throughout.
 
     conv_radius defaults to twice the grid cell radius: below the grid
     resolution, membership in A is not observable.
@@ -553,7 +523,7 @@ def winning_set(
     m, P = starts.shape[0], len(battery)
     member = _tolerant_membership(A, grid, conv_radius)
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt, blowup_bound)
-    deadline = settle_fraction * horizon
+    deadline = SETTLE_FRACTION * horizon
     safe_row = np.isinf(mon.first)
     settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
     safe = safe_row.reshape(P, m).all(axis=0)
@@ -606,27 +576,22 @@ def check_ras(
     horizon: float,
     dt: float,
     *,
-    settle_fraction: float = 0.75,
-    omega_tol: float | None = None,
     blowup_bound: float = 1e6,
 ) -> SpecVerdict:
     """Reach-avoid-stay: every battery trajectory from the W grid points must
     avoid U on [0, horizon] and be inside Omega from some time T on, where
-    "stay" is sampled as remaining in Omega over the final
-    (1 - settle_fraction) of the horizon.  witness_T is the smallest sampled
-    settle time over the whole battery."""
+    "stay" is sampled as remaining within one cell radius of Omega over the
+    final (1 - SETTLE_FRACTION) of the horizon.  witness_T is the smallest
+    sampled settle time over the whole battery."""
     battery = list(battery)
-    starts_idx = grid.select(W)
-    if starts_idx.size == 0:
-        raise ValueError("W contains no grid points; refine the grid")
-    starts = grid.point_of(starts_idx)
+    _, starts = _grid_starts(grid, W, "W")
     m, P = starts.shape[0], len(battery)
-    member = _tolerant_membership(Omega, grid, grid.cell_radius if omega_tol is None else omega_tol)
+    member = _tolerant_membership(Omega, grid, grid.cell_radius)
     # the running max of -dist(x, U) is minus the closest approach to U
     gauge = (lambda pts: -U.dist_many(pts)) if U.exact_distance else None
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
                                  blowup_bound, gauge)
-    deadline = settle_fraction * horizon
+    deadline = SETTLE_FRACTION * horizon
 
     counterexamples: list[Counterexample] = []
     soft = 0
@@ -677,9 +642,7 @@ def check_sws(
     *,
     eps_schedule=(0.1, 0.25, 0.5),
     probe_horizon: float | None = None,
-    conv_radius: float | None = None,
     blowup_bound: float = 1e6,
-    delta_floor: float = 1e-3,
 ) -> SpecVerdict:
     """Stability with safety: A must probe as uniformly asymptotically stable
     and every W grid cell must lie in the sampled winning set (trajectories
@@ -687,14 +650,12 @@ def check_sws(
     probe = probe_uas(
         sys, A, eps_schedule, battery,
         probe_horizon if probe_horizon is not None else horizon, dt,
-        blowup_bound=blowup_bound, delta_floor=delta_floor,
+        blowup_bound=blowup_bound,
     )
-    w_cells = grid.select(W)
-    if w_cells.size == 0:
-        raise ValueError("W contains no grid points; refine the grid")
+    w_cells, _ = _grid_starts(grid, W, "W")
     win = winning_set(
         sys, A, U, grid, battery, horizon, dt,
-        conv_radius=conv_radius, eval_cells=w_cells, blowup_bound=blowup_bound,
+        eval_cells=w_cells, blowup_bound=blowup_bound,
     )
     missing = w_cells[~win.mask[w_cells]]
     counterexamples = list(probe.counterexamples)
@@ -779,19 +740,16 @@ def probe_uas(
     dt: float,
     *,
     rho: float | None = None,
-    delta_floor: float = 1e-3,
-    bisect_iters: int = 10,
-    growth_flag: float = 1.25,
+    delta_floor: float = DELTA_FLOOR,
     blowup_bound: float = 1e6,
-    observe_dt: float = 0.01,
 ) -> UASProbeReport:
     """Empirical probe of uniform asymptotic stability of A.
 
-    Uniform stability: for each eps in the schedule, bisection over the shell
-    radius c finds the largest c (>= delta_floor) such that every battery
-    trajectory started at distance c stays strictly inside the eps
-    neighborhood; runs whose distance is still growing at the horizon
-    (final > growth_flag * start) count as failures, so slow escapes are not
+    Uniform stability: for each eps in the schedule, BISECT_ITERS bisection
+    steps over the shell radius c find the largest c (>= delta_floor) such
+    that every battery trajectory started at distance c stays strictly inside
+    the eps neighborhood; runs whose distance is still growing at the horizon
+    (final > GROWTH_FLAG * start) count as failures, so slow escapes are not
     mistaken for containment.  Attractivity: from the rho shell (default: 90%
     of the largest verified stability radius), the settle time into each eps
     neighborhood is the last sampled time at distance >= eps.
@@ -809,9 +767,9 @@ def probe_uas(
 
     counterexamples: list[Counterexample] = []
     violated = False
-    # distances are sampled every `stride` steps: containment is sampled
+    # distances are sampled every OBSERVE_DT: containment is sampled
     # semantics anyway, and the stride trades resolution for speed
-    stride = max(1, int(round(observe_dt / dt)))
+    stride = max(1, int(round(OBSERVE_DT / dt)))
 
     def shell_run(c: float, eps: float) -> Counterexample | None:
         """The worst failure from the shell at distance c, or None."""
@@ -823,7 +781,7 @@ def probe_uas(
             blowup_bound=blowup_bound, observer=mon,
         )
         hard = (mon.peak >= eps) | (res.status == STATUS_BLOWUP)
-        fails = hard | (mon.latest > growth_flag * c)
+        fails = hard | (mon.latest > GROWTH_FLAG * c)
         if not np.any(fails):
             return None
         r = int(np.argmax(np.where(hard, mon.peak, -np.inf)))
@@ -840,7 +798,7 @@ def probe_uas(
     for eps in eps_schedule:
         lo_c, hi_c = 0.0, eps
         fail_ces: list[Counterexample] = []
-        for _ in range(bisect_iters):
+        for _ in range(BISECT_ITERS):
             mid = 0.5 * (lo_c + hi_c)
             if mid < delta_floor:
                 break  # the stability radius is already known to be sub-floor

@@ -446,3 +446,58 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert message in result.output
         assert_no_run_dir(out)
+
+
+def _set_field(cfg, dotted, value):
+    *parents, key = dotted.split(".")
+    node = cfg
+    for p in parents:
+        node = node[p]
+    node[key] = value
+
+
+class TestWholeNumberFields:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lyapunov.n_validation", 40.7),
+            ("lyapunov.n_validation", 0),
+            ("lyapunov.n_bins", 16.5),
+            ("lyapunov.n_bins", True),
+            ("system.dim", True),
+            ("system.dim", 1.5),
+            ("grid.size_cap", True),
+            ("grid.size_cap", 1e6 + 0.5),
+            ("battery.n_random", True),
+            ("battery.n_random", -1),
+            ("battery.seed", True),
+            ("battery.seed", 7.25),
+        ],
+    )
+    def test_bad_count_exits_2_and_names_field(self, tmp_path, field, value):
+        cfg = TestLyapunovCommand().linear_cfg()
+        _set_field(cfg, field, value)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["construct-lyapunov", "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert field in result.output
+        assert_no_run_dir(out)
+
+    def test_whole_float_and_large_int_are_kept(self, tmp_path):
+        cfg = base_config(battery={"n_random": 2.0, "seed": 2**62 + 1})
+        cfg["grid"]["size_cap"] = 1e6
+        loaded = load_config(write_config(tmp_path, cfg))
+        assert loaded.battery_n_random == 2 and isinstance(loaded.battery_n_random, int)
+        assert loaded.battery_seed == 2**62 + 1
+        assert loaded.grid_size_cap == 10**6
+
+    @pytest.mark.parametrize("taus", [[0.003, 0.5], [0.0, 0.5], [-3.0, 0.5]])
+    def test_taus_must_be_whole_positive_steps(self, tmp_path, taus):
+        # dt is 0.002, so 0.003 would be checked at 0.004
+        path = write_config(tmp_path, TestLyapunovCommand().linear_cfg(taus=taus))
+        out = tmp_path / "runs"
+        result = run_cli(["construct-lyapunov", "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "lyapunov.taus[0]" in result.output
+        assert_no_run_dir(out)

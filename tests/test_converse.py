@@ -8,8 +8,8 @@ from safestab import (
     DistanceIndicator,
     PerturbedSystem,
     default_policy_battery,
+    integrate,
     parse_vector_field,
-    run_sweep,
 )
 from safestab.converse import (
     KLEnvelope,
@@ -226,11 +226,9 @@ class TestValidation:
         pair = fit_sontag_pair(env, lam=0.5)
         mu = 0.25
         V = NumericLyapunov(sys, omega, pair.alpha1, mu, battery, 8.0, 1e-3, pair=pair)
-        pol = battery[0]
-        res = run_sweep(sys, np.array([[0.9]]), [pol], 3.0, 1e-3,
-                        snapshot_times=(1.0, 2.5))
-        x1 = res.snapshots[1.0][0]
-        x2 = res.snapshots[2.5][0]
+        tr = integrate(sys, [0.9], battery[0], 3.0, 1e-3)
+        x1 = tr.states[1000]
+        x2 = tr.states[2500]
         assert V.value(x2) <= V.value(x1) * math.exp(-mu * 1.5) * (1 + 1e-9)
 
     def test_doubling_mu_keeps_measured_rate_above_the_doubled_floor(self, linear_setup):
@@ -245,6 +243,30 @@ class TestValidation:
             assert val.passed
             measured_rate = -math.log(max(val.worst_decrease_ratio, 1e-12)) / 1.0 + mu
             assert measured_rate >= 2 * mu * 0.8
+
+    @pytest.mark.parametrize("taus", [(0.0015, 0.5), (0.0, 0.5), (-3.0, 0.5)])
+    def test_tau_must_be_whole_positive_steps(self, linear_setup, taus):
+        sys, omega, battery, _, env = linear_setup
+        pair = fit_sontag_pair(env, lam=0.5)
+        V = NumericLyapunov(sys, omega, pair.alpha1, 0.25, battery, 8.0, 1e-3, pair=pair)
+        with pytest.raises(ValueError, match="tau"):
+            validate_lyapunov(V, pair.alpha2, np.array([[0.8]]), taus=taus, tol=1e-3)
+
+    def test_decrease_reads_the_state_at_each_tau(self, linear_setup):
+        # the worst ratio equals the one recomputed from recorded trajectories
+        sys, omega, battery, _, env = linear_setup
+        pair = fit_sontag_pair(env, lam=0.5)
+        mu = 0.25
+        V = NumericLyapunov(sys, omega, pair.alpha1, mu, battery, 8.0, 1e-3, pair=pair)
+        xs = np.array([[0.8], [-0.3]])
+        val = validate_lyapunov(V, pair.alpha2, xs, taus=(0.5, 1.0), tol=1e-3)
+        ratios = []
+        for x in xs:
+            for pol in battery:
+                tr = integrate(sys, x, pol, 1.0, 1e-3)
+                for tau, k in ((0.5, 500), (1.0, 1000)):
+                    ratios.append(V.value(tr.states[k]) / (V.value(x) * math.exp(-mu * tau)))
+        assert val.worst_decrease_ratio == pytest.approx(max(ratios), rel=1e-12)
 
     def test_failures_are_reported_with_points(self, linear_setup):
         sys, omega, battery, _, env = linear_setup

@@ -232,29 +232,38 @@ class TestSweepEngine:
         assert np.isfinite(res.states[1, 0])
 
     def test_snapshots(self, linear_sys):
-        res = run_sweep(
-            linear_sys, np.array([[1.0]]), [ZeroPolicy()], 2.0, 1e-3,
-            snapshot_times=(0.5, 1.0),
-        )
-        assert res.snapshots[0.5][0, 0] == pytest.approx(math.exp(-0.5), abs=1e-7)
-        assert res.snapshots[1.0][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
+        # an observer sees every row's state at every step, t = 0 included
+        seen = {}
+
+        def record(step, t, X, live, D):
+            seen[step] = (t, X.copy(), live.copy(), D.copy())
+
+        res = run_sweep(linear_sys, np.array([[1.0]]), [ZeroPolicy()], 2.0, 1e-3,
+                        observer=record)
+        assert sorted(seen) == list(range(2001))
+        assert seen[0][0] == 0.0 and seen[0][1][0, 0] == 1.0
+        assert seen[500][0] == pytest.approx(0.5)
+        assert seen[500][1][0, 0] == pytest.approx(math.exp(-0.5), abs=1e-7)
+        assert seen[1000][1][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
+        assert np.array_equal(seen[2000][1], res.states)
+        assert all(live.all() and not D.any() for _, _, live, D in seen.values())
 
     def test_stops_once_every_row_froze(self, bench_sys):
         # blows up near t = 10 of a 300 time-unit horizon
         calls = []
         res = run_sweep(
             bench_sys, np.array([[0.6]]), [ConstantPolicy([0.25])], 300.0, 5e-3,
-            observer=lambda step, *rest: calls.append(step),
-            snapshot_times=(1.0, 200.0, 300.0),
+            observer=lambda step, t, X, live, D: calls.append((step, X[0, 0], live[0])),
         )
         assert res.reason(0) == "blow_up"
         assert 9.0 < res.end_times[0] < 12.0
-        assert calls == list(range(calls[-1] + 1))
-        assert calls[-1] == round(res.end_times[0] / 5e-3)
-        assert set(res.snapshots) == {1.0, 200.0, 300.0}
-        assert np.array_equal(res.snapshots[200.0], res.states)
-        assert np.array_equal(res.snapshots[300.0], res.states)
-        assert res.snapshots[1.0][0, 0] < res.states[0, 0]
+        steps = [c[0] for c in calls]
+        assert steps == list(range(steps[-1] + 1))
+        assert steps[-1] == round(res.end_times[0] / 5e-3)
+        # the last call sees the frozen final state and no live row
+        assert calls[-1][1] == res.states[0, 0] and not calls[-1][2]
+        assert all(live for _, _, live in calls[:-1])
+        assert calls[200][1] < res.states[0, 0]
 
     def test_frozen_at_start_runs_no_step(self):
         sys = PerturbedSystem(parse_vector_field(["1"], ["x"]), 0.0)
@@ -262,11 +271,11 @@ class TestSweepEngine:
         res = run_sweep(
             sys, np.array([[5.0]]), [ZeroPolicy()], 2.0, 1e-2,
             freeze_domain=Box((-1.0,), (1.0,)),
-            observer=lambda step, *rest: calls.append(step), snapshot_times=(1.0,),
+            observer=lambda step, t, X, live, D: calls.append((step, X[0, 0], live[0])),
         )
-        assert calls == [0]
+        assert calls == [(0, 5.0, True)]
         assert res.reason(0) == "left_domain" and res.end_times[0] == 0.0
-        assert res.snapshots[1.0][0, 0] == 5.0
+        assert res.states[0, 0] == 5.0
 
     def test_infinite_blowup_bound_still_catches_overflow(self):
         sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safestab.expr import (
     Binary,
@@ -10,6 +12,7 @@ from safestab.expr import (
     NonSmoothError,
     ParseError,
     Unary,
+    ScalarField,
     UnknownIdentifierError,
     Var,
     parse,
@@ -266,3 +269,67 @@ def test_gradient_matches_finite_differences_1d(rng):
             s = grad(p)
             fd = central_fd(f, p, h=1e-5)
             assert np.all(np.abs(s - fd) <= 1e-4 * (1.0 + np.abs(s)))
+
+
+# ---------------------------------------------------------------------------
+# Property tests over generated expression trees
+
+XY = ("x", "y")
+_VARS = st.sampled_from([Var("x", 0), Var("y", 1)])
+
+
+def _trees(depth, consts, unary, binary):
+    if depth == 0:
+        return st.one_of(_VARS, consts.map(Const))
+    sub = _trees(depth - 1, consts, unary, binary)
+    return st.one_of(
+        _VARS,
+        consts.map(Const),
+        st.builds(Unary, st.sampled_from(unary), sub),
+        st.builds(Binary, st.sampled_from(binary), sub, sub),
+    )
+
+
+# every node the parser produces, with any finite constant
+_ANY_TREE = _trees(
+    4,
+    st.floats(allow_nan=False, allow_infinity=False),
+    ("neg", "sin", "cos", "exp", "log", "sqrt", "abs", "tanh"),
+    ("+", "-", "*", "/", "^", "min", "max"),
+)
+# smooth and tame on [-1, 1]^2: |f| <= 2^8, so central differences stay accurate
+_SMOOTH_TREE = _trees(
+    3,
+    st.floats(-2.0, 2.0),
+    ("neg", "sin", "cos", "tanh"),
+    ("+", "-", "*"),
+)
+_POINTS = np.random.default_rng(11).uniform(-2.0, 2.0, size=(64, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ANY_TREE)
+def test_printed_source_parses_to_identical_values(e):
+    def outcome(expr):
+        # constant-only subtrees evaluate in Python floats, which raise
+        # (1/0) or turn complex ((-1)^1.5)
+        try:
+            with np.errstate(all="ignore"):
+                return ScalarField(expr, XY).eval_many(_POINTS)
+        except (ArithmeticError, TypeError) as ex:
+            return type(ex)
+
+    want, got = outcome(e), outcome(parse(to_source(e), XY))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMOOTH_TREE, st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_symbolic_gradient_matches_central_differences(e, x):
+    f = ScalarField(e, XY)
+    sym = f.grad()(np.asarray(x))
+    fd = central_fd(f, x, h=1e-5)
+    assert np.all(np.abs(sym - fd) <= 1e-4 * (1.0 + np.abs(sym))), (to_source(e), x, sym, fd)

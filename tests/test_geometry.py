@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safestab import (
     Box,
@@ -182,3 +184,23 @@ class TestProperIndicator:
 def test_empty_union_rejected():
     with pytest.raises(EmptySetError):
         Union(())
+
+
+@st.composite
+def _grids(draw):
+    dim = draw(st.integers(1, 3))
+    lo = draw(st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim))
+    extent = draw(st.lists(st.floats(1e-3, 100.0), min_size=dim, max_size=dim))
+    cells = draw(st.lists(st.integers(1, 40), min_size=dim, max_size=dim))
+    # per-axis resolutions that need not divide the extents evenly
+    res = [e / c * draw(st.floats(0.7, 1.3)) for e, c in zip(extent, cells)]
+    return make_grid(Box(tuple(lo), tuple(a + e for a, e in zip(lo, extent))), res)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grids(), st.data())
+def test_cell_index_of_cell_center_round_trips(grid, data):
+    idx = np.asarray(data.draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=50)))
+    flat, inside = grid.cell_index_many(grid.point_of(idx))
+    assert inside.all()
+    np.testing.assert_array_equal(flat, idx)

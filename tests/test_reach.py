@@ -105,13 +105,12 @@ class TestReachTube:
         with pytest.raises(ValueError, match="refine the grid"):
             reach_tube(sys, Box((9.0,), (9.5,)), 1.0, grid, battery, 1e-2)
 
-    def test_lipschitz_inflation_contains_tube(self, bench, bench_sets):
+    def test_iterator_battery_matches_list(self, bench, bench_sets):
         sys, grid, battery = bench
         res = reach_tube(sys, bench_sets["W"], 1.0, grid, battery, 1e-2)
-        over = res.inflated(sys)
-        assert over.semantics == "lipschitz_over"
-        assert np.all(over.mask[res.mask])
-        assert "heuristic" in over.notes
+        gen = reach_tube(sys, bench_sets["W"], 1.0, grid, (p for p in battery), 1e-2)
+        assert gen.n_policies == res.n_policies == len(battery)
+        assert np.array_equal(gen.mask, res.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ class TestInvariance:
             sys, Box((ROOT_LEFT,), (0.51,)), grid, [ConstantPolicy([0.25])], 20.0, 1e-3
         )
         assert rep.verdict == "no"
-        first = rep.first_escape
+        first = rep.escapes[0]
         assert first.x0[0] == pytest.approx(0.51, abs=2e-3)
         assert first.kind == "escape"
 

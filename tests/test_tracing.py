@@ -1,0 +1,68 @@
+"""The benchmark's traced run (``perfbench/run.py --trace 1``) wraps the
+package's entry points by name; a rename or deletion in ``src/`` must not
+break it.  This installs the span recorder, runs one small sweep through it,
+and checks that uninstalling restores every patched attribute."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from safestab import certify, cli, config, converse, dynamics, expr, geometry, reach
+
+MODULES = (certify, cli, config, converse, dynamics, expr, geometry, reach)
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot() -> dict:
+    """Every module attribute and every class attribute of the package."""
+    snap = {}
+    for mod in MODULES:
+        for name, value in vars(mod).items():
+            snap[(mod.__name__, name)] = value
+            if inspect.isclass(value) and value.__module__.startswith("safestab"):
+                for attr, member in vars(value).items():
+                    snap[(value.__module__, value.__qualname__, attr)] = member
+    return snap
+
+
+def test_span_recorder_installs_and_restores():
+    tracing = _load_tracing()
+    before = _snapshot()
+    rec = tracing.SpanRecorder()
+    rec.install()
+    try:
+        patched = {(owner, attr) for owner, attr, _ in rec._undo}
+        for owner, attr in [(reach, "run_sweep"), (converse, "run_sweep"),
+                            (dynamics, "run_sweep"), (reach, "check_invariance"),
+                            (reach, "maximal_invariant"), (converse, "validate_lyapunov"),
+                            (certify, "check_lyapunov_barrier_pair"),
+                            (dynamics.ConstantPolicy, "values"), (geometry.Box, "contains_many"),
+                            (geometry.Grid, "cell_index_many"),
+                            (geometry.ProperIndicator, "value_many")]:
+            assert (owner, attr) in patched, (owner, attr)
+
+        # one traced sweep with an observer, through the patched reach module
+        sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.1)
+        grid = geometry.make_grid(geometry.Box((-1.0,), (1.0,)), 0.1)
+        res = reach.reach_tube(sys_, geometry.Box((0.5,), (0.8,)), 0.5, grid,
+                               dynamics.default_policy_battery(sys_, n_random=0), 0.05)
+        assert res.mask.any()
+        assert len(rec.sweeps) == 1
+        names = {rec.names[i] for i in rec.name}
+        assert {"dynamics.run_sweep", "dynamics.observer", "reach.reach_tube"} <= names
+    finally:
+        rec.uninstall()
+    after = _snapshot()
+    assert after.keys() == before.keys()
+    changed = [key for key in before if after[key] is not before[key]]
+    assert changed == []
+    assert np.isfinite(rec.metrics()["dynamics.busy_s"])
