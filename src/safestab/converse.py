@@ -48,11 +48,8 @@ ZERO_FLOOR = 1e-12
 
 
 def _freeze_box(region):
-    """Sweeps freeze rows leaving the evaluation region; accept anything with
-    a box hull (MaskSet) or a Box itself."""
-    if region is None:
-        return None
-    return region.hull_box() if hasattr(region, "hull_box") else region
+    """Sweeps freeze rows leaving the box hull of the evaluation region."""
+    return None if region is None else region.hull_box()
 
 __all__ = [
     "MonotoneFn",

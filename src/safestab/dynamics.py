@@ -101,14 +101,13 @@ class DisturbancePolicy:
     values always satisfy |d| <= delta."""
 
     label: str = "policy"
-    #: True when d depends on the current state and must be refreshed each step
-    needs_state: bool = False
 
     def prepare(self, sys: PerturbedSystem, horizon: float, dt: float) -> None:
         pass
 
     def refresh_period(self, dt: float) -> int:
-        """Number of dt-steps between disturbance updates (1 = every step)."""
+        """Number of dt-steps between disturbance updates (1 = every step,
+        as state feedback needs)."""
         return 1
 
     def values(self, t: float, X: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -185,35 +184,21 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
 
 class ExtremalFeedbackPolicy(DisturbancePolicy):
     """State feedback d(x) = sign * delta * grad g(x)/|grad g(x)| for a
-    set-defining function g (or a fixed unit direction), driving trajectories
-    up or down that function as fast as the disturbance budget allows."""
+    set-defining function g, driving trajectories up or down that function
+    as fast as the disturbance budget allows; refreshed every step."""
 
-    needs_state = True
-
-    def __init__(self, source: ScalarField | np.ndarray, sign: int = +1, name: str = ""):
+    def __init__(self, source: ScalarField, sign: int = +1):
         self.sign = 1 if sign >= 0 else -1
-        if isinstance(source, ScalarField):
-            self.field = source
-            self.direction = None
-            self.label = f"extremal[{'+' if self.sign > 0 else '-'}grad {name or source.source}]"
-        else:
-            self.field = None
-            v = np.asarray(source, dtype=float).ravel()
-            norm = np.linalg.norm(v)
-            self.direction = v / norm if norm > 0 else v
-            self.label = f"extremal[{'+' if self.sign > 0 else '-'}dir {np.round(self.direction, 3).tolist()}]"
+        self.field = source
+        self.label = f"extremal[{'+' if self.sign > 0 else '-'}grad {source.source}]"
         self._delta = 0.0
         self._grad: VectorField | None = None
 
     def prepare(self, sys, horizon, dt):
         self._delta = sys.delta
-        if self.field is not None:
-            self._grad = self.field.grad()
+        self._grad = self.field.grad()
 
     def values(self, t, X, out):
-        if self.direction is not None:
-            out[:] = (self.sign * self._delta) * self.direction
-            return out
         G = self._grad.eval_many(X)
         norms = np.sqrt(np.sum(G * G, axis=1))
         safe = norms > 1e-12
@@ -311,13 +296,10 @@ def run_sweep(
     for p, pol in enumerate(policies):
         pol.prepare(sys, horizon, dt)
         groups.append((pol, slice(p * m, (p + 1) * m)))
-    # state-feedback groups refresh every step; the others by refresh period
-    feedback = [g for g in groups if g[0].needs_state]
-    timed: dict[int, list] = {}
+    by_period: dict[int, list] = {}
     for g in groups:
-        if not g[0].needs_state:
-            timed.setdefault(g[0].refresh_period(dt), []).append(g)
-    timed = list(timed.items())
+        by_period.setdefault(g[0].refresh_period(dt), []).append(g)
+    by_period = list(by_period.items())
 
     comps = [c._compiled for c in sys.f.components]
     k1 = np.empty((R, n))
@@ -366,12 +348,10 @@ def run_sweep(
     with np.errstate(all="ignore"):
         while k < n_steps and n_active and not aborted:
             t = k * dt
-            for period, members in timed:
+            for period, members in by_period:
                 if k % period == 0:
                     for pol, rows in members:
                         refresh(pol, rows, t)
-            for pol, rows in feedback:
-                refresh(pol, rows, t)
             rhs(X_cols, k1)
             np.multiply(k1, half, out=Xt)
             Xt += X

@@ -146,9 +146,11 @@ def _tokenize(source: str) -> list[_Token]:
                         j += 1
             text = source[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"malformed number '{text}'", i + 1) from None
+            if math.isinf(value):
+                raise ParseError(f"number '{text}' overflows a float", i + 1)
             tokens.append(_Token("num", text, i + 1))
             i = j
             continue
@@ -553,17 +555,21 @@ _NUMPY_UNARY = {
 }
 
 
-def _codegen(e: Expr) -> str:
+def _codegen(e: Expr, consts: list) -> str:
+    """Source of e; constants become names bound to float64 values in
+    ``consts``, so constant-only subtrees follow numpy semantics (0^-1 is
+    inf, (-1)^1.5 is NaN) like the rest."""
     if isinstance(e, Const):
-        return repr(e.value)
+        consts.append(np.float64(e.value))
+        return f"_c{len(consts) - 1}"
     if isinstance(e, Var):
         return f"_v{e.index}"
     if isinstance(e, Unary):
         if e.op == "neg":
-            return f"(-({_codegen(e.arg)}))"
-        return f"{_NUMPY_UNARY[e.op]}({_codegen(e.arg)})"
+            return f"(-({_codegen(e.arg, consts)}))"
+        return f"{_NUMPY_UNARY[e.op]}({_codegen(e.arg, consts)})"
     if isinstance(e, Binary):
-        a, b = _codegen(e.a), _codegen(e.b)
+        a, b = _codegen(e.a, consts), _codegen(e.b, consts)
         if e.op == "^":
             return f"({a})**({b})"
         if e.op == "min":
@@ -572,16 +578,18 @@ def _codegen(e: Expr) -> str:
             return f"_np.maximum({a}, {b})"
         return f"(({a}){e.op}({b}))"
     if isinstance(e, Where):
-        return f"_np.where(({_codegen(e.cond)})>0.0, {_codegen(e.pos)}, {_codegen(e.neg)})"
+        cond, pos, neg = (_codegen(c, consts) for c in (e.cond, e.pos, e.neg))
+        return f"_np.where(({cond})>0.0, {pos}, {neg})"
     raise TypeError(f"unknown node {e!r}")
 
 
 def _compile(e: Expr, dim: int):
     """Compile an AST to a callable taking per-variable float64 arrays."""
     args = ", ".join(f"_v{k}" for k in range(dim)) if dim else "_unused=None"
-    body = _codegen(e)
+    consts: list = []
+    body = _codegen(e, consts)
     src = f"def _compiled({args}):\n    return {body}\n"
-    ns: dict = {"_np": np}
+    ns: dict = {"_np": np, **{f"_c{k}": c for k, c in enumerate(consts)}}
     exec(compile(src, "<safestab-expr>", "exec"), ns)
     return ns["_compiled"]
 

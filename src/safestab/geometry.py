@@ -31,8 +31,6 @@ from .expr import ScalarField
 #: descent starts and iterations per start of the sublevel-set distance
 SUBLEVEL_DIST_STARTS = 8
 SUBLEVEL_DIST_ITERS = 200
-#: sample spacing at which the sampled dist(A, complement of D) stops refining
-REFINE_TOL = 1e-6
 
 __all__ = [
     "SetSpec",
@@ -59,7 +57,9 @@ class EmptySetError(ValueError):
 
 
 class SetSpec:
-    """Base interface: exact-or-labeled membership and distance."""
+    """Base interface: exact-or-labeled membership and distance, and the
+    geometric questions the checkers ask of a set.  A kind that cannot answer
+    one raises ValueError naming itself."""
 
     dim: int
     exact_distance: bool = True
@@ -75,6 +75,29 @@ class SetSpec:
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def within(self, tol: float):
+        """Vectorized X -> 'within tol of the set'.  Exact-distance sets use
+        their distance; the others fall back to plain membership (a tolerance
+        in g-units is not a Euclidean tolerance)."""
+        if self.exact_distance:
+            return lambda X: self.dist_many(X) <= tol
+        return self.contains_many
+
+    def hull_box(self) -> "Box":
+        """The smallest box containing the set."""
+        raise self._lacks("box hull")
+
+    def depth_many(self, X: np.ndarray) -> np.ndarray:
+        """||x||_{R^n \\ S}: distance from each point to the complement."""
+        raise self._lacks("closed-form distance to its complement")
+
+    def min_depth(self, box: "Box") -> float:
+        """dist(box, R^n \\ S): the infimum of the depth over the box."""
+        raise self._lacks("closed-form distance to its complement")
+
+    def _lacks(self, what: str) -> ValueError:
+        return ValueError(f"a {type(self).__name__} set has no {what}")
 
     def _check_dim(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -127,20 +150,18 @@ class Box(SetSpec):
         gap = np.where(np.isfinite(gap), gap, 0.0)  # infinite extents never bind
         return np.sqrt(np.sum(gap * gap, axis=1))
 
-    def interior_depth_many(self, X: np.ndarray) -> np.ndarray:
-        """Distance from x to the complement (0 outside, min face gap inside)."""
+    def depth_many(self, X: np.ndarray) -> np.ndarray:
+        """0 outside, the smallest face gap inside."""
         X = self._check_dim(X)
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         depth = np.minimum(X - lo, hi - X)
         return np.maximum(np.min(depth, axis=1), 0.0)
 
-    def sample_grid(self, per_axis: int) -> np.ndarray:
-        if not self.is_bounded:
-            raise ValueError("cannot sample an unbounded box")
-        axes = [np.linspace(a, b, per_axis) for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+    def min_depth(self, box: "Box") -> float:
+        """The smallest face gap of ``box`` (negative when it sticks out)."""
+        gaps = [min(a - dl, dh - b) for a, b, dl, dh in zip(box.lo, box.hi, self.lo, self.hi)]
+        return float(min(gaps))
 
     def hull_box(self) -> "Box":
         return self
@@ -161,7 +182,16 @@ class BoxComplement(SetSpec):
         return ~self.box.contains_interior_many(X)
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
-        return self.box.interior_depth_many(X)
+        return self.box.depth_many(X)
+
+    def depth_many(self, X: np.ndarray) -> np.ndarray:
+        return self.box.dist_many(X)
+
+    def min_depth(self, box: Box) -> float:
+        """The Euclidean distance from ``box`` to the excluded box."""
+        lo, hi = np.asarray(self.box.lo), np.asarray(self.box.hi)
+        gap = np.maximum(np.maximum(lo - box.hi, np.asarray(box.lo) - hi), 0.0)
+        return float(np.sqrt(np.sum(gap * gap)))
 
 
 @dataclass(frozen=True)
@@ -398,6 +428,19 @@ class MaskSet(SetSpec):
             out[i] = max(0.0, d - self.grid.cell_radius)
         return out
 
+    def within(self, tol: float):
+        """The mask dilated by tol, rounded up to whole cells."""
+        cells = max(0, int(math.ceil(tol / self.grid.widths.min() - 1e-9)))
+        dilated = self.grid.dilate(self.mask, cells) if cells else self.mask
+
+        def member(X: np.ndarray) -> np.ndarray:
+            flat, inside = self.grid.cell_index_many(X)
+            out = np.zeros(X.shape[0], dtype=bool)
+            out[inside] = dilated[flat[inside]]
+            return out
+
+        return member
+
     def hull_box(self) -> Box:
         if self.is_empty:
             raise EmptySetError("mask set is empty")
@@ -416,70 +459,13 @@ class MaskSet(SetSpec):
 # Distances and proper indicators
 
 
-def _dist_to_complement_many(D: SetSpec, X: np.ndarray) -> np.ndarray:
-    """||x||_{R^n \\ D}: distance from x to the complement of D."""
-    if isinstance(D, Box):
-        return D.interior_depth_many(X)
-    if isinstance(D, BoxComplement):
-        return D.box.dist_many(X)
-    if isinstance(D, MaskSet):
-        # depth inside the mask region, in whole cells
-        X = np.asarray(X, dtype=float)
-        X = X[None, :] if X.ndim == 1 else X
-        out = np.empty(X.shape[0])
-        unmarked = D.grid.points[~D.mask]
-        for i, x in enumerate(X):
-            if not D.contains(x):
-                out[i] = 0.0
-            elif unmarked.shape[0] == 0:
-                out[i] = np.inf
-            else:
-                out[i] = np.sqrt(np.sum((unmarked - x) ** 2, axis=1)).min()
-        return out
-    raise ValueError(f"distance to complement not implemented for {type(D).__name__}")
-
-
 def _dist_between(A: SetSpec, D: SetSpec) -> float:
-    """dist(A, R^n \\ D) = inf_{a in A} ||a||_{complement of D}.
-
-    Exact for a box (or union of boxes) inside a box; otherwise computed by
-    sampling A with refinement down to REFINE_TOL.
-    """
-    if isinstance(A, Box) and isinstance(D, Box):
-        gaps = [min(a - dl, dh - b) for a, b, dl, dh in zip(A.lo, A.hi, D.lo, D.hi)]
-        return float(min(gaps))
+    """dist(A, R^n \\ D) = inf_{a in A} ||a||_{complement of D}, the smallest
+    over a union's members, else over A's box hull: exact for any set in a
+    box and for a box in a box complement, a lower bound otherwise."""
     if isinstance(A, Union):
         return min(_dist_between(m, D) for m in A.members)
-    if isinstance(A, MaskSet):
-        return _dist_between(A.hull_box(), D) if isinstance(D, Box) else _sampled_dist(A, D)
-    return _sampled_dist(A, D)
-
-
-def _sampled_dist(A: SetSpec, D: SetSpec) -> float:
-    hull = A.hull_box() if hasattr(A, "hull_box") else None
-    if hull is None:
-        raise ValueError(f"cannot sample boundary of {type(A).__name__}")
-    per_axis = 33
-    box = hull
-    best_val, best_pt = math.inf, None
-    for _ in range(24):
-        pts = box.sample_grid(per_axis)
-        pts = pts[A.contains_many(pts)]
-        if pts.shape[0] == 0:
-            break
-        vals = _dist_to_complement_many(D, pts)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pt = float(vals[i]), pts[i]
-        span = max(b - a for a, b in zip(box.lo, box.hi)) / (per_axis - 1)
-        if span < REFINE_TOL:
-            break
-        lo = np.maximum(np.asarray(hull.lo), best_pt - 2 * span)
-        hi = np.minimum(np.asarray(hull.hi), best_pt + 2 * span)
-        box = Box(tuple(lo), tuple(hi))
-    if not math.isfinite(best_val):
-        raise EmptySetError("could not sample the inner set")
-    return best_val
+    return D.min_depth(A.hull_box())
 
 
 class ProperIndicator:
@@ -520,7 +506,7 @@ class ProperIndicator:
         base = self.A.dist_many(X)
         if self.D is None:
             return base
-        depth = _dist_to_complement_many(self.D, X)
+        depth = self.D.depth_many(X)
         with np.errstate(divide="ignore"):
             boundary = np.where(depth > 0.0, 1.0 / depth, np.inf) - 2.0 / self.dist_A_to_Dc
         return np.maximum(base, boundary)

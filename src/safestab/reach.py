@@ -80,27 +80,6 @@ class Counterexample:
         }
 
 
-def _tolerant_membership(S: SetSpec, grid: Grid | None, tol: float):
-    """Vectorized x -> 'within tol of S' test.  Exact-distance sets use their
-    distance; mask sets use a dilated mask (tol rounded up to whole cells);
-    sublevel sets fall back to plain membership (tolerance in g-units is not
-    meaningful as a Euclidean tolerance)."""
-    if isinstance(S, MaskSet):
-        cells = max(0, int(math.ceil(tol / S.grid.widths.min() - 1e-9)))
-        dilated = S.grid.dilate(S.mask, cells) if cells else S.mask
-
-        def member(X: np.ndarray) -> np.ndarray:
-            flat, inside = S.grid.cell_index_many(X)
-            out = np.zeros(X.shape[0], dtype=bool)
-            out[inside] = dilated[flat[inside]]
-            return out
-
-        return member
-    if S.exact_distance:
-        return lambda X: S.dist_many(X) <= tol
-    return lambda X: S.contains_many(X)
-
-
 def _grid_starts(grid: Grid, S: SetSpec, name: str):
     """The flat indices and the centers of the grid cells in S."""
     cells = grid.select(S)
@@ -303,7 +282,7 @@ def check_invariance(
     battery = list(battery)
     _, starts = _grid_starts(grid, S, "S")
     tol = grid.cell_radius
-    member = _tolerant_membership(S, grid, tol)
+    member = S.within(tol)
     mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g: ~member(pts))
     res = run_sweep(
         sys, starts, battery, horizon, dt,
@@ -521,7 +500,7 @@ def winning_set(
     eval_cells = np.asarray(eval_cells, dtype=np.int64)
     starts = grid.point_of(eval_cells)
     m, P = starts.shape[0], len(battery)
-    member = _tolerant_membership(A, grid, conv_radius)
+    member = A.within(conv_radius)
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt, blowup_bound)
     deadline = SETTLE_FRACTION * horizon
     safe_row = np.isinf(mon.first)
@@ -586,7 +565,7 @@ def check_ras(
     battery = list(battery)
     _, starts = _grid_starts(grid, W, "W")
     m, P = starts.shape[0], len(battery)
-    member = _tolerant_membership(Omega, grid, grid.cell_radius)
+    member = Omega.within(grid.cell_radius)
     # the running max of -dist(x, U) is minus the closest approach to U
     gauge = (lambda pts: -U.dist_many(pts)) if U.exact_distance else None
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
@@ -761,9 +740,7 @@ def probe_uas(
     eps_schedule = sorted(float(e) for e in eps_schedule)
     if not eps_schedule:
         raise ValueError("eps_schedule must be non-empty")
-    hull = A.hull_box() if hasattr(A, "hull_box") else None
-    if hull is None:
-        raise ValueError(f"probe needs a box hull for {type(A).__name__}")
+    hull = A.hull_box()
 
     counterexamples: list[Counterexample] = []
     violated = False

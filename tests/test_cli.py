@@ -158,6 +158,29 @@ class TestSimulate:
         for t in tables[1:]:
             assert np.array_equal(t, tables[0])
 
+    def test_infinite_constant_term_blows_up(self, tmp_path):
+        # 0^-1 is inf like any other non-finite right-hand side
+        cfg = base_config(
+            system={"dim": 1, "state_vars": ["x"], "f": ["-x + x^2 + 0^-1"], "delta": 0.25},
+            simulate={"x0": [-1.0]}, integration={"dt": 0.01, "horizon": 1.0},
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        assert run_cli(["simulate", "--config", path, "--out", str(out)]).exit_code == 0
+        index = json.loads((next(out.glob("simulate-*")) / "index.json").read_text())
+        assert len(index) == 11
+        assert all(tr["terminated"] == "blow_up" and tr["final_time"] == 0.0 for tr in index)
+
+    def test_overflowing_literal_exits_2(self, tmp_path):
+        cfg = base_config(system={"dim": 1, "state_vars": ["x"], "f": ["x + 1e999"]},
+                          simulate={"x0": [-1.0]})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["simulate", "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "1e999" in result.output
+        assert not out.exists()
+
     def test_non_finite_start_exits_2(self, tmp_path):
         cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
         path = write_config(tmp_path, cfg)
@@ -445,6 +468,34 @@ class TestInputErrors:
         result = run_cli([command, "--config", path, "--out", str(out), *args])
         assert result.exit_code == 2
         assert message in result.output
+        assert_no_run_dir(out)
+
+    @pytest.mark.parametrize(
+        "command, omega, kind",
+        [
+            ("check-cert", {"stable": "A", "domain": "G"}, "Sublevel"),
+            ("check-cert", {"stable": "A", "domain": "UW"}, "Union"),
+            ("check-cert", {"stable": "U", "domain": "Omega"}, "BoxComplement"),
+            ("check-cert", {"stable": "G", "domain": "Omega"}, "Sublevel"),
+            ("construct-lyapunov", {"stable": "A", "omega_domain": "UW"}, "Union"),
+        ],
+        ids=["sublevel-D", "union-D", "complement-A", "sublevel-A", "lyapunov-union-D"],
+    )
+    def test_indicator_gap_without_closed_form_exits_2(self, tmp_path, command, omega, kind):
+        cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
+        cfg["sets"]["G"] = {"kind": "sublevel", "expr": "x^2", "level": 0.01}
+        cfg["sets"]["UW"] = {"kind": "union", "members": [
+            {"kind": "box", "lo": [-1.0], "hi": [1.0]}, {"kind": "box", "lo": [2.0], "hi": [3.0]}]}
+        if command == "check-cert":
+            cfg["certificate"] = {"check": "single", "V": "x^2", "domain": "Omega",
+                                  "alpha1": {"power": 2}, "alpha2": {"power": 2}, "omega": omega}
+        else:
+            cfg["lyapunov"] = {"region": "Omega", **omega}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli([command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert kind in result.output
         assert_no_run_dir(out)
 
 

@@ -181,6 +181,106 @@ class TestProperIndicator:
         assert om.value([0.0]) == 0.0
 
 
+
+def _excluded_box(n):
+    return Box(tuple(-1.0 - 0.1 * i for i in range(n)), tuple(1.0 + 0.2 * i for i in range(n)))
+
+
+def _box_beyond(B, gaps):
+    """A box at gap g_i beyond B on the axes with a gap (alternately past
+    the upper and the lower face) and inside B's extent on the others."""
+    lo, hi = [], []
+    for i, (bl, bh) in enumerate(zip(B.lo, B.hi)):
+        g = gaps[i] if i < len(gaps) else None
+        if g is None:
+            lo.append(bl + 0.3)
+            hi.append(bh - 0.4)
+        elif i % 2 == 0:
+            lo.append(bh + g)
+            hi.append(bh + g + 0.5)
+        else:
+            lo.append(bl - g - 0.7)
+            hi.append(bl - g)
+    return Box(tuple(lo), tuple(hi))
+
+
+def _box_to_box(A, B):
+    """Euclidean distance between two boxes, from their coordinates."""
+    return math.sqrt(sum(max(bl - ah, al - bh, 0.0) ** 2
+                         for al, ah, bl, bh in zip(A.lo, A.hi, B.lo, B.hi)))
+
+
+class TestClosedFormGap:
+    @pytest.mark.parametrize("n, gaps", [
+        (1, (0.37,)),
+        (2, (0.37,)), (2, (0.37, 0.11)),
+        (3, (0.37,)), (3, (0.37, 0.11, 0.23)),
+        (4, (0.05,)), (4, (0.37, 0.11, 0.23, 0.05)),
+    ], ids=["1d", "2d-face", "2d-corner", "3d-face", "3d-corner", "4d-face", "4d-corner"])
+    def test_box_in_complement_box(self, n, gaps):
+        B = _excluded_box(n)
+        A = _box_beyond(B, gaps)
+        om = ProperIndicator(A, BoxComplement(B))
+        want = _box_to_box(A, B)
+        assert want == pytest.approx(math.sqrt(sum(g * g for g in gaps)), rel=1e-14)
+        assert om.dist_A_to_Dc == pytest.approx(want, rel=1e-15)
+        # omega vanishes on A and grows without bound toward the excluded box
+        assert om.value(A.lo) == 0.0
+        assert om.value(B.hi) == math.inf
+
+    def test_union_in_complement_box(self):
+        B = _excluded_box(2)
+        near, far = _box_beyond(B, (0.25, 0.2)), _box_beyond(B, (0.4,))
+        om = ProperIndicator(Union((far, near)), BoxComplement(B))
+        assert om.dist_A_to_Dc == pytest.approx(_box_to_box(near, B), rel=1e-15)
+
+    def test_mask_set_in_box_is_its_hull_gap(self):
+        D = Box((-1.0, -1.0), (1.0, 1.0))
+        g = make_grid(D, 0.05)
+        mask = np.zeros(g.size, dtype=bool)
+        mask[g.select(Box((-0.2, -0.3), (0.25, 0.1)))] = True
+        # the marked cells span [-0.2, 0.25] x [-0.3, 0.1]; the bottom face is nearest
+        assert ProperIndicator(MaskSet(g, mask), D).dist_A_to_Dc == pytest.approx(0.7, rel=1e-15)
+
+    def test_mask_set_in_complement_box_is_its_hull_gap(self):
+        B = Box((-1.0,), (0.0,))
+        g = make_grid(Box((0.0,), (2.0,)), 0.1)
+        mask = np.zeros(g.size, dtype=bool)
+        mask[[5, 9]] = True  # cells [0.5, 0.6] and [0.9, 1.0]; the hull is [0.5, 1.0]
+        assert ProperIndicator(MaskSet(g, mask), BoxComplement(B)).dist_A_to_Dc == \
+            pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("A, D, kind", [
+        (Box((0.0,), (0.1,)), Sublevel(parse_scalar_field("x^2", ["x"]), 1.0), "Sublevel"),
+        (Box((0.0,), (0.1,)), Union((Box((-1.0,), (1.0,)), Box((2.0,), (3.0,)))), "Union"),
+        (Box((0.0,), (0.1,)),
+         MaskSet(make_grid(Box((-1.0,), (1.0,)), 0.5), np.ones(4, dtype=bool)), "MaskSet"),
+        (BoxComplement(Box((-1.0,), (1.0,))), Box((-2.0,), (2.0,)), "BoxComplement"),
+        (Sublevel(parse_scalar_field("x^2", ["x"]), 0.25), Box((-2.0,), (2.0,)), "Sublevel"),
+    ], ids=["sublevel-D", "union-D", "mask-D", "complement-A", "sublevel-A"])
+    def test_pair_without_closed_form_rejected(self, A, D, kind):
+        with pytest.raises(ValueError, match=kind):
+            ProperIndicator(A, D)
+
+
+class TestWithin:
+    def test_box_within_is_euclidean(self):
+        member = Box((0.0, 0.0), (1.0, 1.0)).within(0.5)
+        pts = np.array([[1.3, 1.3], [1.4, 1.4], [0.5, -0.5]])
+        assert member(pts).tolist() == [True, False, True]
+
+    def test_mask_set_within_dilates_whole_cells(self):
+        g = make_grid(Box((0.0,), (1.0,)), 0.1)
+        mask = np.zeros(g.size, dtype=bool)
+        mask[5] = True
+        member = MaskSet(g, mask).within(0.15)  # rounded up to two cells
+        pts = g.points[:, :1]
+        assert np.nonzero(member(pts))[0].tolist() == [3, 4, 5, 6, 7]
+
+    def test_sublevel_within_is_membership(self):
+        member = Sublevel(parse_scalar_field("x^2", ["x"]), 1.0).within(0.5)
+        assert member(np.array([[1.0], [1.2]])).tolist() == [True, False]
+
 def test_empty_union_rejected():
     with pytest.raises(EmptySetError):
         Union(())

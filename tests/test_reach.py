@@ -430,3 +430,92 @@ class TestEventTimesReplay:
                 if out.size:
                     want[(x0, label)] = float(tr.times[out[0]])
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# counterexample kinds of check_ras and check_sws, and the 2-D probe
+
+
+class TestRasCounterexampleKinds:
+    # x' = 1 moves every start right at unit speed, so the blow-up and
+    # domain-exit times are known in closed form
+    drift = PerturbedSystem(parse_vector_field(["1"], ["x"]), 0.0)
+    grid = make_grid(Box((-1.0,), (3.0,)), 0.1)
+    W = Box((-0.5,), (-0.3,))
+    U = BoxComplement(Box((-10.0,), (10.0,)))
+    Omega = Box((-0.1,), (0.1,))
+
+    def test_blow_up_below_grid_edge_is_no(self):
+        dt = 0.01
+        v = check_ras(self.drift, self.W, self.U, self.Omega, self.grid,
+                      [ZeroPolicy()], 3.0, dt, blowup_bound=1.0)
+        assert v.satisfied == "no"
+        assert len(v.counterexamples) == 2
+        for c in v.counterexamples:
+            assert c.kind == "blow_up"
+            assert abs(c.time - (1.0 - c.x0[0])) <= dt + 1e-12
+
+    def test_left_grid_domain_is_inconclusive(self):
+        dt = 0.01
+        v = check_ras(self.drift, self.W, self.U, self.Omega, self.grid,
+                      [ZeroPolicy()], 5.0, dt)
+        assert v.satisfied == "inconclusive"
+        assert len(v.counterexamples) == 2
+        for c in v.counterexamples:
+            assert c.kind == "left_grid_domain"
+            assert abs(c.time - (3.0 - c.x0[0])) <= dt + 1e-12
+
+
+class TestSwsCounterexampleKinds:
+    # x' = -x is UAS at 0; the probe gets its own long horizon
+    grid = make_grid(Box((-1.5,), (1.5,)), 0.05)
+    W = Box((0.9,), (1.0,))
+    A = Box((0.0,), (0.0,))
+
+    def check(self, linear_sys, U, horizon):
+        return check_sws(linear_sys, self.W, U, self.A, self.grid, [ZeroPolicy()],
+                         horizon, 1e-2, eps_schedule=[0.25, 0.5], probe_horizon=8.0)
+
+    def test_unsettled_from_W_is_inconclusive(self, linear_sys):
+        # by 0.75 of a unit horizon x0 e^{-t} is still above 0.4
+        v = self.check(linear_sys, Box((2.0,), (3.0,)), 1.0)
+        assert v.satisfied == "inconclusive"
+        assert v.details["probe"]["verdict"] == "consistent_with_UAS"
+        assert v.counterexamples
+        assert {c.kind for c in v.counterexamples} == {"unsettled_from_W"}
+        assert all(0.9 <= c.x0[0] <= 1.0 for c in v.counterexamples)
+
+    def test_unsafe_from_W_is_no(self, linear_sys):
+        # every start passes through U on its way to 0
+        v = self.check(linear_sys, Box((0.5,), (0.6,)), 8.0)
+        assert v.satisfied == "no"
+        assert v.details["probe"]["verdict"] == "consistent_with_UAS"
+        assert v.counterexamples
+        assert {c.kind for c in v.counterexamples} == {"unsafe_or_divergent_from_W"}
+        assert v.details["n_W_not_winning"] == v.details["n_W_cells"]
+
+
+def test_shell_points_2d_faces_and_corners():
+    from safestab.reach import _shell_points
+
+    hull = Box((-0.3, 0.1), (0.5, 0.4))
+    c = 0.2
+    pts = _shell_points(hull, c)
+    assert pts.shape == (2 * 2 + 2**2, 2)
+    np.testing.assert_allclose(hull.dist_many(pts), c, rtol=0.0, atol=1e-12)
+    lo, hi = np.asarray(hull.lo), np.asarray(hull.hi)
+    beyond = (pts < lo) | (pts > hi)
+    assert np.count_nonzero(beyond.sum(axis=1) == 1) == 4  # one per face
+    assert np.count_nonzero(beyond.sum(axis=1) == 2) == 4  # one per corner
+
+
+def test_probe_uas_2d_linear_contraction():
+    sys = PerturbedSystem(parse_vector_field(["-x", "-y"], ["x", "y"]), 0.0)
+    rep = probe_uas(sys, Box((0.0, 0.0), (0.0, 0.0)), [0.25, 0.5], [ZeroPolicy()], 5.0, 1e-2)
+    assert rep.verdict == "consistent_with_UAS"
+    # |x(t)| only shrinks, so every bisection step below eps passes
+    for eps, delta_eps in rep.eps_table:
+        assert delta_eps == pytest.approx(eps * (1.0 - 2.0**-10), rel=1e-12)
+    # the settle time into each eps ball from the rho shell is log(rho/eps)
+    for eps, t in rep.attractivity:
+        assert t == pytest.approx(max(0.0, math.log(rep.rho / eps)), abs=0.02)
