@@ -87,9 +87,8 @@ class _Run:
         return self._dir
 
     def artifact(self, name: str) -> Path:
-        path = self.dir / name
-        self.report["artifacts"].append(str(path))
-        return path
+        self.report["artifacts"].append(name)  # relative, so a moved run still resolves it
+        return self.dir / name
 
     def finish(self, **fields) -> Path:
         self.report.update(fields)

@@ -204,12 +204,10 @@ def estimate_kl_envelope(
     profiles = np.full((m * P, t_idx.size), np.inf)
     col_of = {int(k): j for j, k in enumerate(t_idx)}
 
-    def obs(step, t, X, live, D):
+    def obs(step, t, X, rows, D):
         j = col_of.get(step)
-        if j is None:
-            return
-        vals = np.asarray(omega.value_many(X), dtype=float)
-        profiles[live, j] = vals[live]
+        if j is not None and rows.size:
+            profiles[rows, j] = omega.value_many(X)
 
     res = run_sweep(
         sys, X0, battery, horizon, dt,
@@ -453,10 +451,10 @@ class NumericLyapunov:
             caps = None
             decay = 0.0
 
-        def obs(step, t, X, live, D):
+        def obs(step, t, X, rows, D):
             vals = np.asarray(omega.value_many(X), dtype=float)
             weighted = alpha1.value_many(vals) * math.exp(mu * t)
-            np.maximum(running, np.where(live, weighted, -np.inf), out=running)
+            running[rows] = np.maximum(running[rows], weighted)
             if caps is not None and step % TRUNCATE_CHECK_STEPS == 0 and step > 0:
                 # nothing after t can raise the max once the certified bound is below it
                 return bool(np.all(caps * math.exp(-decay * t) <= running))
@@ -547,11 +545,11 @@ def validate_lyapunov(
              "V": float(Vx[i]), "alpha2": float(a2[i])}
         )
 
-    states_at = {}  # step -> states of every row; a frozen row keeps its frozen state
+    states_at = {}  # step -> (running rows, their states)
 
-    def record(step, t, Y, live, D):
+    def record(step, t, Y, rows, D):
         if step in tau_steps:
-            states_at[step] = Y.copy()
+            states_at[step] = (rows, Y.copy())
 
     res = run_sweep(
         sys, X, battery, max(taus), Vnum.dt,
@@ -562,8 +560,12 @@ def validate_lyapunov(
     decrease_ok = True
     V_start = np.tile(Vx, P)  # V at each row's start
     for tau, k in zip(taus, tau_steps):
-        # the sweep stops once every row froze: later states are the final ones
-        Vy = Vnum.value_many(states_at.get(k, res.states))
+        # a row that stopped earlier, or every row once the sweep stopped,
+        # keeps its final state
+        Y = res.states.copy()
+        if k in states_at:
+            Y[states_at[k][0]] = states_at[k][1]
+        Vy = Vnum.value_many(Y)
         decayed = V_start * math.exp(-Vnum.mu * tau)
         bound = decayed * (1.0 + tol) + ZERO_FLOOR
         ratio = np.where(V_start > ZERO_FLOOR, Vy / np.maximum(decayed, 1e-300), 0.0)

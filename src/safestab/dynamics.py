@@ -48,7 +48,10 @@ STATUS_RUNNING = 0
 STATUS_HORIZON = 1
 STATUS_BLOWUP = 2
 STATUS_LEFT_DOMAIN = 3
+#: every running row when an observer stops the whole sweep
 STATUS_ABORTED = 4
+#: the rows an observer stops with a row mask
+STATUS_RETIRED = 5
 
 #: relative slack allowed when a time span must be a whole number of steps
 _WHOLE_STEP_RTOL = 1e-9
@@ -59,6 +62,7 @@ _STATUS_REASON = {
     STATUS_BLOWUP: "blow_up",
     STATUS_LEFT_DOMAIN: "left_domain",
     STATUS_ABORTED: "aborted",
+    STATUS_RETIRED: "retired",
 }
 
 
@@ -218,6 +222,7 @@ class SweepResult:
     end_times: np.ndarray     # (R,) time of freeze or horizon
     start_index: np.ndarray   # (R,) row -> index into `starts`
     policy_index: np.ndarray  # (R,) row -> index into `policies`
+    disturbances: np.ndarray  # (R, n) disturbance of each row's last step
 
     def reason(self, row: int) -> str:
         return _STATUS_REASON.get(int(self.status[row]), "running")
@@ -256,21 +261,21 @@ def run_sweep(
     ``horizon`` must be a whole number of ``dt`` steps.  Rows that blow up
     (non-finite or |x|_inf > blowup_bound) or leave ``freeze_domain`` are
     frozen at their last state and excluded from further updates; this is
-    always recorded in ``status``, never silent.
+    always recorded in ``status``, never silent.  Row r starts at
+    ``starts[r % len(starts)]`` under ``policies[r // len(starts)]``
+    (``SweepResult.start_index``/``policy_index``).
 
     The observer is the only view of a sweep in progress.
-    ``observer(step, t, X, live, D)`` is invoked once at t=0 and after every
-    step with the states ``X`` and the disturbances ``D`` of every row; it
-    must treat the arrays as read-only.  ``live`` marks the rows to observe:
-    every row at t=0 (a start frozen there is still a state the row took),
-    then the rows still running.  Row r starts at
-    ``starts[r % len(starts)]`` under ``policies[r // len(starts)]``
-    (``SweepResult.start_index``/``policy_index``).  An observer returning a
-    truthy value aborts the sweep early; rows still running are then marked
-    ``aborted``.  The sweep stops after the step at which the last row
-    froze: the observer is not called for the remaining steps, so it must
-    record nothing for rows that are not live, and a state wanted at a later
-    step is the row's final state.
+    ``observer(step, t, X, rows, D)`` is invoked once at t=0 and after every
+    step.  ``rows`` holds the sweep indices of the rows still running, in
+    ascending order, and ``X`` and ``D`` their states and disturbances; at
+    t=0 every row is included (a start frozen there is still a state the row
+    took).  The observer must treat the arrays as read-only.  A falsy return
+    continues the sweep; ``True`` stops every running row as ``aborted``; a
+    boolean array over ``rows`` stops the rows it flags as ``retired``, each
+    keeping its state at that step.  The sweep stops after the step at which
+    the last row stopped, so a state wanted at a later step is the row's
+    final state.  Only the running rows are integrated.
     """
     n_steps = step_count(horizon, dt)
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
@@ -285,33 +290,24 @@ def run_sweep(
     P = len(policies)
     R = m * P
 
-    X = np.tile(starts, (P, 1))
     start_index = np.tile(np.arange(m), P)
     policy_index = np.repeat(np.arange(P), m)
     status = np.zeros(R, dtype=np.int8)
     end_times = np.full(R, horizon)
-    D = np.zeros((R, n))
-
-    groups = []
-    for p, pol in enumerate(policies):
+    # a row's final state and disturbance, written once the row stops
+    states = np.empty((R, n))
+    dists = np.empty((R, n))
+    for pol in policies:
         pol.prepare(sys, horizon, dt)
-        groups.append((pol, slice(p * m, (p + 1) * m)))
-    by_period: dict[int, list] = {}
-    for g in groups:
-        by_period.setdefault(g[0].refresh_period(dt), []).append(g)
-    by_period = list(by_period.items())
+    periods = [pol.refresh_period(dt) for pol in policies]
 
     comps = [c._compiled for c in sys.f.components]
-    k1 = np.empty((R, n))
-    k2 = np.empty((R, n))
-    k3 = np.empty((R, n))
-    k4 = np.empty((R, n))
-    Xt = np.empty((R, n))
-    X_cols = [X[:, j] for j in range(n)]
-    Xt_cols = [Xt[:, j] for j in range(n)]
-    mag = np.empty((R, n))
-    within = np.empty((R, n), dtype=bool)
-    advance = np.empty(R, dtype=bool)
+    # the running rows fill the first rows of every buffer, in sweep order
+    bufs = [np.tile(starts, (P, 1)), np.zeros((R, n))] + [np.empty((R, n)) for _ in range(6)]
+    flags = np.empty((R, n), dtype=bool)
+    rows = np.arange(R)
+    X, D, k1, k2, k3, k4, Xt, mag = bufs
+    within, X_cols, Xt_cols, by_period = flags, None, None, None
     # |x| <= bound is False for NaN and +-inf, so one comparison covers both
     bound = min(float(blowup_bound), _FLOAT_MAX)
 
@@ -321,37 +317,64 @@ def run_sweep(
         out += D
         return out
 
-    def refresh(pol, rows, t):
-        pol.values(t, X[rows], D[rows])
-        _project_ball(D[rows], sys.delta)
+    def refresh(pol, block, t):
+        pol.values(t, X[block], D[block])
+        _project_ball(D[block], sys.delta)
 
-    active = status == STATUS_RUNNING
-    for pol, rows in groups:
-        refresh(pol, rows, 0.0)
+    def freeze(mask, code, t):
+        status[rows[mask]] = code
+        end_times[rows[mask]] = t
 
+    def compact():
+        """Write the rows that stopped to the results and gather the running
+        ones to the front of the buffers; each policy keeps a contiguous
+        block because the order is kept."""
+        nonlocal rows, X, D, k1, k2, k3, k4, Xt, mag, within, X_cols, Xt_cols, by_period
+        keep = status[rows] == STATUS_RUNNING
+        states[rows[~keep]] = X[~keep]
+        dists[rows[~keep]] = D[~keep]
+        rows = rows[keep]
+        bufs[0][: rows.size] = X[keep]
+        bufs[1][: rows.size] = D[keep]
+        X, D, k1, k2, k3, k4, Xt, mag = (b[: rows.size] for b in bufs)
+        within = flags[: rows.size]
+        X_cols = [X[:, j] for j in range(n)]
+        Xt_cols = [Xt[:, j] for j in range(n)]
+        edges = np.searchsorted(rows, np.arange(P + 1) * m)
+        plan: dict[int, list] = {}
+        for p, pol in enumerate(policies):
+            if edges[p] < edges[p + 1]:
+                plan.setdefault(periods[p], []).append((pol, slice(edges[p], edges[p + 1])))
+        by_period = list(plan.items())
+
+    def observe(step, t) -> bool:
+        """Call the observer and retire the running rows it flags; True when
+        it stopped the whole sweep."""
+        stop = observer(step, t, X, rows, D)
+        if not isinstance(stop, np.ndarray):
+            return bool(stop)
+        if stop.any():
+            freeze(stop & (status[rows] == STATUS_RUNNING), STATUS_RETIRED, t)
+            compact()
+        return False
+
+    for p, pol in enumerate(policies):
+        refresh(pol, slice(p * m, (p + 1) * m), 0.0)
     if freeze_domain is not None:
-        inside = freeze_domain.contains_many(X)
-        newly = active & ~inside
-        status[newly] = STATUS_LEFT_DOMAIN
-        end_times[newly] = 0.0
-        active = status == STATUS_RUNNING
-    n_active = int(np.count_nonzero(active))
-
-    aborted = False
-    if observer is not None:
-        live = np.ones(R, dtype=bool)
-        aborted = bool(observer(0, 0.0, X, live, D))
+        freeze(~freeze_domain.contains_many(X), STATUS_LEFT_DOMAIN, 0.0)
+    aborted = observer is not None and observe(0, 0.0)
+    compact()
 
     half = 0.5 * dt
     sixth = dt / 6.0
     k = 0
     with np.errstate(all="ignore"):
-        while k < n_steps and n_active and not aborted:
+        while k < n_steps and rows.size and not aborted:
             t = k * dt
             for period, members in by_period:
                 if k % period == 0:
-                    for pol, rows in members:
-                        refresh(pol, rows, t)
+                    for pol, block in members:
+                        refresh(pol, block, t)
             rhs(X_cols, k1)
             np.multiply(k1, half, out=Xt)
             Xt += X
@@ -375,34 +398,30 @@ def run_sweep(
             np.abs(Xt, out=mag)
             np.less_equal(mag, bound, out=within)
             ok = within.all(axis=1) if n > 1 else within[:, 0]
-            np.logical_and(active, ok, out=advance)
-            n_advance = int(np.count_nonzero(advance))
-            changed = n_advance != n_active
-            if changed:
-                newly_blown = active & ~ok
-                status[newly_blown] = STATUS_BLOWUP
-                end_times[newly_blown] = t1
-            if n_advance == R:
+            stopped = np.count_nonzero(ok) < rows.size
+            if stopped:
+                freeze(~ok, STATUS_BLOWUP, t1)
+                np.copyto(X, Xt, where=ok[:, None])
+            else:
                 np.copyto(X, Xt)
-            elif n_advance:
-                np.copyto(X, Xt, where=advance[:, None])
             if freeze_domain is not None:
+                # a blown-up row kept its previous state, which was inside
                 inside = freeze_domain.contains_many(X)
-                newly_out = advance & ~inside
-                if np.any(newly_out):
-                    status[newly_out] = STATUS_LEFT_DOMAIN
-                    end_times[newly_out] = t1
-                    changed = True
-            if changed:
-                active = status == STATUS_RUNNING
-                n_active = int(np.count_nonzero(active))
+                if np.count_nonzero(inside) < rows.size:
+                    freeze(~inside, STATUS_LEFT_DOMAIN, t1)
+                    stopped = True
+            if stopped:
+                compact()
             if observer is not None:
-                aborted = bool(observer(k, t1, X, active, D))
-            if aborted:
-                end_times[status == STATUS_RUNNING] = t1
+                aborted = observe(k, t1)
 
-    status[status == STATUS_RUNNING] = STATUS_ABORTED if aborted else STATUS_HORIZON
-    return SweepResult(X, status, end_times, start_index, policy_index)
+    states[rows] = X
+    dists[rows] = D
+    running = status == STATUS_RUNNING
+    if aborted:
+        end_times[running] = k * dt
+    status[running] = STATUS_ABORTED if aborted else STATUS_HORIZON
+    return SweepResult(states, status, end_times, start_index, policy_index, dists)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +497,10 @@ def ensemble(
     states = np.empty(shape)
     dists = np.zeros(shape)
 
-    def recorder(step, t, X, live, D):
+    def recorder(step, t, X, rows, D):
         times[step] = t
-        states[step] = X
-        dists[step] = D
+        states[step, rows] = X
+        dists[step, rows] = D
 
     res = run_sweep(
         sys,
@@ -496,14 +515,11 @@ def ensemble(
     trajectories = []
     for p, pol in enumerate(policies):
         reason = res.reason(p)
-        if reason == "horizon_reached":
-            last = n_steps
-        elif reason == "blow_up":
-            # the state at the freeze time is undefined; keep the last good one
-            last = int(round(res.end_times[p] / dt)) - 1
-        else:  # left_domain: the exit state is defined and recorded
-            last = int(round(res.end_times[p] / dt))
-        last = min(max(last, 0), n_steps)
+        # a blown-up row's state at its freeze time is undefined: keep the last good one
+        last = int(round(res.end_times[p] / dt)) - (reason == "blow_up")
+        if reason == "left_domain":  # the observer never sees the exit state
+            states[last, p] = res.states[p]
+            dists[last, p] = res.disturbances[p]
         trajectories.append(
             Trajectory(
                 times[: last + 1].copy(),

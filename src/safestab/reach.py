@@ -103,7 +103,7 @@ def _counterexample(res, starts, battery, r, time, kind, value=math.nan) -> Coun
 class _Monitor:
     """Per-row outcome table of one sweep; the observer behind every battery
     check here.  At t=0 and then every ``stride`` steps it looks at the rows
-    the sweep marks live and records, per row,
+    the sweep passes and records, per row,
 
     * ``first``: the first time ``first(pts, g)`` flagged the row (inf if never);
     * ``last``: the last time ``last(pts, g)`` flagged it (-inf if never), of
@@ -111,16 +111,17 @@ class _Monitor:
     * ``peak`` and ``latest``: the running max and the latest value of
       ``gauge(pts)``, which the two events receive as ``g``.
 
-    Only what the caller passes is computed.  With ``abort=True`` the sweep
-    stops at the first call on which ``first`` flags a row.
+    Only what the caller passes is computed.  On a call where ``first``
+    flags a row, ``stop(rows, flags)`` gives the observer's return: True
+    stops the sweep, a mask over ``rows`` retires those rows.
     """
 
     def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
-                 abort: bool = False, stride: int = 1):
+                 stop=None, stride: int = 1):
         self.first_event = first
         self.last_event = last
         self.gauge = gauge
-        self.abort = abort
+        self.stop = stop
         self.stride = max(1, stride)
         self.n_rows = n_rows
         self.first = np.full(n_rows, np.inf)
@@ -130,27 +131,24 @@ class _Monitor:
             self.peak = np.full(n_rows, -np.inf)
             self.latest = np.zeros(n_rows)
 
-    def __call__(self, step, t, X, live, D):
-        if step % self.stride:
+    def __call__(self, step, t, X, rows, D):
+        if step % self.stride or rows.size == 0:
             return False
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            return False
-        pts = X[rows]
         g = None
         if self.gauge is not None:
-            g = self.gauge(pts)
+            g = self.gauge(X)
             self.peak[rows] = np.maximum(self.peak[rows], g)
             self.latest[rows] = g
-        hit = False
+        stop = False
         if self.first_event is not None:
-            flags = self.first_event(pts, g)
-            hit = bool(flags.any())
-            if hit:
+            flags = self.first_event(X, g)
+            if flags.any():
                 fresh = flags & np.isinf(self.first[rows])
                 self.first[rows[fresh]] = t
+                if self.stop is not None:
+                    stop = self.stop(rows, flags)
         if self.last_event is not None:
-            flags = self.last_event(pts, g)
+            flags = self.last_event(X, g)
             if self.last is None:
                 self.last = np.full(flags.shape[:-1] + (self.n_rows,), -np.inf)
             if flags.ndim == 1:
@@ -158,19 +156,19 @@ class _Monitor:
             else:
                 for level, f in zip(self.last, flags):
                     level[rows[f]] = t
-        return self.abort and hit
+        return stop
 
 
 def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt,
-                      blowup_bound, gauge=None):
+                      blowup_bound, **watch):
     """The sweep shared by ``check_ras`` and ``winning_set``: per row, the
     first entry into U (``first``) and the last time outside the target
-    (``last``)."""
+    (``last``); ``watch`` passes ``gauge`` or ``stop`` to the monitor."""
     mon = _Monitor(
         starts.shape[0] * len(battery),
         first=lambda pts, g: U.contains_many(pts),
         last=lambda pts, g: ~target_member(pts),
-        gauge=gauge,
+        **watch,
     )
     res = run_sweep(
         sys, starts, battery, horizon, dt,
@@ -203,10 +201,10 @@ class _Occupancy:
         self.t_lo = t_lo
         self.mask = np.zeros(grid.size, dtype=bool)
 
-    def __call__(self, step, t, X, live, D):
-        if t < self.t_lo or not np.any(live):
+    def __call__(self, step, t, X, rows, D):
+        if t < self.t_lo or rows.size == 0:
             return
-        flat, inside = self.grid.cell_index_many(X[live])
+        flat, inside = self.grid.cell_index_many(X)
         self.mask[flat[inside]] = True
 
 
@@ -341,10 +339,9 @@ class _CellTrace:
         self.grid = grid
         self.cells = np.full((n_rows, n_steps + 1), -1, dtype=np.int64)
 
-    def __call__(self, step, t, X, live, D):
+    def __call__(self, step, t, X, rows, D):
         flat, inside = self.grid.cell_index_many(X)
-        flat = np.where(inside & live, flat, -1)
-        self.cells[:, step] = flat
+        self.cells[rows, step] = np.where(inside, flat, -1)
 
 
 def maximal_invariant(
@@ -501,7 +498,15 @@ def winning_set(
     starts = grid.point_of(eval_cells)
     m, P = starts.shape[0], len(battery)
     member = A.within(conv_radius)
-    res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt, blowup_bound)
+    lost = np.zeros(m, dtype=bool)
+
+    def retire(rows, flags):
+        # one row in U loses its cell, so the cell's other rows stop too
+        lost[rows[flags] % m] = True
+        return lost[rows % m]
+
+    res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
+                                 blowup_bound, stop=retire)
     deadline = SETTLE_FRACTION * horizon
     safe_row = np.isinf(mon.first)
     settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
@@ -569,7 +574,7 @@ def check_ras(
     # the running max of -dist(x, U) is minus the closest approach to U
     gauge = (lambda pts: -U.dist_many(pts)) if U.exact_distance else None
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
-                                 blowup_bound, gauge)
+                                 blowup_bound, gauge=gauge)
     deadline = SETTLE_FRACTION * horizon
 
     counterexamples: list[Counterexample] = []
@@ -752,7 +757,8 @@ def probe_uas(
         """The worst failure from the shell at distance c, or None."""
         starts = _shell_points(hull, c)
         mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
-                       first=lambda pts, d: d >= eps, abort=True, stride=stride)
+                       first=lambda pts, d: d >= eps, stop=lambda rows, flags: True,
+                       stride=stride)
         res = run_sweep(
             sys, starts, battery, horizon, dt,
             blowup_bound=blowup_bound, observer=mon,

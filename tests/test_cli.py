@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +210,19 @@ class TestSimulate:
         reports = sorted(out.glob("*/report.json"))
         assert len(reports) == 2
         assert reports[0].parent.name + "-1" == reports[1].parent.name
+
+    def test_artifacts_resolve_after_the_run_moves(self, tmp_path):
+        cfg = base_config(simulate={"x0": [-1.0]}, integration={"dt": 0.01, "horizon": 1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        assert run_cli(["simulate", "--config", path, "--out", str(out)]).exit_code == 0
+        moved = tmp_path / "moved"
+        next(out.glob("simulate-*")).rename(moved)
+        report = json.loads((moved / "report.json").read_text())
+        assert len(report["artifacts"]) == 12  # 11 trajectories and the index
+        for name in report["artifacts"]:
+            assert not Path(name).is_absolute()
+            assert (moved / name).is_file()
 
     def test_x0_flag_overrides(self, tmp_path):
         cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safestab import (
@@ -19,7 +19,13 @@ from safestab import (
     parse_vector_field,
     run_sweep,
 )
-from safestab.dynamics import STATUS_BLOWUP, STATUS_HORIZON, STATUS_LEFT_DOMAIN, step_count
+from safestab.dynamics import (
+    STATUS_BLOWUP,
+    STATUS_HORIZON,
+    STATUS_LEFT_DOMAIN,
+    STATUS_RETIRED,
+    step_count,
+)
 
 
 class TestIntegrate:
@@ -235,8 +241,8 @@ class TestSweepEngine:
         # an observer sees every row's state at every step, t = 0 included
         seen = {}
 
-        def record(step, t, X, live, D):
-            seen[step] = (t, X.copy(), live.copy(), D.copy())
+        def record(step, t, X, rows, D):
+            seen[step] = (t, X.copy(), rows.copy(), D.copy())
 
         res = run_sweep(linear_sys, np.array([[1.0]]), [ZeroPolicy()], 2.0, 1e-3,
                         observer=record)
@@ -246,24 +252,25 @@ class TestSweepEngine:
         assert seen[500][1][0, 0] == pytest.approx(math.exp(-0.5), abs=1e-7)
         assert seen[1000][1][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-7)
         assert np.array_equal(seen[2000][1], res.states)
-        assert all(live.all() and not D.any() for _, _, live, D in seen.values())
+        assert all(rows.tolist() == [0] and not D.any() for _, _, rows, D in seen.values())
 
     def test_stops_once_every_row_froze(self, bench_sys):
         # blows up near t = 10 of a 300 time-unit horizon
         calls = []
         res = run_sweep(
             bench_sys, np.array([[0.6]]), [ConstantPolicy([0.25])], 300.0, 5e-3,
-            observer=lambda step, t, X, live, D: calls.append((step, X[0, 0], live[0])),
+            observer=lambda step, t, X, rows, D: calls.append((step, X[:, 0].copy(), rows)),
         )
         assert res.reason(0) == "blow_up"
         assert 9.0 < res.end_times[0] < 12.0
         steps = [c[0] for c in calls]
         assert steps == list(range(steps[-1] + 1))
         assert steps[-1] == round(res.end_times[0] / 5e-3)
-        # the last call sees the frozen final state and no live row
-        assert calls[-1][1] == res.states[0, 0] and not calls[-1][2]
-        assert all(live for _, _, live in calls[:-1])
-        assert calls[200][1] < res.states[0, 0]
+        # the last call sees no running row; the sweep holds the frozen state
+        assert calls[-1][1].size == 0 and calls[-1][2].size == 0
+        assert all(rows.tolist() == [0] for _, _, rows in calls[:-1])
+        assert calls[-2][1][0] == res.states[0, 0]
+        assert calls[200][1][0] < res.states[0, 0]
 
     def test_frozen_at_start_runs_no_step(self):
         sys = PerturbedSystem(parse_vector_field(["1"], ["x"]), 0.0)
@@ -271,11 +278,18 @@ class TestSweepEngine:
         res = run_sweep(
             sys, np.array([[5.0]]), [ZeroPolicy()], 2.0, 1e-2,
             freeze_domain=Box((-1.0,), (1.0,)),
-            observer=lambda step, t, X, live, D: calls.append((step, X[0, 0], live[0])),
+            observer=lambda step, t, X, rows, D: calls.append((step, X[0, 0], rows.tolist())),
         )
-        assert calls == [(0, 5.0, True)]
+        assert calls == [(0, 5.0, [0])]
         assert res.reason(0) == "left_domain" and res.end_times[0] == 0.0
         assert res.states[0, 0] == 5.0
+
+    def test_stop_at_start_ends_at_zero(self, linear_sys):
+        res = run_sweep(linear_sys, np.array([[1.0], [2.0]]), [ZeroPolicy()], 1.0, 1e-2,
+                        observer=lambda step, t, X, rows, D: True)
+        assert [res.reason(r) for r in range(2)] == ["aborted", "aborted"]
+        assert res.end_times.tolist() == [0.0, 0.0]
+        assert res.states.tolist() == [[1.0], [2.0]]
 
     def test_infinite_blowup_bound_still_catches_overflow(self):
         sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0)
@@ -330,28 +344,58 @@ def _bench_policy(code: int):
     return PiecewiseRandomPolicy(seed=code, dwell=0.05)
 
 
+def _check_rows_alone(run, n_rows, retire, dt):
+    """``run(row, observer)`` sweeps every row (``row=None``) or one row
+    alone.  In the batched sweep an observer retires, at each step of
+    ``retire``, the rows it lists.  A row still running then must end
+    ``retired`` at that step, holding the state it has there when run alone;
+    every other row must be bitwise the row run alone."""
+    batch = run(None, lambda step, t, X, rows, D: np.isin(rows, retire.get(step, [])))
+    for r in range(n_rows):
+        seen = {}
+
+        def record(step, t, X, rows, D):
+            seen[step] = X.copy()
+
+        alone = run(r, record)
+        # the row runs on the steps before the one it froze at
+        froze = math.inf if alone.status[0] == STATUS_HORIZON else round(alone.end_times[0] / dt)
+        hits = sorted(k for k, rs in retire.items() if r in rs and k < froze)
+        if hits:
+            assert batch.status[r] == STATUS_RETIRED
+            assert batch.end_times[r] == hits[0] * dt
+            assert np.array_equal(batch.states[r], seen[hits[0]][0])
+        else:
+            assert np.array_equal(batch.states[r], alone.states[0])
+            assert batch.status[r] == alone.status[0]
+            assert batch.end_times[r] == alone.end_times[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     starts=st.lists(st.floats(-1.8, 4.0), min_size=1, max_size=4),
     codes=st.lists(st.integers(0, 7), min_size=1, max_size=4),
     bound=st.sampled_from([1e6, 50.0]),
+    retire=st.dictionaries(st.integers(0, 200), st.lists(st.integers(0, 15), max_size=3),
+                           max_size=4),
 )
-def test_batched_row_equals_row_alone(bench_field, starts, codes, bound):
+# a start frozen at t=0 is passed to the observer but cannot be retired
+@example(starts=[-1.8, 0.0], codes=[0], bound=1e6, retire={0: [0, 1]})
+def test_batched_row_equals_row_alone(bench_field, starts, codes, bound, retire):
     """Each (start, policy) row of a sweep is bitwise what it is when run
-    alone, including rows that blow up and rows that leave the domain."""
+    alone, including rows that blow up, rows that leave the domain and rows
+    that other rows' retirement moves in the sweep's buffers."""
     sys = PerturbedSystem(bench_field, 0.25)
     domain = Box((-1.5,), (100.0,))
-    horizon, dt = 2.0, 1e-2
     X0 = np.array(starts)[:, None]
-    batch = run_sweep(sys, X0, [_bench_policy(c) for c in codes], horizon, dt,
-                      blowup_bound=bound, freeze_domain=domain)
-    for r in range(batch.status.size):
-        i, p = batch.start_index[r], batch.policy_index[r]
-        alone = run_sweep(sys, X0[i:i + 1], [_bench_policy(codes[p])], horizon, dt,
-                          blowup_bound=bound, freeze_domain=domain)
-        assert np.array_equal(batch.states[r], alone.states[0])
-        assert batch.status[r] == alone.status[0]
-        assert batch.end_times[r] == alone.end_times[0]
+    m = X0.shape[0]
+
+    def run(r, observer):
+        i, p = (slice(None), slice(None)) if r is None else (slice(r % m, r % m + 1), [r // m])
+        return run_sweep(sys, X0[i], [_bench_policy(c) for c in np.asarray(codes)[p]], 2.0, 1e-2,
+                         blowup_bound=bound, freeze_domain=domain, observer=observer)
+
+    _check_rows_alone(run, m * len(codes), retire, 1e-2)
 
 
 def test_batched_property_reaches_every_status(bench_field):
@@ -370,8 +414,10 @@ def test_batched_property_reaches_every_status(bench_field):
     starts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                     min_size=1, max_size=3),
     n_random=st.integers(0, 2),
+    retire=st.dictionaries(st.integers(0, 100), st.lists(st.integers(0, 38), max_size=6),
+                           max_size=4),
 )
-def test_batched_row_equals_row_alone_2d(starts, n_random):
+def test_batched_row_equals_row_alone_2d(starts, n_random, retire):
     """Same property on a 2-D field with transcendental terms, whose state
     columns are strided views."""
     sys = PerturbedSystem(parse_vector_field(["-x + y^2", "-y + sin(3*x)*exp(y)"], ["x", "y"]),
@@ -379,14 +425,14 @@ def test_batched_row_equals_row_alone_2d(starts, n_random):
     domain = Box((-2.5, -2.5), (2.5, 2.5))
     g = parse_scalar_field("x^2 + y^2", ["x", "y"])
     X0 = np.array(starts, dtype=float)
+    m = X0.shape[0]
 
-    def battery():
-        return default_policy_battery(sys, n_random=n_random, seed=4, set_fields=[g])
+    def run(r, observer):
+        battery = default_policy_battery(sys, n_random=n_random, seed=4, set_fields=[g])
+        if r is not None:
+            X0_, battery = X0[r % m:r % m + 1], [battery[r // m]]
+        return run_sweep(sys, X0 if r is None else X0_, battery, 1.0, 1e-2,
+                         freeze_domain=domain, observer=observer)
 
-    batch = run_sweep(sys, X0, battery(), 1.0, 1e-2, freeze_domain=domain)
-    for r in range(batch.status.size):
-        i, p = batch.start_index[r], batch.policy_index[r]
-        alone = run_sweep(sys, X0[i:i + 1], [battery()[p]], 1.0, 1e-2, freeze_domain=domain)
-        assert np.array_equal(batch.states[r], alone.states[0])
-        assert batch.status[r] == alone.status[0]
-        assert batch.end_times[r] == alone.end_times[0]
+    n_policies = len(default_policy_battery(sys, n_random=n_random, seed=4, set_fields=[g]))
+    _check_rows_alone(run, m * n_policies, retire, 1e-2)

@@ -268,6 +268,44 @@ class TestWinningSet:
         allowed = grid.dilate(res.mask | target, 1)
         assert np.all(allowed[occ.mask])
 
+    def test_retiring_lost_cells_keeps_the_result(self, bench, bench_sets, monkeypatch):
+        """winning_set stops every row of a cell once one of them enters U.
+        Its mask and inconclusive cells equal those of a plain monitor that
+        runs every row to its end, on a grid with cells that start in U and
+        cells lost mid-sweep."""
+        import safestab.reach as reach_mod
+        from safestab.dynamics import STATUS_HORIZON, STATUS_RETIRED, run_sweep
+        from safestab.reach import _Monitor
+
+        sys, grid, battery = bench
+        A, U = bench_sets["A"], bench_sets["U"]
+        sweeps = []
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(reach_mod, "run_sweep", recording_sweep)
+        res = winning_set(sys, A, U, grid, battery, 10.0, 5e-3)
+        assert np.any(sweeps[0].status == STATUS_RETIRED)
+
+        member = A.within(res.conv_radius)
+        starts = grid.point_of(res.eval_cells)
+        m = starts.shape[0]
+        mon = _Monitor(m * len(battery), first=lambda pts, g: U.contains_many(pts),
+                       last=lambda pts, g: ~member(pts))
+        ref = run_sweep(sys, starts, battery, 10.0, 5e-3, freeze_domain=grid.domain,
+                        observer=mon)
+        safe = np.isinf(mon.first).reshape(-1, m).all(axis=0)
+        settled = ((mon.last <= res.settle_deadline) & (ref.status == STATUS_HORIZON))
+        settled = settled.reshape(-1, m).all(axis=0)
+        assert np.array_equal(res.mask[res.eval_cells], safe & settled)
+        assert np.array_equal(res.inconclusive[res.eval_cells], safe & ~settled)
+        lost_at = mon.first.reshape(-1, m).min(axis=0)
+        assert np.any(lost_at == 0.0)
+        assert np.any(np.isfinite(lost_at) & (lost_at > 0.0))
+        assert res.mask.any() and res.inconclusive.any()
+
     def test_overlapping_sets_rejected(self, bench):
         sys, grid, battery = bench
         with pytest.raises(ValueError, match="intersect"):

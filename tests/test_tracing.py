@@ -66,3 +66,25 @@ def test_span_recorder_installs_and_restores():
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
     assert np.isfinite(rec.metrics()["dynamics.busy_s"])
+
+
+def test_winning_set_sweep_counts_running_rows_only():
+    """Cells that start in U lose every row at t=0, so a winning-set sweep
+    on a contraction, whose rows would otherwise all run to the horizon,
+    records a full-length sweep that is not aborted and fewer running
+    row-steps than rows times steps."""
+    tracing = _load_tracing()
+    rec = tracing.SpanRecorder()
+    rec.install()
+    try:
+        sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.1)
+        grid = geometry.make_grid(geometry.Box((-1.0,), (1.0,)), 0.05)
+        reach.winning_set(sys_, geometry.Box((-0.05,), (0.05,)), geometry.Box((0.5,), (1.0,)),
+                          grid, dynamics.default_policy_battery(sys_, n_random=2, seed=3),
+                          5.0, 1e-2)
+    finally:
+        rec.uninstall()
+    (_, rows, _, steps, nominal, ran, aborted), = rec.sweeps
+    assert not aborted
+    assert steps == nominal == 500
+    assert ran < rows * steps
