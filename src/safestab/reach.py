@@ -12,6 +12,7 @@ explicit, and reports echo the battery so runs can be reproduced exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -105,23 +106,27 @@ class _Monitor:
     check here.  At t=0 and then every ``stride`` steps it looks at the rows
     the sweep passes and records, per row,
 
-    * ``first``: the first time ``first(pts, g)`` flagged the row (inf if never);
-    * ``last``: the last time ``last(pts, g)`` flagged it (-inf if never), of
-      shape (k, R) when ``last`` flags k levels at once;
+    * ``first``: the first time ``first(pts, g, rows)`` flagged the row (inf
+      if never);
+    * ``last``: the last time ``last(pts, g, rows)`` flagged it (-inf if
+      never), of shape (k, R) when ``last`` flags k levels at once;
     * ``peak`` and ``latest``: the running max and the latest value of
       ``gauge(pts)``, which the two events receive as ``g``.
 
-    Only what the caller passes is computed.  On a call where ``first``
-    flags a row, ``stop(rows, flags)`` gives the observer's return: True
-    stops the sweep, a mask over ``rows`` retires those rows.
+    The events also receive ``rows``, the sweep indices of ``pts``.  Only
+    what the caller passes is computed.  With ``groups`` (the group of each
+    sweep row), a row that ``first`` flags retires every running row of its
+    group at that step.
     """
 
     def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
-                 stop=None, stride: int = 1):
+                 groups=None, stride: int = 1):
         self.first_event = first
         self.last_event = last
         self.gauge = gauge
-        self.stop = stop
+        self.groups = groups
+        if groups is not None:
+            self.lost = np.zeros(int(groups.max()) + 1, dtype=bool)
         self.stride = max(1, stride)
         self.n_rows = n_rows
         self.first = np.full(n_rows, np.inf)
@@ -141,14 +146,15 @@ class _Monitor:
             self.latest[rows] = g
         stop = False
         if self.first_event is not None:
-            flags = self.first_event(X, g)
+            flags = self.first_event(X, g, rows)
             if flags.any():
                 fresh = flags & np.isinf(self.first[rows])
                 self.first[rows[fresh]] = t
-                if self.stop is not None:
-                    stop = self.stop(rows, flags)
+                if self.groups is not None:
+                    self.lost[self.groups[rows[flags]]] = True
+                    stop = self.lost[self.groups[rows]]
         if self.last_event is not None:
-            flags = self.last_event(X, g)
+            flags = self.last_event(X, g, rows)
             if self.last is None:
                 self.last = np.full(flags.shape[:-1] + (self.n_rows,), -np.inf)
             if flags.ndim == 1:
@@ -163,11 +169,11 @@ def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt,
                       blowup_bound, **watch):
     """The sweep shared by ``check_ras`` and ``winning_set``: per row, the
     first entry into U (``first``) and the last time outside the target
-    (``last``); ``watch`` passes ``gauge`` or ``stop`` to the monitor."""
+    (``last``); ``watch`` passes ``gauge`` or ``groups`` to the monitor."""
     mon = _Monitor(
         starts.shape[0] * len(battery),
-        first=lambda pts, g: U.contains_many(pts),
-        last=lambda pts, g: ~target_member(pts),
+        first=lambda pts, g, rows: U.contains_many(pts),
+        last=lambda pts, g, rows: ~target_member(pts),
         **watch,
     )
     res = run_sweep(
@@ -281,7 +287,7 @@ def check_invariance(
     _, starts = _grid_starts(grid, S, "S")
     tol = grid.cell_radius
     member = S.within(tol)
-    mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g: ~member(pts))
+    mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g, rows: ~member(pts))
     res = run_sweep(
         sys, starts, battery, horizon, dt,
         blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=mon,
@@ -498,15 +504,9 @@ def winning_set(
     starts = grid.point_of(eval_cells)
     m, P = starts.shape[0], len(battery)
     member = A.within(conv_radius)
-    lost = np.zeros(m, dtype=bool)
-
-    def retire(rows, flags):
-        # one row in U loses its cell, so the cell's other rows stop too
-        lost[rows[flags] % m] = True
-        return lost[rows % m]
-
+    # one row in U loses its cell, so the cell's other rows stop too
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
-                                 blowup_bound, stop=retire)
+                                 blowup_bound, groups=np.arange(m * P) % m)
     deadline = SETTLE_FRACTION * horizon
     safe_row = np.isinf(mon.first)
     settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
@@ -715,6 +715,37 @@ def _shell_points(hull: Box, c: float) -> np.ndarray:
     return uniq
 
 
+def _bisect(lo: float, hi: float, steps: int, floor: float, fails) -> tuple:
+    """``steps`` bisection steps on (lo, hi), where ``fails(lo, hi)`` tells
+    whether the shell at the midpoint fails; a midpoint below ``floor`` ends
+    the bisection.  Returns the final (lo, hi) and the tested intervals."""
+    tested = []
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid < floor:
+            break
+        tested.append((lo, hi))
+        lo, hi = (lo, mid) if fails(lo, hi) else (mid, hi)
+    return lo, hi, tested
+
+
+def _check_probe_inputs(eps_schedule, rho, delta_floor) -> None:
+    """Reject the probe inputs that would silently change its meaning."""
+    for name, values in (("eps_schedule", eps_schedule), ("rho", [rho]),
+                         ("delta_floor", [delta_floor])):
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{name} must be finite, got {values}")
+    if delta_floor <= 0:
+        raise ValueError(f"delta_floor must be positive, got {delta_floor}")
+    if rho is not None and rho <= 0:
+        raise ValueError(f"rho must be positive (the attractivity shell would lie "
+                         f"inside A), got {rho}")
+    for eps in eps_schedule:
+        if 0.5 * eps < delta_floor:
+            raise ValueError(f"eps_schedule level {eps:g} is below twice delta_floor="
+                             f"{delta_floor:g}, so no shell radius would be tested")
+
+
 def probe_uas(
     sys: PerturbedSystem,
     A: SetSpec,
@@ -734,18 +765,25 @@ def probe_uas(
     that every battery trajectory started at distance c stays strictly inside
     the eps neighborhood; runs whose distance is still growing at the horizon
     (final > GROWTH_FLAG * start) count as failures, so slow escapes are not
-    mistaken for containment.  Attractivity: from the rho shell (default: 90%
-    of the largest verified stability radius), the settle time into each eps
-    neighborhood is the last sampled time at distance >= eps.
+    mistaken for containment.  Each of two rounds tests, in one sweep, every
+    radius that the next half of the steps of every level could visit, then
+    replays the bisection from those outcomes.
+    Attractivity: from the rho shell (default: 90% of the largest verified
+    stability radius), the settle time into each eps neighborhood is the
+    last sampled time at distance >= eps.
 
     A trajectory that blows up, leaves every shell, or never settles yields a
     'violated' verdict with the offending start, policy, and peak distance.
+    An eps level below twice ``delta_floor``, a non-positive ``rho`` or
+    ``delta_floor``, and a non-finite input raise ValueError.
     """
     battery = list(battery)
     eps_schedule = sorted(float(e) for e in eps_schedule)
     if not eps_schedule:
         raise ValueError("eps_schedule must be non-empty")
+    _check_probe_inputs(eps_schedule, rho, delta_floor)
     hull = A.hull_box()
+    P = len(battery)
 
     counterexamples: list[Counterexample] = []
     violated = False
@@ -753,48 +791,70 @@ def probe_uas(
     # semantics anyway, and the stride trades resolution for speed
     stride = max(1, int(round(OBSERVE_DT / dt)))
 
-    def shell_run(c: float, eps: float) -> Counterexample | None:
-        """The worst failure from the shell at distance c, or None."""
-        starts = _shell_points(hull, c)
-        mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
-                       first=lambda pts, d: d >= eps, stop=lambda rows, flags: True,
-                       stride=stride)
+    def shell_runs(nodes) -> dict:
+        """The worst failure (or None) from the shell at distance
+        c = (lo + hi) / 2 of each (level, (lo, hi)) node, in one sweep.  A
+        node's rows retire together once one of them reaches its eps, so its
+        outcome is that of its shell swept alone, stopped at that step."""
+        cs = [0.5 * (lo + hi) for _, (lo, hi) in nodes]
+        shells = [_shell_points(hull, c) for c in cs]
+        sizes = [pts.shape[0] for pts in shells]
+        starts = np.concatenate(shells)
+        group = np.tile(np.repeat(np.arange(len(nodes)), sizes), P)
+        eps = np.array([eps_schedule[j] for j, _ in nodes])[group]
+        c = np.array(cs)[group]
+        mon = _Monitor(group.size, gauge=A.dist_many, groups=group, stride=stride,
+                       first=lambda pts, d, rows: d >= eps[rows])
         res = run_sweep(
             sys, starts, battery, horizon, dt,
             blowup_bound=blowup_bound, observer=mon,
         )
         hard = (mon.peak >= eps) | (res.status == STATUS_BLOWUP)
         fails = hard | (mon.latest > GROWTH_FLAG * c)
-        if not np.any(fails):
-            return None
-        r = int(np.argmax(np.where(hard, mon.peak, -np.inf)))
-        if not hard[r]:
-            r = int(np.nonzero(fails)[0][0])
-        t_fail = mon.first[r] if np.isfinite(mon.first[r]) else res.end_times[r]
-        kind = "blow_up" if res.status[r] == STATUS_BLOWUP else (
-            "left_eps_shell" if hard[r] else "still_growing_at_horizon"
-        )
-        return _counterexample(res, starts, battery, r, t_fail, kind, mon.peak[r])
+        # each node's rows in the order of its own sweep: policy, then start
+        order = np.argsort(group, kind="stable")
+        outcome = {}
+        for node, rows in zip(nodes, np.split(order, np.cumsum(sizes)[:-1] * P)):
+            outcome[node] = None
+            if np.any(fails[rows]):
+                r = rows[np.argmax(np.where(hard[rows], mon.peak[rows], -np.inf))]
+                if not hard[r]:
+                    r = rows[np.argmax(fails[rows])]
+                t_fail = mon.first[r] if np.isfinite(mon.first[r]) else res.end_times[r]
+                kind = "blow_up" if res.status[r] == STATUS_BLOWUP else (
+                    "left_eps_shell" if hard[r] else "still_growing_at_horizon"
+                )
+                outcome[node] = _counterexample(res, starts, battery, r, t_fail, kind,
+                                                mon.peak[r])
+        return outcome
+
+    # per level: the bisection interval (lo, hi) and the failures met on the way
+    search = [(0.0, eps, []) for eps in eps_schedule]
+    half = (BISECT_ITERS + 1) // 2
+    for depth in (half, BISECT_ITERS - half):
+        # every interval the next ``depth`` steps test under some outcomes;
+        # the bisection's own arithmetic gives each midpoint's exact float
+        nodes = {}
+        for j, (lo, hi, _) in enumerate(search):
+            for pattern in itertools.product((False, True), repeat=depth):
+                outcomes = iter(pattern)
+                for node in _bisect(lo, hi, depth, delta_floor, lambda *_: next(outcomes))[2]:
+                    nodes[j, node] = None
+        if not nodes:
+            break  # every level's next midpoint is below the floor
+        outcome = shell_runs(list(nodes))
+        for j, (lo, hi, fails) in enumerate(search):
+            lo, hi, tested = _bisect(lo, hi, depth, delta_floor,
+                                     lambda *node: outcome[j, node] is not None)
+            fails += [outcome[j, node] for node in tested if outcome[j, node] is not None]
+            search[j] = (lo, hi, fails)
 
     eps_table: list[tuple[float, float]] = []
     best = 0.0
-    for eps in eps_schedule:
-        lo_c, hi_c = 0.0, eps
-        fail_ces: list[Counterexample] = []
-        for _ in range(BISECT_ITERS):
-            mid = 0.5 * (lo_c + hi_c)
-            if mid < delta_floor:
-                break  # the stability radius is already known to be sub-floor
-            ce = shell_run(mid, eps)
-            if ce is None:
-                lo_c = mid
-            else:
-                hi_c = mid
-                fail_ces.append(ce)
-        delta_eps = lo_c
+    for eps, (delta_eps, _, fails) in zip(eps_schedule, search):
         if delta_eps < delta_floor:
             violated = True
-            counterexamples.extend(fail_ces[:20])
+            counterexamples.extend(fails[:20])
         best = max(best, delta_eps)
         eps_table.append((eps, max(delta_eps, eps_table[-1][1] if eps_table else 0.0)))
 
@@ -806,8 +866,8 @@ def probe_uas(
         starts = _shell_points(hull, rho_used)
         # settle time into each eps neighborhood: the last time at distance >= eps
         levels = np.asarray(eps_schedule)[:, None]
-        mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
-                       last=lambda pts, d: d >= levels, stride=stride)
+        mon = _Monitor(starts.shape[0] * P, gauge=A.dist_many,
+                       last=lambda pts, d, rows: d >= levels, stride=stride)
         res = run_sweep(
             sys, starts, battery, horizon, dt,
             blowup_bound=blowup_bound, observer=mon,

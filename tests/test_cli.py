@@ -485,6 +485,36 @@ class TestInputErrors:
         assert_no_run_dir(out)
 
     @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            # eps / 2 below delta_floor: no radius is tested, so the level
+            # would read "violated" without a counterexample
+            ("probe-uas", {"eps_schedule": [0.0005]}, "eps_schedule"),
+            ("probe-uas", {"eps_schedule": [0.0]}, "eps_schedule"),
+            ("probe-uas", {"eps_schedule": [0.1, math.nan]}, "eps_schedule"),
+            # a shell inside A
+            ("probe-uas", {"rho": -0.2}, "rho"),
+            ("probe-uas", {"rho": math.inf}, "rho"),
+            ("probe-uas", {"delta_floor": 0.0}, "delta_floor"),
+            ("probe-uas", {"delta_floor": math.nan}, "delta_floor"),
+            ("verify-sws", {"eps_schedule": [0.0005]}, "eps_schedule"),
+            ("verify-sws", {"eps_schedule": [0.0]}, "eps_schedule"),
+            ("verify-sws", {"eps_schedule": [math.nan, 0.5]}, "eps_schedule"),
+        ],
+    )
+    def test_probe_input_that_changes_meaning_exits_2(self, tmp_path, command, fields, message):
+        block = {"probe-uas": {"uas": {"stable": "A"}},
+                 "verify-sws": {"sws": {"initial": "W", "unsafe": "U", "stable": "A"}}}[command]
+        for fields_of in block.values():
+            fields_of.update(fields)
+        path = write_config(tmp_path, base_config(**block))
+        out = tmp_path / "runs"
+        result = run_cli([command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert_no_run_dir(out)
+
+    @pytest.mark.parametrize(
         "command, omega, kind",
         [
             ("check-cert", {"stable": "A", "domain": "G"}, "Sublevel"),

@@ -292,8 +292,8 @@ class TestWinningSet:
         member = A.within(res.conv_radius)
         starts = grid.point_of(res.eval_cells)
         m = starts.shape[0]
-        mon = _Monitor(m * len(battery), first=lambda pts, g: U.contains_many(pts),
-                       last=lambda pts, g: ~member(pts))
+        mon = _Monitor(m * len(battery), first=lambda pts, g, rows: U.contains_many(pts),
+                       last=lambda pts, g, rows: ~member(pts))
         ref = run_sweep(sys, starts, battery, 10.0, 5e-3, freeze_domain=grid.domain,
                         observer=mon)
         safe = np.isinf(mon.first).reshape(-1, m).all(axis=0)
@@ -419,6 +419,149 @@ class TestProbeUas:
         rep = probe_uas(sys, Box((0.0,), (0.0,)), [0.1, 0.5], [ZeroPolicy()], 5.0, 1e-2)
         assert rep.verdict == "violated"
         assert any(c.kind == "not_attracted" for c in rep.counterexamples)
+
+
+# ---------------------------------------------------------------------------
+# the batched probe against the sequential bisection
+
+
+def _sequential_shell_run(sys, A, battery, c, eps, horizon, dt):
+    """The worst failure from the shell at distance c, in a sweep of its
+    own that aborts once any row reaches eps, or None."""
+    from safestab.dynamics import STATUS_BLOWUP, run_sweep
+    from safestab.reach import GROWTH_FLAG, OBSERVE_DT, Counterexample, _shell_points
+
+    stride = max(1, int(round(OBSERVE_DT / dt)))
+    starts = _shell_points(A.hull_box(), c)
+    R = starts.shape[0] * len(battery)
+    first, peak, latest = np.full(R, np.inf), np.full(R, -np.inf), np.zeros(R)
+
+    def observer(step, t, X, rows, D):
+        if step % stride or rows.size == 0:
+            return False
+        d = A.dist_many(X)
+        peak[rows] = np.maximum(peak[rows], d)
+        latest[rows] = d
+        hit = d >= eps
+        first[rows[hit & np.isinf(first[rows])]] = t
+        return bool(hit.any())
+
+    res = run_sweep(sys, starts, battery, horizon, dt, observer=observer)
+    hard = (peak >= eps) | (res.status == STATUS_BLOWUP)
+    fails = hard | (latest > GROWTH_FLAG * c)
+    if not np.any(fails):
+        return None
+    r = int(np.argmax(np.where(hard, peak, -np.inf)))
+    if not hard[r]:
+        r = int(np.nonzero(fails)[0][0])
+    kind = "blow_up" if res.status[r] == STATUS_BLOWUP else (
+        "left_eps_shell" if hard[r] else "still_growing_at_horizon")
+    return Counterexample(
+        tuple(float(v) for v in starts[res.start_index[r]]), battery[res.policy_index[r]].label,
+        float(first[r] if np.isfinite(first[r]) else res.end_times[r]), kind, float(peak[r]))
+
+
+def _sequential_probe(sys, A, eps_schedule, battery, horizon, dt, delta_floor):
+    """probe_uas with one sweep per bisection step."""
+    from safestab.dynamics import STATUS_BLOWUP, run_sweep
+    from safestab.reach import (
+        BISECT_ITERS, OBSERVE_DT, UASProbeReport, _counterexample, _Monitor, _shell_points)
+
+    eps_schedule = sorted(eps_schedule)
+    eps_table, counterexamples, best = [], [], 0.0
+    for eps in eps_schedule:
+        lo, hi, fails = 0.0, eps, []
+        for _ in range(BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            if mid < delta_floor:
+                break
+            ce = _sequential_shell_run(sys, A, battery, mid, eps, horizon, dt)
+            if ce is None:
+                lo = mid
+            else:
+                hi = mid
+                fails.append(ce)
+        if lo < delta_floor:
+            counterexamples += fails[:20]
+        best = max(best, lo)
+        eps_table.append((eps, max(lo, eps_table[-1][1] if eps_table else 0.0)))
+    if counterexamples:
+        return UASProbeReport(eps_table, None, [], "violated", counterexamples,
+                              delta_floor, horizon)
+
+    rho = 0.9 * best
+    starts = _shell_points(A.hull_box(), rho)
+    levels = np.asarray(eps_schedule)[:, None]
+    mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
+                   last=lambda pts, d, rows: d >= levels,
+                   stride=max(1, int(round(OBSERVE_DT / dt))))
+    res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
+    bad = res.status == STATUS_BLOWUP
+    if np.any(bad) or np.any(mon.latest >= eps_schedule[0]):
+        r = int(np.argmax(np.where(bad, np.inf, mon.latest)))
+        ce = _counterexample(res, starts, battery, r, horizon,
+                             "blow_up" if bad[r] else "not_attracted", mon.latest[r])
+        return UASProbeReport(eps_table, rho, [(e, math.inf) for e in eps_schedule],
+                              "violated", [ce], delta_floor, horizon)
+    times = [float(w + dt) if np.isfinite(w) else 0.0 for w in mon.last.max(axis=1)]
+    for j in range(1, len(times)):
+        times[j] = min(times[j], times[j - 1])
+    return UASProbeReport(eps_table, rho, list(zip(eps_schedule, times)),
+                          "consistent_with_UAS", [], delta_floor, horizon)
+
+
+def _bench_probe(delta, horizon, delta_floor):
+    sys = PerturbedSystem(parse_vector_field(["-x + x^2"], ["x"]), delta)
+    return (sys, Box((ROOT_LEFT,), (0.5,)), [0.1, 0.25, 0.5],
+            default_policy_battery(sys, n_random=2, seed=2024), horizon, 5e-3, delta_floor)
+
+
+# x' = -25 x (x - 0.1)(x - 0.4): 0 is stable, 0.1 unstable and 0.4 stable, so
+# a shell at c in (0.1, 0.32) grows to 0.4 > 1.25 c while larger shells stay
+BISTABLE = PerturbedSystem(parse_vector_field(["-25*x*(x - 0.1)*(x - 0.4)"], ["x"]), 0.0)
+
+# eps = 0.3 and 0.35 put bisection midpoints one ulp away from eps * j / 2**k
+PROBE_CASES = {
+    "bench-delta-0.20": lambda: _bench_probe(0.20, 20.0, 1e-3),
+    # violated: d = +0.25 drives every shell at c >= 0.005 above A out
+    "bench-delta-0.25": lambda: _bench_probe(0.25, 60.0, 0.005),
+    "linear-2d": lambda: (
+        PerturbedSystem(parse_vector_field(["-x + 0.5*y", "-y"], ["x", "y"]), 0.1),
+        Box((0.0, 0.0), (0.0, 0.0)), [0.3, 0.5],
+        [ZeroPolicy(), ConstantPolicy([0.1, 0.0]), ConstantPolicy([0.0, -0.1])], 5.0, 1e-2, 1e-3),
+    # x' = x fails every shell: the floor stops the search at step 4 (in the
+    # first round), or at steps 7 and 8 (in the second)
+    "floor-round-1": lambda: (
+        PerturbedSystem(parse_vector_field(["x"], ["x"]), 0.05), Box((0.0,), (0.0,)), [0.5],
+        [ZeroPolicy(), ConstantPolicy([0.05])], 5.0, 1e-2, 0.05),
+    "floor-round-2": lambda: (
+        PerturbedSystem(parse_vector_field(["x"], ["x"]), 0.05), Box((0.0,), (0.0,)),
+        [0.25, 0.5], [ZeroPolicy(), ConstantPolicy([0.05])], 5.0, 1e-2, 0.002),
+    "bistable": lambda: (BISTABLE, Box((0.0,), (0.0,)), [0.35, 0.5], [ZeroPolicy()],
+                         10.0, 1e-2, 1e-3),
+}
+
+
+class TestProbeReplaysBisection:
+    @pytest.mark.parametrize("case", sorted(PROBE_CASES))
+    def test_report_equals_sequential_bisection(self, case):
+        sys, A, eps, battery, horizon, dt, floor = PROBE_CASES[case]()
+        got = probe_uas(sys, A, eps, battery, horizon, dt, delta_floor=floor)
+        want = _sequential_probe(sys, A, eps, battery, horizon, dt, floor)
+        assert got == want
+        if case.startswith("floor"):
+            assert got.verdict == "violated"
+            assert len(got.counterexamples) == {"floor-round-1": 3, "floor-round-2": 6 + 7}[case]
+
+    def test_bistable_containment_is_not_monotone(self):
+        """The search ends near the unstable equilibrium 0.1 although larger
+        shells are contained; batched and sequential agree on it above."""
+        A = Box((0.0,), (0.0,))
+        fail = _sequential_shell_run(BISTABLE, A, [ZeroPolicy()], 0.25, 0.5, 10.0, 1e-2)
+        assert fail.kind == "still_growing_at_horizon"
+        assert _sequential_shell_run(BISTABLE, A, [ZeroPolicy()], 0.45, 0.5, 10.0, 1e-2) is None
+        rep = probe_uas(BISTABLE, A, [0.5], [ZeroPolicy()], 10.0, 1e-2)
+        assert rep.eps_table[0][1] == pytest.approx(0.1, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ and checks that uninstalling restores every patched attribute."""
 
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from safestab import certify, cli, config, converse, dynamics, expr, geometry, reach
 
@@ -88,3 +90,40 @@ def test_winning_set_sweep_counts_running_rows_only():
     assert not aborted
     assert steps == nominal == 500
     assert ran < rows * steps
+
+
+def _probe_sweeps(*args, **kwargs):
+    """The report of one probe_uas call and the sweeps it ran."""
+    tracing = _load_tracing()
+    rec = tracing.SpanRecorder()
+    rec.install()
+    try:
+        rep = reach.probe_uas(*args, **kwargs)
+    finally:
+        rec.uninstall()
+    return rep, rec.sweeps
+
+
+@pytest.mark.parametrize("eps_schedule", [[0.5], [0.1, 0.25, 0.5]])
+def test_consistent_probe_runs_two_shell_sweeps_and_one_attractivity_sweep(eps_schedule):
+    sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.05)
+    rep, sweeps = _probe_sweeps(sys_, geometry.Box((0.0,), (0.0,)), eps_schedule,
+                                dynamics.default_policy_battery(sys_, n_random=1, seed=3),
+                                5.0, 1e-2)
+    assert rep.verdict == "consistent_with_UAS"
+    assert len(sweeps) == 3
+    # the attractivity sweep runs the shell at rho only
+    assert sweeps[-1][2] == 2
+
+
+def test_violated_benchmark_probe_runs_two_shell_sweeps():
+    """Criterion 3's probe at delta = 0.25, on a shorter horizon with a
+    floor to match, needs both bisection rounds (the search at eps = 0.5
+    stops at its 7th step) and, being violated, no attractivity sweep."""
+    sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x + x^2"], ["x"]), 0.25)
+    A = geometry.Box(((1.0 - math.sqrt(2.0)) / 2.0,), (0.5,))
+    rep, sweeps = _probe_sweeps(sys_, A, [0.1, 0.25, 0.5],
+                                dynamics.default_policy_battery(sys_, 8, 2024), 60.0, 5e-3,
+                                delta_floor=0.005)
+    assert rep.verdict == "violated"
+    assert len(sweeps) == 2
