@@ -5,7 +5,6 @@ construction from simulated decay envelopes.
 """
 
 from .expr import (
-    EvalDomainError,
     NonSmoothError,
     ParseError,
     ScalarField,

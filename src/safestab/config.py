@@ -72,6 +72,16 @@ def _whole_steps(span: float, dt: float, path: str) -> None:
         raise ConfigError(path, str(ex)) from None
 
 
+def _section(raw: dict, key: str) -> dict:
+    """An optional mapping at the top level; absent or null reads as empty."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(key, "expected a mapping")
+    return value
+
+
 def _numbers(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
@@ -260,7 +270,7 @@ def _build_set(spec, var_names, path: str, known: dict) -> SetSpec:
         except ValueError as ex:
             raise ConfigError(path, str(ex)) from None
     if kind == "sublevel":
-        expr = _need(spec, "expr", path)
+        expr = str(_need(spec, "expr", path))
         level = _num(spec.get("level", 0.0), f"{path}.level")
         try:
             g = parse_scalar_field(expr, var_names)
@@ -315,7 +325,7 @@ def load_config(path: str) -> RunConfig:
     psys = PerturbedSystem(fvec, delta)
 
     sets: dict[str, SetSpec] = {}
-    for name, spec in (raw.get("sets") or {}).items():
+    for name, spec in _section(raw, "sets").items():
         s = _build_set(spec, var_names, f"sets.{name}", sets)
         if s.dim != dim:
             raise ConfigError(f"sets.{name}", f"set dimension {s.dim} != system dim {dim}")
@@ -325,6 +335,8 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(grid, dict):
         raise ConfigError("grid", "missing grid section")
     domain = _need(grid, "domain", "grid")
+    if not isinstance(domain, dict):
+        raise ConfigError("grid.domain", "expected a mapping")
     lo = _vector(_need(domain, "lo", "grid.domain"), dim, "grid.domain.lo")
     hi = _vector(_need(domain, "hi", "grid.domain"), dim, "grid.domain.hi")
     if any(not math.isfinite(v) for v in lo + hi):
@@ -333,16 +345,19 @@ def load_config(path: str) -> RunConfig:
     resolution = _num(_need(grid, "resolution", "grid"), "grid.resolution", positive=True)
     size_cap = _count(grid.get("size_cap", 10_000_000), "grid.size_cap", 1)
 
-    battery = raw.get("battery") or {}
+    battery = _section(raw, "battery")
     n_random = _count(battery.get("n_random", 8), "battery.n_random", 0)
     seed = battery.get("seed")
     if n_random > 0 and seed is None:
         raise ConfigError("battery.seed", "a seed is mandatory when n_random > 0")
     seed = _count(0 if seed is None else seed, "battery.seed", 0)
     dwell = _num(battery.get("dwell", 0.1), "battery.dwell", positive=True)
+    names = battery.get("extremal_sets") or []
+    if not isinstance(names, list):
+        raise ConfigError("battery.extremal_sets", "expected a list of declared set names")
     extremal = []
-    for i, name in enumerate(battery.get("extremal_sets", []) or []):
-        s = sets.get(name)
+    for i, name in enumerate(names):
+        s = sets.get(name) if isinstance(name, str) else None
         if s is None:
             raise ConfigError(f"battery.extremal_sets[{i}]", f"unknown set {name!r}")
         if not isinstance(s, Sublevel):
@@ -352,7 +367,7 @@ def load_config(path: str) -> RunConfig:
             )
         extremal.append(s.g)
 
-    integ = raw.get("integration") or {}
+    integ = _section(raw, "integration")
     dt = _num(integ.get("dt", 1e-3), "integration.dt", positive=True)
     horizon = _num(integ.get("horizon", 30.0), "integration.horizon", positive=True)
     if dt > horizon:
@@ -362,7 +377,7 @@ def load_config(path: str) -> RunConfig:
         _whole_steps(dwell, dt, "battery.dwell")
     blowup = _num(integ.get("blowup_bound", 1e6), "integration.blowup_bound", positive=True)
 
-    tol = raw.get("tolerances") or {}
+    tol = _section(raw, "tolerances")
     strict_tol = _num(tol.get("strict_tol", 1e-9), "tolerances.strict_tol", positive=True)
     pd_coeff = _num(tol.get("pd_coeff", 1e-6), "tolerances.pd_coeff", positive=True)
     validation_tol = _num(

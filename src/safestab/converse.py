@@ -78,9 +78,6 @@ class MonotoneFn:
     """Strictly increasing, zero at zero, unbounded under linear
     extrapolation: the piecewise surrogate for a class-K-infinity function."""
 
-    def value(self, s: float) -> float:
-        return float(self.value_many(np.asarray([s], dtype=float))[0])
-
     def value_many(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -415,9 +412,6 @@ class NumericLyapunov:
             "alpha1": repr(self.alpha1),
             "truncated_by_pair": self.pair is not None,
         }
-
-    def value(self, x) -> float:
-        return float(self.value_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

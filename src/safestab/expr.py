@@ -27,7 +27,6 @@ __all__ = [
     "Where",
     "ParseError",
     "UnknownIdentifierError",
-    "EvalDomainError",
     "NonSmoothError",
     "parse",
     "to_source",
@@ -55,14 +54,6 @@ class UnknownIdentifierError(ParseError):
     def __init__(self, name: str, position: int):
         super().__init__(f"unknown identifier '{name}'", position)
         self.name = name
-
-
-class EvalDomainError(ArithmeticError):
-    """Numeric domain failure; carries the offending subexpression source."""
-
-    def __init__(self, message: str, subexpr: "Expr"):
-        self.subexpr_source = to_source(subexpr)
-        super().__init__(f"{message} in subexpression '{self.subexpr_source}'")
 
 
 class NonSmoothError(ValueError):
@@ -320,7 +311,7 @@ def _print(e: Expr, parent_prec: int, right_operand: bool = False) -> str:
             return f"({s})"
         return s
     if isinstance(e, Where):
-        # not part of the surface grammar; printed for error messages only
+        # not part of the surface grammar; printed for repr only
         return f"where({_print(e.cond, 0)} > 0, {_print(e.pos, 0)}, {_print(e.neg, 0)})"
     raise TypeError(f"unknown node {e!r}")
 
@@ -329,77 +320,6 @@ def _format_number(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
-
-
-# ---------------------------------------------------------------------------
-# Scalar evaluation (strict, with domain error reporting)
-
-
-def _eval_node(e: Expr, x: tuple[float, ...]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x[e.index]
-    if isinstance(e, Unary):
-        v = _eval_node(e.arg, x)
-        op = e.op
-        try:
-            if op == "neg":
-                return -v
-            if op == "sin":
-                return math.sin(v)
-            if op == "cos":
-                return math.cos(v)
-            if op == "exp":
-                return math.exp(v)
-            if op == "tanh":
-                return math.tanh(v)
-            if op == "abs":
-                return abs(v)
-            if op == "log":
-                if v <= 0.0:
-                    raise EvalDomainError(f"log of non-positive value {v!r}", e)
-                return math.log(v)
-            if op == "sqrt":
-                if v < 0.0:
-                    raise EvalDomainError(f"sqrt of negative value {v!r}", e)
-                return math.sqrt(v)
-        except OverflowError:
-            raise EvalDomainError("overflow", e) from None
-        raise TypeError(f"unknown unary op {op}")
-    if isinstance(e, Binary):
-        a = _eval_node(e.a, x)
-        b = _eval_node(e.b, x)
-        op = e.op
-        try:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise EvalDomainError("division by zero", e)
-                return a / b
-            if op == "^":
-                if a == 0.0 and b < 0.0:
-                    raise EvalDomainError("zero raised to a negative power", e)
-                if a < 0.0 and b != int(b):
-                    raise EvalDomainError(
-                        f"negative base {a!r} with non-integer exponent {b!r}", e
-                    )
-                return math.pow(a, b)
-            if op == "min":
-                return min(a, b)
-            if op == "max":
-                return max(a, b)
-        except OverflowError:
-            raise EvalDomainError("overflow", e) from None
-        raise TypeError(f"unknown binary op {op}")
-    if isinstance(e, Where):
-        return _eval_node(e.pos if _eval_node(e.cond, x) > 0.0 else e.neg, x)
-    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +521,8 @@ def _compile(e: Expr, dim: int):
 class ScalarField:
     """An expression together with an ordered variable list.
 
-    Immutable; evaluation (scalar and batched) and the cached symbolic
-    gradient are safe to use concurrently.
+    Immutable; batched evaluation and the cached symbolic gradient are safe
+    to use concurrently.
     """
 
     __slots__ = ("expr", "var_names", "dim", "_compiled", "_grad")
@@ -626,12 +546,6 @@ class ScalarField:
     @property
     def source(self) -> str:
         return to_source(self.expr)
-
-    def __call__(self, point) -> float:
-        x = tuple(float(v) for v in np.atleast_1d(point))
-        if len(x) != self.dim:
-            raise ValueError(f"point has dimension {len(x)}, field expects {self.dim}")
-        return float(_eval_node(self.expr, x))
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (m, dim) array; returns shape (m,).
@@ -682,9 +596,6 @@ class VectorField:
 
     def __len__(self) -> int:
         return len(self.components)
-
-    def __call__(self, point) -> np.ndarray:
-        return np.array([c(point) for c in self.components], dtype=np.float64)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

@@ -7,7 +7,7 @@ Set kinds:
   * BoxComplement -- closed complement of an open box, for unbounded unsafe
                      sets like [0.6, inf); exact membership and distance.
   * Sublevel      -- {x : g(x) <= c} for a ScalarField g; exact membership,
-                     distance is approximate (multistart projected descent).
+                     no distance (it has no closed form).
   * Union         -- finite union of the above.
   * MaskSet       -- a set of marked grid cells, produced by reach/invariant
                      sweeps; membership is cell membership.
@@ -27,10 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import ScalarField
-
-#: descent starts and iterations per start of the sublevel-set distance
-SUBLEVEL_DIST_STARTS = 8
-SUBLEVEL_DIST_ITERS = 200
 
 __all__ = [
     "SetSpec",
@@ -57,29 +53,24 @@ class EmptySetError(ValueError):
 
 
 class SetSpec:
-    """Base interface: exact-or-labeled membership and distance, and the
-    geometric questions the checkers ask of a set.  A kind that cannot answer
-    one raises ValueError naming itself."""
+    """Base interface: exact membership, and the distance and geometric
+    questions the checkers ask of a set.  A kind that cannot answer one
+    raises ValueError naming itself."""
 
     dim: int
-    exact_distance: bool = True
-
-    def contains(self, x) -> bool:
-        return bool(self.contains_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    exact_distance: bool = True  # has a closed-form distance ||x||_S
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dist(self, x) -> float:
-        return float(self.dist_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def dist_many(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """||x||_S: Euclidean distance from each point to the set."""
+        raise self._lacks("closed-form distance")
 
     def within(self, tol: float):
-        """Vectorized X -> 'within tol of the set'.  Exact-distance sets use
-        their distance; the others fall back to plain membership (a tolerance
-        in g-units is not a Euclidean tolerance)."""
+        """Vectorized X -> 'within tol of the set'.  Sets with a distance use
+        it; the others fall back to plain membership (a tolerance in g-units
+        is not a Euclidean tolerance)."""
         if self.exact_distance:
             return lambda X: self.dist_many(X) <= tol
         return self.contains_many
@@ -196,8 +187,8 @@ class BoxComplement(SetSpec):
 
 @dataclass(frozen=True)
 class Sublevel(SetSpec):
-    """{x : g(x) <= level}.  Membership is exact (one evaluation of g);
-    distance uses multistart projected descent and is labeled approximate."""
+    """{x : g(x) <= level}.  Membership is exact (one evaluation of g); the
+    distance to the set has no closed form, so it is not offered."""
 
     g: ScalarField
     level: float
@@ -211,48 +202,6 @@ class Sublevel(SetSpec):
         X = self._check_dim(X)
         vals = self.g.eval_many(X)
         return np.isfinite(vals) & (vals <= self.level)
-
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
-        return np.array([self._dist_single(x) for x in X])
-
-    def _dist_single(self, x: np.ndarray) -> float:
-        if self.contains(x):
-            return 0.0
-        grad = self.g.grad()
-        rng = np.random.default_rng(12345)
-        best = math.inf
-        starts = [x.copy()]
-        for _ in range(SUBLEVEL_DIST_STARTS - 1):
-            starts.append(x + rng.normal(scale=0.5 * (1.0 + np.linalg.norm(x)), size=x.shape))
-        for y in starts:
-            y = y.astype(float)
-            for _ in range(SUBLEVEL_DIST_ITERS):
-                gval = self.g(y)
-                if gval > self.level:
-                    gv = grad(y)
-                    n2 = float(gv @ gv)
-                    if n2 < 1e-18:
-                        break
-                    y = y - ((gval - self.level) / n2) * gv  # Newton step onto the level set
-                else:
-                    step = 0.1 * (x - y)
-                    if np.linalg.norm(step) < 1e-10:
-                        break
-                    y2 = y + step
-                    if self.g(y2) <= self.level:
-                        y = y2
-                    else:
-                        gv = grad(y2)
-                        n2 = float(gv @ gv)
-                        if n2 < 1e-18:
-                            break
-                        y = y2 - ((self.g(y2) - self.level) / n2) * gv
-            if self.g(y) <= self.level + 1e-9:
-                best = min(best, float(np.linalg.norm(y - x)))
-        if not math.isfinite(best):
-            raise EmptySetError(f"no feasible point found for sublevel set g<={self.level}")
-        return best
 
 
 @dataclass(frozen=True)
@@ -459,13 +408,16 @@ class MaskSet(SetSpec):
 # Distances and proper indicators
 
 
+def _leaves(S: SetSpec) -> list:
+    """The sets that are not unions whose union is S."""
+    return [m for u in S.members for m in _leaves(u)] if isinstance(S, Union) else [S]
+
+
 def _dist_between(A: SetSpec, D: SetSpec) -> float:
     """dist(A, R^n \\ D) = inf_{a in A} ||a||_{complement of D}, the smallest
-    over a union's members, else over A's box hull: exact for any set in a
-    box and for a box in a box complement, a lower bound otherwise."""
-    if isinstance(A, Union):
-        return min(_dist_between(m, D) for m in A.members)
-    return D.min_depth(A.hull_box())
+    over a union's members of that over the member's box hull: exact for any
+    set in a box and for a box in a box complement, a lower bound otherwise."""
+    return min(D.min_depth(m.hull_box()) for m in _leaves(A))
 
 
 class ProperIndicator:
@@ -476,13 +428,17 @@ class ProperIndicator:
         omega(x) = max( ||x||_A,  1/||x||_{R^n \\ D}  -  2/dist(A, R^n \\ D) )
 
     With D = None (all of R^n) the second branch is absent and omega reduces
-    to the distance to A.
+    to the distance to A.  A kind with no closed-form distance or gap raises
+    ValueError naming itself when the indicator is built.
     """
 
     def __init__(self, A: SetSpec, D: SetSpec | None = None):
         self.A = A
         self.D = D
         if D is None:
+            for m in _leaves(A):  # fail here, before any point is evaluated
+                if not m.exact_distance:
+                    raise m._lacks("closed-form distance")
             self.dist_A_to_Dc = math.inf
         else:
             if A.dim != D.dim:
@@ -495,9 +451,6 @@ class ProperIndicator:
                 )
             self.dist_A_to_Dc = float(gap)
         self.dim = A.dim
-
-    def value(self, x) -> float:
-        return float(self.value_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

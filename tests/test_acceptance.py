@@ -44,6 +44,7 @@ from safestab.converse import (
 from safestab.reach import probe_uas, reach_tube, winning_set
 
 from conftest import record_acceptance
+from test_expr import at
 
 ROOT_LEFT = (1.0 - math.sqrt(2.0)) / 2.0
 SEED = 2024
@@ -194,8 +195,8 @@ def test_criterion_4_worst_case_closed_form():
         delta = float(rng.uniform(0, 1))
         sys = PerturbedSystem(systems[dim], delta)
         closed = float(lie_many(V, sys, x[None, :], +1.0)[0])
-        g = V.grad()(x)
-        fx = systems[dim](x)
+        g = at(V.grad(), *x)
+        fx = at(systems[dim], *x)
         base = float(g @ fx)
         if dim == 1:
             ds = np.linspace(-delta, delta, 10_000)
@@ -230,7 +231,7 @@ def test_criterion_5_certificate_checker_soundness():
     D = Box((-1.5,), (1.5,))
 
     B = barrier_from_lyapunov(V, W, W, grid)
-    assert B([0.0]) == pytest.approx(0.2625, abs=1e-9)
+    assert at(B, 0.0) == pytest.approx(0.2625, abs=1e-9)
     cert = Certificate(V=V, D=D, B=B)
 
     good = check_lyapunov_barrier_pair(cert, PerturbedSystem(f, 0.0), A, W, U, grid)

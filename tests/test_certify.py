@@ -21,6 +21,7 @@ from safestab.certify import (
     lie_many,
 )
 from safestab.converse import PowerMonotone
+from test_expr import at
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +44,8 @@ def brute_force_lie(V, sys, x, n_samples=10_000):
     """Independent oracle: maximize grad V(x).(f(x)+d) over sampled d in the
     delta-ball (sphere directions; the objective is linear in d)."""
     x = np.asarray(x, dtype=float)
-    g = V.grad()(x)
-    fx = sys.f(x)
+    g = at(V.grad(), *x)
+    fx = at(sys.f, *x)
     base = float(g @ fx)
     n = x.size
     if sys.delta == 0:
@@ -85,8 +86,8 @@ class TestWorstCaseLie:
             x = rng.uniform(-2, 2, size=2)
             sys = PerturbedSystem(f, float(rng.uniform(0, 1)))
             closed = best_case_lie(B, sys, x)
-            g = B.grad()(x)
-            fx = f(x)
+            g = at(B.grad(), *x)
+            fx = at(f, *x)
             angles = np.linspace(0, 2 * math.pi, 2001, endpoint=False)
             dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
             brute = float(g @ fx) + sys.delta * float((dirs @ g).min())
@@ -213,7 +214,7 @@ class TestSingleCertificate:
         # hand arithmetic at x = 0.25: lie = -0.125 + 0.3 = +0.175 > -V = -0.0625
         sys = PerturbedSystem(self.f, 0.6)
         assert worst_case_lie(self.V, sys, [0.25]) == pytest.approx(0.175)
-        assert worst_case_lie(self.V, sys, [0.25]) > -self.V(0.25)
+        assert worst_case_lie(self.V, sys, [0.25]) > -at(self.V, 0.25)
 
     def test_degenerate_zero_certificate(self):
         # grid entirely inside A: both bounds hold with equality and the
@@ -249,7 +250,7 @@ class TestBarrierConstruction:
         K = Box((-0.5,), (0.5,))
         B = barrier_from_lyapunov(self.V, K, K, self.grid)
         # c = 1.05 * max(x^2 on [-0.5, 0.5]) = 1.05 * 0.25 = 0.2625
-        assert B([0.0]) == pytest.approx(0.2625, abs=1e-6)
+        assert at(B, 0.0) == pytest.approx(0.2625, abs=1e-6)
         assert B.source.startswith("0.2625")
 
     def test_zero_lyapunov_gives_positive_constant(self):
@@ -257,7 +258,7 @@ class TestBarrierConstruction:
             parse_scalar_field("0", ["x"]), Box((-0.5,), (0.5,)), Box((-0.5,), (0.5,)),
             self.grid,
         )
-        assert B([0.0]) > 0 and B([2.0]) == B([0.0])
+        assert at(B, 0.0) > 0 and at(B, 2.0) == at(B, 0.0)
 
     def test_constructed_pair_passes_checks(self):
         W = Box((-0.5,), (0.5,))

@@ -515,32 +515,77 @@ class TestInputErrors:
         assert_no_run_dir(out)
 
     @pytest.mark.parametrize(
-        "command, omega, kind",
+        "command, block, kind",
         [
-            ("check-cert", {"stable": "A", "domain": "G"}, "Sublevel"),
-            ("check-cert", {"stable": "A", "domain": "UW"}, "Union"),
-            ("check-cert", {"stable": "U", "domain": "Omega"}, "BoxComplement"),
-            ("check-cert", {"stable": "G", "domain": "Omega"}, "Sublevel"),
+            ("check-cert", {"omega": {"stable": "A", "domain": "G"}}, "Sublevel"),
+            ("check-cert", {"omega": {"stable": "A", "domain": "UW"}}, "Union"),
+            ("check-cert", {"omega": {"stable": "U", "domain": "Omega"}}, "BoxComplement"),
+            ("check-cert", {"omega": {"stable": "G", "domain": "Omega"}}, "Sublevel"),
             ("construct-lyapunov", {"stable": "A", "omega_domain": "UW"}, "Union"),
+            # a sublevel A has no closed-form distance ||x||_A either
+            ("check-cert", {"omega": {"stable": "G"}}, "Sublevel"),
+            ("check-cert", {"omega": {"stable": "AG"}}, "Sublevel"),
+            ("check-cert", {"check": "pair", "B": "1 - x^2", "stable": "G",
+                            "initial": "W", "unsafe": "U"}, "Sublevel"),
+            ("construct-lyapunov", {"stable": "G", "omega_domain": None}, "Sublevel"),
         ],
-        ids=["sublevel-D", "union-D", "complement-A", "sublevel-A", "lyapunov-union-D"],
+        ids=["sublevel-D", "union-D", "complement-A", "sublevel-A", "lyapunov-union-D",
+             "distance-sublevel-A", "distance-union-with-sublevel-A", "pair-sublevel-A",
+             "lyapunov-distance-sublevel-A"],
     )
-    def test_indicator_gap_without_closed_form_exits_2(self, tmp_path, command, omega, kind):
+    def test_indicator_gap_without_closed_form_exits_2(self, tmp_path, command, block, kind):
         cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
         cfg["sets"]["G"] = {"kind": "sublevel", "expr": "x^2", "level": 0.01}
         cfg["sets"]["UW"] = {"kind": "union", "members": [
             {"kind": "box", "lo": [-1.0], "hi": [1.0]}, {"kind": "box", "lo": [2.0], "hi": [3.0]}]}
+        cfg["sets"]["AG"] = {"kind": "union", "members": [
+            {"kind": "box", "lo": [0.3], "hi": [0.4]},
+            {"kind": "sublevel", "expr": "x^2", "level": 0.01}]}
         if command == "check-cert":
             cfg["certificate"] = {"check": "single", "V": "x^2", "domain": "Omega",
-                                  "alpha1": {"power": 2}, "alpha2": {"power": 2}, "omega": omega}
+                                  "alpha1": {"power": 2}, "alpha2": {"power": 2}, **block}
         else:
-            cfg["lyapunov"] = {"region": "Omega", **omega}
+            cfg["lyapunov"] = {"region": "Omega", **block}
         path = write_config(tmp_path, cfg)
         out = tmp_path / "runs"
         result = run_cli([command, "--config", path, "--out", str(out)])
         assert result.exit_code == 2
         assert kind in result.output
         assert_no_run_dir(out)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sets", [1, 2], "sets: expected a mapping"),
+            ("battery", [1], "battery: expected a mapping"),
+            ("integration", 5, "integration: expected a mapping"),
+            ("tolerances", "x", "tolerances: expected a mapping"),
+            ("grid.domain", 5, "grid.domain: expected a mapping"),
+            ("sets.G.expr", ["x"], "sets.G.expr"),
+            ("battery.extremal_sets", [["W"]], "battery.extremal_sets[0]"),
+            # a string is not a list of one name per character
+            ("battery.extremal_sets", "G", "battery.extremal_sets: expected a list"),
+        ],
+        ids=["sets-list", "battery-list", "integration-number", "tolerances-string",
+             "grid-domain-number", "expr-list", "extremal-nested-list", "extremal-string"],
+    )
+    def test_malformed_section_exits_2_and_names_field(self, tmp_path, field, value, message):
+        cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
+        cfg["sets"]["G"] = {"kind": "sublevel", "expr": "x^2 - 1", "level": 0.0}
+        _set_field(cfg, field, value)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["simulate", "--config", path, "--out", str(out), "--x0", "0.1"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert_no_run_dir(out)
+
+    def test_numeric_set_expression_is_its_source(self, tmp_path):
+        cfg = base_config()
+        cfg["sets"]["G"] = {"kind": "sublevel", "expr": 5, "level": 6}
+        G = load_config(write_config(tmp_path, cfg)).sets["G"]
+        assert G.g.source == "5"
+        assert G.contains_many(np.array([[0.0]])).tolist() == [True]
 
 
 def _set_field(cfg, dotted, value):

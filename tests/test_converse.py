@@ -23,6 +23,11 @@ from safestab.converse import (
 )
 
 
+def value_at(V, x):
+    """V at the one point x, through the batched form."""
+    return V.value_many(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+
+
 @pytest.fixture(scope="module")
 def linear_setup():
     f = parse_vector_field(["-x"], ["x"])
@@ -37,15 +42,17 @@ def linear_setup():
 class TestMonotoneFns:
     def test_piecewise_basics(self):
         f = PiecewiseMonotone([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        assert f.value(0.0) == 0.0
-        assert f.value(0.5) == pytest.approx(0.5)
-        assert f.value(3.0) == pytest.approx(7.0)  # linear extrapolation
+        at0, at_half, at3 = f.value_many(np.array([0.0, 0.5, 3.0]))
+        assert at0 == 0.0
+        assert at_half == pytest.approx(0.5)
+        assert at3 == pytest.approx(7.0)  # linear extrapolation
         s = np.linspace(0, 5, 100)
         assert np.all(np.diff(f.value_many(s)) > 0)
 
     def test_piecewise_flats_are_nudged_strictly_increasing(self):
         f = PiecewiseMonotone([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
-        assert f.value(2.0) > f.value(1.0)
+        at1, at2 = f.value_many(np.array([1.0, 2.0]))
+        assert at2 > at1
 
     def test_piecewise_rejects_bad_breakpoints(self):
         with pytest.raises(ValueError):
@@ -55,8 +62,7 @@ class TestMonotoneFns:
 
     def test_power_template(self):
         f = PowerMonotone(2, 0.5)
-        assert f.value(2.0) == 2.0
-        assert f.value(0.0) == 0.0
+        assert f.value_many(np.array([2.0, 0.0])).tolist() == [2.0, 0.0]
         with pytest.raises(ValueError):
             PowerMonotone(0.5)
 
@@ -120,8 +126,8 @@ class TestSontagFit:
         pair = fit_sontag_pair(env, lam=0.5)
         assert pair.power == 1
         # alpha2(s) = max_t s e^{(0.5-1)t} = s: the identity on the bins
-        for s in (0.25, 0.5, 1.0):
-            assert pair.alpha2.value(s) == pytest.approx(s, rel=1e-6)
+        s = np.array([0.25, 0.5, 1.0])
+        np.testing.assert_allclose(pair.alpha2.value_many(s), s, rtol=1e-6)
         assert pair.min_margin >= 0.0
 
     def test_margin_nonnegative_on_whole_table(self, linear_setup):
@@ -158,7 +164,7 @@ class TestNumericLyapunov:
         sys, omega, battery, _, env = linear_setup
         pair = fit_sontag_pair(env)
         V = NumericLyapunov(sys, omega, pair.alpha1, 0.2, battery, 8.0, 1e-3, pair=pair)
-        assert V.value([0.0]) == 0.0
+        assert value_at(V, [0.0]) == 0.0
 
     def test_lower_bound_is_t0_term(self, linear_setup, rng):
         sys, omega, battery, _, env = linear_setup
@@ -181,8 +187,8 @@ class TestNumericLyapunov:
         sys, omega, battery, _, env = linear_setup
         pair = fit_sontag_pair(env)
         V = NumericLyapunov(sys, omega, pair.alpha1, 0.2, battery, 8.0, 1e-3, pair=pair)
-        a = V.value([0.7])
-        b = V.value([0.7])
+        a = value_at(V, [0.7])
+        b = value_at(V, [0.7])
         assert a == b
 
     def test_mu_must_stay_below_lambda(self, linear_setup):
@@ -199,7 +205,7 @@ class TestNumericLyapunov:
         V = NumericLyapunov(esys, omega, PowerMonotone(1), 0.2, bat, 10.0, 1e-2,
                             region=Box((-2.0,), (2.0,)))
         with pytest.raises(NotSettlingError):
-            V.value([1.0])
+            value_at(V, [1.0])
 
 
 class TestValidation:
@@ -229,7 +235,7 @@ class TestValidation:
         tr = integrate(sys, [0.9], battery[0], 3.0, 1e-3)
         x1 = tr.states[1000]
         x2 = tr.states[2500]
-        assert V.value(x2) <= V.value(x1) * math.exp(-mu * 1.5) * (1 + 1e-9)
+        assert value_at(V, x2) <= value_at(V, x1) * math.exp(-mu * 1.5) * (1 + 1e-9)
 
     def test_doubling_mu_keeps_measured_rate_above_the_doubled_floor(self, linear_setup):
         # the guaranteed log-decrease scales with mu; measured decreases must
@@ -265,7 +271,8 @@ class TestValidation:
             for pol in battery:
                 tr = integrate(sys, x, pol, 1.0, 1e-3)
                 for tau, k in ((0.5, 500), (1.0, 1000)):
-                    ratios.append(V.value(tr.states[k]) / (V.value(x) * math.exp(-mu * tau)))
+                    ratios.append(value_at(V, tr.states[k])
+                                  / (value_at(V, x) * math.exp(-mu * tau)))
         assert val.worst_decrease_ratio == pytest.approx(max(ratios), rel=1e-12)
 
     def test_failures_are_reported_with_points(self, linear_setup):

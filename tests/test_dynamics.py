@@ -160,7 +160,7 @@ class TestEnsemble:
         trs = ensemble(bench_sys, [-1.0], bat, 20.0, 5e-3)
         for tr in trs:
             assert tr.terminated_reason == "horizon_reached"
-            assert bench_sets["Omega"].contains(tr.final_state)
+            assert bench_sets["Omega"].contains_many(tr.final_state[None])[0]
 
     def test_shifted_fixed_point(self, linear_field):
         sys = PerturbedSystem(linear_field, 0.5)

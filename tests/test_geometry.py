@@ -20,40 +20,41 @@ from safestab import (
 )
 
 
+def column(*xs):
+    """The 1-D points xs as an (n, 1) array."""
+    return np.array(xs, dtype=float)[:, None]
+
+
 class TestMembership:
     def test_interval(self):
-        assert Box((-1.0,), (-0.9,)).contains([-0.95])
-        assert not Box((-1.0,), (-0.9,)).contains([-0.85])
+        assert Box((-1.0,), (-0.9,)).contains_many(column(-0.95, -0.85)).tolist() == [True, False]
 
     def test_unbounded_unsafe_halfline(self):
         U = BoxComplement(Box((-math.inf,), (0.6,)))
-        assert not U.contains([0.5])
-        assert U.contains([0.6])  # closed at the boundary
-        assert U.contains([10.0])
+        # closed at the boundary
+        assert U.contains_many(column(0.5, 0.6, 10.0)).tolist() == [False, True, True]
 
     def test_union_gap(self):
         u = Union((Box((0.0,), (1.0,)), Box((2.0,), (3.0,))))
-        assert not u.contains([1.5])
-        assert u.contains([0.5]) and u.contains([2.5])
+        assert u.contains_many(column(1.5, 0.5, 2.5)).tolist() == [False, True, True]
 
     def test_sublevel(self):
         disk = Sublevel(parse_scalar_field("x^2 + y^2", ["x", "y"]), 1.0)
-        assert disk.contains([0.5, 0.5])
-        assert not disk.contains([1.0, 1.0])
+        assert disk.contains_many(np.array([[0.5, 0.5], [1.0, 1.0]])).tolist() == [True, False]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            Box((0.0,), (1.0,)).contains([0.5, 0.5])
+            Box((0.0,), (1.0,)).contains_many(np.array([[0.5, 0.5]]))
 
 
 class TestDistance:
     def test_clamp_formula(self):
         A = Box((-0.2071,), (0.5,))
-        assert abs(A.dist([0.7]) - 0.2) < 1e-12
+        assert abs(A.dist_many(column(0.7))[0] - 0.2) < 1e-12
 
     def test_inside_is_zero(self):
         A = Box((-0.2071,), (0.5,))
-        assert A.dist([0.1]) == 0.0
+        assert A.dist_many(column(0.1))[0] == 0.0
 
     def test_zero_iff_member_for_boxes(self, rng):
         B = Box((-1.0, 0.5), (1.0, 2.0))
@@ -62,10 +63,17 @@ class TestDistance:
         m = B.contains_many(pts)
         assert np.array_equal(d == 0.0, m)
 
-    def test_disk_multistart(self):
-        disk = Sublevel(parse_scalar_field("x^2 + y^2", ["x", "y"]), 1.0)
-        assert abs(disk.dist([2.0, 0.0]) - 1.0) < 1e-4
-        assert not disk.exact_distance
+    @pytest.mark.parametrize("S", [
+        Sublevel(parse_scalar_field("x^2 + y^2", ["x", "y"]), 1.0),
+        Union((Box((2.0, 2.0), (3.0, 3.0)),
+               Sublevel(parse_scalar_field("x^2 + y^2", ["x", "y"]), 1.0))),
+    ], ids=["sublevel", "union-with-sublevel"])
+    def test_sublevel_has_no_distance(self, S):
+        assert not S.exact_distance
+        with pytest.raises(ValueError, match="Sublevel"):
+            S.dist_many(np.array([[2.0, 0.0]]))
+        with pytest.raises(ValueError, match="Sublevel"):
+            DistanceIndicator(S)
 
     def test_triangle_inequality_exact_sets(self, rng):
         S = Union((Box((-1.0,), (-0.5,)), Box((0.5,), (1.0,))))
@@ -79,8 +87,9 @@ class TestDistance:
 
     def test_complement_distance(self):
         U = BoxComplement(Box((-1.0,), (1.0,)))
-        assert U.dist([2.0]) == 0.0       # already in the complement region
-        assert abs(U.dist([0.25]) - 0.75) < 1e-12
+        d = U.dist_many(column(2.0, 0.25))
+        assert d[0] == 0.0       # already in the complement region
+        assert abs(d[1] - 0.75) < 1e-12
 
 
 class TestGrid:
@@ -112,7 +121,7 @@ class TestGrid:
         mask = np.zeros(g.size, dtype=bool)
         mask[idx] = True
         ms = MaskSet(g, mask)
-        assert ms.contains([0.2]) and not ms.contains([0.6])
+        assert ms.contains_many(column(0.2, 0.6)).tolist() == [True, False]
         hull = ms.hull_box()
         assert hull.lo[0] == pytest.approx(0.0) and hull.hi[0] == pytest.approx(0.4)
 
@@ -136,13 +145,14 @@ class TestProperIndicator:
     def test_point_target_in_interval(self):
         om = ProperIndicator(Box((0.0,), (0.0,)), Box((-1.0,), (1.0,)))
         assert om.dist_A_to_Dc == pytest.approx(1.0)
-        assert om.value([0.0]) == 0.0
-        assert om.value([0.5]) == pytest.approx(0.5)   # max(0.5, 1/0.5 - 2) = 0.5
-        assert om.value([0.9]) == pytest.approx(8.0)   # max(0.9, 1/0.1 - 2) = 8
+        vals = om.value_many(column(0.0, 0.5, 0.9))
+        assert vals[0] == 0.0
+        assert vals[1] == pytest.approx(0.5)   # max(0.5, 1/0.5 - 2) = 0.5
+        assert vals[2] == pytest.approx(8.0)   # max(0.9, 1/0.1 - 2) = 8
 
     def test_no_domain_reduces_to_distance(self):
         om = DistanceIndicator(Box((0.0,), (0.0,)))
-        assert om.value([0.7]) == pytest.approx(0.7)
+        assert om.value_many(column(0.7))[0] == pytest.approx(0.7)
         assert math.isinf(om.dist_A_to_Dc)
 
     def test_requires_strict_inclusion(self):
@@ -178,7 +188,7 @@ class TestProperIndicator:
         mask[g.select(Box((-0.2,), (0.2,)))] = True
         om = ProperIndicator(MaskSet(g, mask), Box((-1.0,), (1.0,)))
         assert om.dist_A_to_Dc > 0.5
-        assert om.value([0.0]) == 0.0
+        assert om.value_many(column(0.0))[0] == 0.0
 
 
 
@@ -225,8 +235,7 @@ class TestClosedFormGap:
         assert want == pytest.approx(math.sqrt(sum(g * g for g in gaps)), rel=1e-14)
         assert om.dist_A_to_Dc == pytest.approx(want, rel=1e-15)
         # omega vanishes on A and grows without bound toward the excluded box
-        assert om.value(A.lo) == 0.0
-        assert om.value(B.hi) == math.inf
+        assert om.value_many(np.array([A.lo, B.hi])).tolist() == [0.0, math.inf]
 
     def test_union_in_complement_box(self):
         B = _excluded_box(2)
