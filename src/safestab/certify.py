@@ -21,9 +21,8 @@ All tolerances appear in the report.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +103,6 @@ class ConditionResult:
 class CertificateReport:
     conditions: dict
     tolerances: dict
-    counterexamples: list = field(default_factory=list)
     skipped_points: int = 0
     semantics: str = "grid-sampled; per-point inequalities exact"
 
@@ -123,9 +121,6 @@ class CertificateReport:
             "skipped_points": self.skipped_points,
             "semantics": self.semantics,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +197,11 @@ def check_lyapunov_certificate(
         "upper_bound": _reduce("upper_bound", a2 + tol - V, X, lhs=V, rhs=a2),
         "decrease": _reduce("decrease", (-V + tol) - lie, X, lhs=lie, rhs=-V),
     }
-    report = CertificateReport(
+    return CertificateReport(
         conditions,
         {"cond_tol": COND_TOL},
         skipped_points=skipped,
     )
-    _collect_counterexamples(report)
-    return report
 
 
 def check_lyapunov_barrier_pair(
@@ -284,23 +277,12 @@ def check_lyapunov_barrier_pair(
         note="best-case Lie derivative of B >= 0 on D",
     )
 
-    report = CertificateReport(
+    return CertificateReport(
         conditions,
         {"strict_tol": strict_tol, "pd_coeff": pd_coeff, "cond_tol": COND_TOL,
          "A_tube": grid.cell_radius},
         skipped_points=skipped,
     )
-    _collect_counterexamples(report)
-    return report
-
-
-def _collect_counterexamples(report: CertificateReport) -> None:
-    for name, c in report.conditions.items():
-        if c.status == "fail":
-            report.counterexamples.append(
-                {"condition": name, "x": list(c.worst_point), "lhs": c.lhs,
-                 "rhs": c.rhs, "margin": c.margin}
-            )
 
 
 # ---------------------------------------------------------------------------

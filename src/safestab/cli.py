@@ -352,7 +352,7 @@ def check_cert(cfg, run):
     else:
         raise ConfigError("certificate.check", f"expected pair or single, got {kind!r}")
     with open(run.artifact("certificate_report.json"), "w") as fh:
-        fh.write(report.to_json(indent=2))
+        fh.write(json.dumps(report.to_dict(), indent=2))
     run.finish(certificate=report.to_dict())
     click.echo("certificate: " + ("pass_sampled" if report.passed else
                                   f"fail ({', '.join(report.failed_conditions())})"))

@@ -82,6 +82,20 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
+def _string_keys(value, path: str) -> None:
+    """Every mapping key in the file is a string: the run digest sorts the
+    keys, and a number cannot be ordered against a string."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if not isinstance(key, str):
+                raise ConfigError(where, f"mapping keys must be strings, got {key!r}")
+            _string_keys(item, where)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _string_keys(item, f"{path}[{i}]")
+
+
 def _numbers(value, path: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
@@ -303,6 +317,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config", f"invalid YAML: {ex}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a mapping")
+    _string_keys(raw, "")
 
     system = raw.get("system")
     if not isinstance(system, dict):

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    STATUS_ABORTED,
     STATUS_BLOWUP,
     STATUS_HORIZON,
+    STATUS_RETIRED,
     PerturbedSystem,
     run_sweep,
     step_count,
@@ -203,7 +203,7 @@ def estimate_kl_envelope(
 
     def obs(step, t, X, rows, D):
         j = col_of.get(step)
-        if j is not None and rows.size:
+        if j is not None:
             profiles[rows, j] = omega.value_many(X)
 
     res = run_sweep(
@@ -363,11 +363,11 @@ def fit_sontag_pair(
 class NumericLyapunov:
     """V(x) as the battery-and-time maximum of alpha1(omega(phi(t;x))) e^{mu t}.
 
-    When a certified pair is supplied, the time scan stops early once
-    alpha2(omega(x)) e^{-(lam - mu) t} has fallen below the running maximum of
-    every evaluated point: no later time can contribute, because the certified
-    split bounds every future weighted value by exactly that decaying
-    envelope.  Evaluations are cached by point.
+    When a certified pair is supplied, the rows of each start x retire once
+    alpha2(omega(x)) e^{-(lam - mu) t}, checked every TRUNCATE_CHECK_STEPS
+    steps, is at most x's running maximum over the battery: no later time can
+    contribute, because the certified split bounds every future weighted
+    value by exactly that decaying envelope.  V(x) depends only on x.
     """
 
     def __init__(
@@ -400,7 +400,6 @@ class NumericLyapunov:
         self.pair = pair
         self.region = region
         self.blowup_bound = blowup_bound
-        self._cache: dict[bytes, float] = {}
 
     @property
     def provenance(self) -> dict:
@@ -414,23 +413,7 @@ class NumericLyapunov:
         }
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0])
-        todo = []
-        for i, row in enumerate(X):
-            key = row.tobytes()
-            if key in self._cache:
-                out[i] = self._cache[key]
-            else:
-                todo.append(i)
-        if todo:
-            vals = self._evaluate(X[todo])
-            for i, v in zip(todo, vals):
-                out[i] = v
-                self._cache[X[i].tobytes()] = float(v)
-        return out
-
-    def _evaluate(self, X0: np.ndarray) -> np.ndarray:
+        X0 = np.atleast_2d(np.asarray(X, dtype=float))
         m = X0.shape[0]
         P = len(self.battery)
         running = np.zeros(m * P)
@@ -439,7 +422,7 @@ class NumericLyapunov:
         omega = self.omega
         if self.pair is not None:
             s0 = np.asarray(omega.value_many(X0), dtype=float)
-            caps = np.tile(np.asarray(self.pair.alpha2.value_many(s0)), P)
+            caps = np.asarray(self.pair.alpha2.value_many(s0))
             decay = self.pair.lam - mu
         else:
             caps = None
@@ -450,16 +433,16 @@ class NumericLyapunov:
             weighted = alpha1.value_many(vals) * math.exp(mu * t)
             running[rows] = np.maximum(running[rows], weighted)
             if caps is not None and step % TRUNCATE_CHECK_STEPS == 0 and step > 0:
-                # nothing after t can raise the max once the certified bound is below it
-                return bool(np.all(caps * math.exp(-decay * t) <= running))
-            return False
+                # nothing after t can raise a start's max once its certified bound is below it
+                done = caps * math.exp(-decay * t) <= running.reshape(P, m).max(axis=0)
+                return done[rows % m]
 
         res = run_sweep(
             self.sys, X0, self.battery, self.horizon, self.dt,
             blowup_bound=self.blowup_bound, observer=obs,
             freeze_domain=_freeze_box(self.region),
         )
-        bad = (res.status != STATUS_HORIZON) & (res.status != STATUS_ABORTED)
+        bad = (res.status != STATUS_HORIZON) & (res.status != STATUS_RETIRED)
         if np.any(bad):
             r = int(np.nonzero(bad)[0][0])
             raise NotSettlingError(

@@ -48,9 +48,7 @@ STATUS_RUNNING = 0
 STATUS_HORIZON = 1
 STATUS_BLOWUP = 2
 STATUS_LEFT_DOMAIN = 3
-#: every running row when an observer stops the whole sweep
-STATUS_ABORTED = 4
-#: the rows an observer stops with a row mask
+#: the rows an observer stops with a row mask (perfbench reads 4 as a stopped sweep)
 STATUS_RETIRED = 5
 
 #: relative slack allowed when a time span must be a whole number of steps
@@ -61,7 +59,6 @@ _STATUS_REASON = {
     STATUS_HORIZON: "horizon_reached",
     STATUS_BLOWUP: "blow_up",
     STATUS_LEFT_DOMAIN: "left_domain",
-    STATUS_ABORTED: "aborted",
     STATUS_RETIRED: "retired",
 }
 
@@ -270,12 +267,12 @@ def run_sweep(
     step.  ``rows`` holds the sweep indices of the rows still running, in
     ascending order, and ``X`` and ``D`` their states and disturbances; at
     t=0 every row is included (a start frozen there is still a state the row
-    took).  The observer must treat the arrays as read-only.  A falsy return
-    continues the sweep; ``True`` stops every running row as ``aborted``; a
-    boolean array over ``rows`` stops the rows it flags as ``retired``, each
-    keeping its state at that step.  The sweep stops after the step at which
-    the last row stopped, so a state wanted at a later step is the row's
-    final state.  Only the running rows are integrated.
+    took); after t=0 it is called only while some row runs.  The observer
+    must treat the arrays as read-only.  It returns None, or a boolean array
+    over ``rows`` that stops the rows it flags as ``retired``, each keeping
+    its state at that step.  The sweep stops after the step at which the
+    last row stopped, so a state wanted at a later step is the row's final
+    state.  Only the running rows are integrated.
     """
     n_steps = step_count(horizon, dt)
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
@@ -347,29 +344,26 @@ def run_sweep(
                 plan.setdefault(periods[p], []).append((pol, slice(edges[p], edges[p + 1])))
         by_period = list(plan.items())
 
-    def observe(step, t) -> bool:
-        """Call the observer and retire the running rows it flags; True when
-        it stopped the whole sweep."""
+    def observe(step, t):
+        """Call the observer and retire the running rows it flags."""
         stop = observer(step, t, X, rows, D)
-        if not isinstance(stop, np.ndarray):
-            return bool(stop)
-        if stop.any():
+        if stop is not None and stop.any():
             freeze(stop & (status[rows] == STATUS_RUNNING), STATUS_RETIRED, t)
             compact()
-        return False
 
     for p, pol in enumerate(policies):
         refresh(pol, slice(p * m, (p + 1) * m), 0.0)
     if freeze_domain is not None:
         freeze(~freeze_domain.contains_many(X), STATUS_LEFT_DOMAIN, 0.0)
-    aborted = observer is not None and observe(0, 0.0)
+    if observer is not None:
+        observe(0, 0.0)
     compact()
 
     half = 0.5 * dt
     sixth = dt / 6.0
     k = 0
     with np.errstate(all="ignore"):
-        while k < n_steps and rows.size and not aborted:
+        while k < n_steps and rows.size:
             t = k * dt
             for period, members in by_period:
                 if k % period == 0:
@@ -412,15 +406,12 @@ def run_sweep(
                     stopped = True
             if stopped:
                 compact()
-            if observer is not None:
-                aborted = observe(k, t1)
+            if observer is not None and rows.size:
+                observe(k, t1)
 
     states[rows] = X
     dists[rows] = D
-    running = status == STATUS_RUNNING
-    if aborted:
-        end_times[running] = k * dt
-    status[running] = STATUS_ABORTED if aborted else STATUS_HORIZON
+    status[status == STATUS_RUNNING] = STATUS_HORIZON
     return SweepResult(states, status, end_times, start_index, policy_index, dists)
 
 
@@ -493,12 +484,11 @@ def ensemble(
     x0 = np.asarray(x0, dtype=float).ravel()
     n_steps = step_count(horizon, dt)
     shape = (n_steps + 1, len(policies), x0.size)
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     states = np.empty(shape)
     dists = np.zeros(shape)
 
     def recorder(step, t, X, rows, D):
-        times[step] = t
         states[step, rows] = X
         dists[step, rows] = D
 

@@ -43,6 +43,9 @@ __all__ = [
     "DistanceIndicator",
 ]
 
+#: gap entries one chunk of MaskSet.dist_many may hold (points x cells x dim)
+_MASK_DIST_CHUNK = 1 << 20
+
 
 class GridSizeError(ValueError):
     pass
@@ -365,16 +368,20 @@ class MaskSet(SetSpec):
         return out
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
-        # distance to nearest marked cell center, floored by the cell radius;
-        # adequate for reporting, not used in tight inequalities
+        """Distance to the union of the marked closed cells: the smallest
+        norm of the per-axis gap to a cell, over chunks of points."""
         X = self._check_dim(X)
         centers = self.grid.points[self.mask]
         if centers.shape[0] == 0:
             raise EmptySetError("mask set is empty")
+        half = 0.5 * self.grid.widths
+        lo, hi = centers - half, centers + half
         out = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            d = np.sqrt(np.sum((centers - x) ** 2, axis=1)).min()
-            out[i] = max(0.0, d - self.grid.cell_radius)
+        chunk = max(1, _MASK_DIST_CHUNK // centers.size)
+        for i in range(0, X.shape[0], chunk):
+            x = X[i : i + chunk, None, :]
+            gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+            out[i : i + chunk] = np.sqrt((gap * gap).sum(axis=2)).min(axis=1)
         return out
 
     def within(self, tol: float):

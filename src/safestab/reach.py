@@ -137,14 +137,14 @@ class _Monitor:
             self.latest = np.zeros(n_rows)
 
     def __call__(self, step, t, X, rows, D):
-        if step % self.stride or rows.size == 0:
-            return False
+        if step % self.stride:
+            return None
         g = None
         if self.gauge is not None:
             g = self.gauge(X)
             self.peak[rows] = np.maximum(self.peak[rows], g)
             self.latest[rows] = g
-        stop = False
+        stop = None
         if self.first_event is not None:
             flags = self.first_event(X, g, rows)
             if flags.any():
@@ -208,7 +208,7 @@ class _Occupancy:
         self.mask = np.zeros(grid.size, dtype=bool)
 
     def __call__(self, step, t, X, rows, D):
-        if t < self.t_lo or rows.size == 0:
+        if t < self.t_lo:
             return
         flat, inside = self.grid.cell_index_many(X)
         self.mask[flat[inside]] = True

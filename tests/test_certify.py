@@ -141,7 +141,10 @@ class TestPairCertificate:
         cond = rep.conditions["B_nondecreasing"]
         assert cond.status == "fail"
         assert abs(cond.worst_point[0]) < 0.4
-        assert rep.counterexamples
+        # the report carries the counterexample: the worst point and its Lie derivative
+        reported = rep.to_dict()["conditions"]["B_nondecreasing"]
+        assert reported["worst_point"] == list(cond.worst_point)
+        assert reported["margin"] < 0 and reported["lhs"] < 0
 
     def test_hand_value_at_x01(self):
         B = parse_scalar_field("1 - x^2", ["x"])
@@ -180,7 +183,7 @@ class TestPairCertificate:
         )
         import json
 
-        parsed = json.loads(rep.to_json())
+        parsed = json.loads(json.dumps(rep.to_dict()))
         assert parsed["passed"] is True
         assert set(parsed["conditions"]) == {
             "V_zero_on_A", "V_positive_definite", "V_strict_decrease_off_A",

@@ -580,6 +580,23 @@ class TestInputErrors:
         assert message in result.output
         assert_no_run_dir(out)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("sets", 1, {"kind": "box", "lo": [0.0], "hi": [0.1]}, "sets.1"),
+        ("reach", 2, "x", "reach.2"),
+    ], ids=["set-name", "command-field"])
+    def test_non_string_key_exits_2_and_writes_nothing(self, tmp_path, section, key, value,
+                                                       message):
+        cfg = base_config(reach={"initial": "W"})
+        cfg[section][key] = value
+        path = tmp_path / "run.yaml"
+        # mixed key types cannot be sorted, so the file keeps the order given
+        path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+        out = tmp_path / "runs"
+        result = run_cli(["reach", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output and "must be strings" in result.output
+        assert_no_run_dir(out)
+
     def test_numeric_set_expression_is_its_source(self, tmp_path):
         cfg = base_config()
         cfg["sets"]["G"] = {"kind": "sublevel", "expr": 5, "level": 6}

@@ -17,6 +17,7 @@ from safestab.converse import (
     NumericLyapunov,
     PiecewiseMonotone,
     PowerMonotone,
+    SontagPair,
     estimate_kl_envelope,
     fit_sontag_pair,
     validate_lyapunov,
@@ -183,13 +184,36 @@ class TestNumericLyapunov:
         slow = NumericLyapunov(sys, omega, pair.alpha1, 0.25, battery, 8.0, 1e-3, pair=None)
         np.testing.assert_allclose(fast.value_many(xs), slow.value_many(xs), atol=1e-12)
 
-    def test_cache_hits_are_bitwise_stable(self, linear_setup):
+    def test_value_alone_equals_value_in_a_batch(self, linear_setup):
         sys, omega, battery, _, env = linear_setup
         pair = fit_sontag_pair(env)
         V = NumericLyapunov(sys, omega, pair.alpha1, 0.2, battery, 8.0, 1e-3, pair=pair)
-        a = value_at(V, [0.7])
-        b = value_at(V, [0.7])
-        assert a == b
+        xs = np.array([[0.9], [0.7], [-0.05], [0.0]])
+        assert value_at(V, [0.7]) == V.value_many(xs)[1]
+
+    def test_each_start_retires_once_its_bound_is_certified(self, linear_setup, monkeypatch):
+        """alpha2(s) e^{-(lam - mu) t} reaches V(x) = |x| at t = 0 for
+        x = 0.3 (alpha2 = s there) and at t = 4 ln 3 for x = 1.0 (alpha2 = 3);
+        the checks every 250 steps of dt = 1e-3 retire them at 0.25 and 4.5."""
+        import safestab.converse as converse
+
+        sys, omega, battery, _, _ = linear_setup
+        pair = SontagPair(PowerMonotone(1), PiecewiseMonotone([0.5, 1.0], [0.5, 3.0]), lam=0.5)
+        V = NumericLyapunov(sys, omega, pair.alpha1, 0.25, battery, 8.0, 1e-3, pair=pair)
+        sweeps, run_sweep = [], converse.run_sweep
+
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(run_sweep(*args, **kwargs))
+            return sweeps[-1]
+
+        monkeypatch.setattr(converse, "run_sweep", recording_sweep)
+        xs = np.array([[0.3], [1.0]])
+        np.testing.assert_allclose(V.value_many(xs), [0.3, 1.0], atol=1e-12)
+        (res,) = sweeps
+        for start, end in [(0, 0.25), (1, 4.5)]:
+            rows = np.nonzero(res.start_index == start)[0]
+            assert {res.reason(r) for r in rows} == {"retired"}
+            np.testing.assert_allclose(res.end_times[rows], end, rtol=1e-12)
 
     def test_mu_must_stay_below_lambda(self, linear_setup):
         sys, omega, battery, _, env = linear_setup

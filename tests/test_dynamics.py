@@ -265,11 +265,11 @@ class TestSweepEngine:
         assert 9.0 < res.end_times[0] < 12.0
         steps = [c[0] for c in calls]
         assert steps == list(range(steps[-1] + 1))
-        assert steps[-1] == round(res.end_times[0] / 5e-3)
-        # the last call sees no running row; the sweep holds the frozen state
-        assert calls[-1][1].size == 0 and calls[-1][2].size == 0
-        assert all(rows.tolist() == [0] for _, _, rows in calls[:-1])
-        assert calls[-2][1][0] == res.states[0, 0]
+        # no call once no row runs: the last one is the step before the freeze,
+        # whose state the frozen row keeps
+        assert steps[-1] == round(res.end_times[0] / 5e-3) - 1
+        assert all(rows.tolist() == [0] for _, _, rows in calls)
+        assert calls[-1][1][0] == res.states[0, 0]
         assert calls[200][1][0] < res.states[0, 0]
 
     def test_frozen_at_start_runs_no_step(self):
@@ -285,9 +285,16 @@ class TestSweepEngine:
         assert res.states[0, 0] == 5.0
 
     def test_stop_at_start_ends_at_zero(self, linear_sys):
+        calls = []
+
+        def retire_all(step, t, X, rows, D):
+            calls.append(step)
+            return np.ones(rows.size, dtype=bool)
+
         res = run_sweep(linear_sys, np.array([[1.0], [2.0]]), [ZeroPolicy()], 1.0, 1e-2,
-                        observer=lambda step, t, X, rows, D: True)
-        assert [res.reason(r) for r in range(2)] == ["aborted", "aborted"]
+                        observer=retire_all)
+        assert calls == [0]
+        assert [res.reason(r) for r in range(2)] == ["retired", "retired"]
         assert res.end_times.tolist() == [0.0, 0.0]
         assert res.states.tolist() == [[1.0], [2.0]]
 

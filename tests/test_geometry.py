@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safestab import geometry
 from safestab import (
     Box,
     BoxComplement,
@@ -90,6 +91,23 @@ class TestDistance:
         d = U.dist_many(column(2.0, 0.25))
         assert d[0] == 0.0       # already in the complement region
         assert abs(d[1] - 0.75) < 1e-12
+
+    def test_mask_set_distance_is_exact_in_2d(self, rng, monkeypatch):
+        """A grid mask set's distance is the distance to the union of its
+        closed cells, not the nearest centre less the half-diagonal."""
+        one = MaskSet(make_grid(Box((-0.05, -0.05), (0.05, 0.05)), 0.1), np.ones(1, dtype=bool))
+        assert one.exact_distance
+        assert one.dist_many(np.array([[0.15, 0.0]]))[0] == pytest.approx(0.1, rel=1e-12)
+
+        g = make_grid(Box((-1.0, 0.0), (1.0, 1.5)), 0.5)
+        mask = rng.random(g.size) < 0.4
+        ms = MaskSet(g, mask)
+        half = 0.5 * g.widths
+        cells = Union(tuple(Box(tuple(c - half), tuple(c + half)) for c in g.points[mask]))
+        pts = rng.uniform(-2.0, 2.5, size=(300, 2))
+        # 7 points per chunk, so the points span many chunks
+        monkeypatch.setattr(geometry, "_MASK_DIST_CHUNK", 7 * mask.sum() * 2)
+        np.testing.assert_allclose(ms.dist_many(pts), cells.dist_many(pts), rtol=0, atol=1e-12)
 
 
 class TestGrid:

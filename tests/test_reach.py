@@ -427,7 +427,7 @@ class TestProbeUas:
 
 def _sequential_shell_run(sys, A, battery, c, eps, horizon, dt):
     """The worst failure from the shell at distance c, in a sweep of its
-    own that aborts once any row reaches eps, or None."""
+    own that retires every row once any row reaches eps, or None."""
     from safestab.dynamics import STATUS_BLOWUP, run_sweep
     from safestab.reach import GROWTH_FLAG, OBSERVE_DT, Counterexample, _shell_points
 
@@ -437,14 +437,14 @@ def _sequential_shell_run(sys, A, battery, c, eps, horizon, dt):
     first, peak, latest = np.full(R, np.inf), np.full(R, -np.inf), np.zeros(R)
 
     def observer(step, t, X, rows, D):
-        if step % stride or rows.size == 0:
-            return False
+        if step % stride:
+            return None
         d = A.dist_many(X)
         peak[rows] = np.maximum(peak[rows], d)
         latest[rows] = d
         hit = d >= eps
         first[rows[hit & np.isinf(first[rows])]] = t
-        return bool(hit.any())
+        return np.full(rows.size, hit.any())
 
     res = run_sweep(sys, starts, battery, horizon, dt, observer=observer)
     hard = (peak >= eps) | (res.status == STATUS_BLOWUP)

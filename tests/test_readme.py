@@ -1,18 +1,25 @@
-"""The README's list of fixed constants matches the code."""
+"""The README's lists of fixed constants and sweep statuses match the code."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
 
+from safestab import dynamics
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _fixed_constants():
+def _bullet(title):
+    """The text of README's top-level bullet that starts with ``title``."""
     text = README.read_text()
-    start = text.index("* **Fixed constants.**")
-    end = text.index("\n* **", start)
-    return re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", text[start:end])
+    start = text.index(f"* **{title}.**")
+    end = text.find("\n* **", start)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def _fixed_constants():
+    return re.findall(r"`(\w+)\.([A-Z][A-Z0-9_]*) = ([^`]+)`", _bullet("Fixed constants"))
 
 
 def test_readme_fixed_constants_match_the_code():
@@ -22,3 +29,10 @@ def test_readme_fixed_constants_match_the_code():
         mod = importlib.import_module(f"safestab.{module}")
         assert hasattr(mod, name), f"README lists {module}.{name}, which does not exist"
         assert getattr(mod, name) == ast.literal_eval(value), (module, name, value)
+
+
+def test_readme_sweep_statuses_match_the_code():
+    section = _bullet("Sweep rows and observers")
+    finished = re.findall(r"runs to the end is `(\w+)`", section)
+    early = re.findall(r"^  \* `(\w+)`:", section, re.M)
+    assert sorted(finished + early) == sorted(dynamics._STATUS_REASON.values())
