@@ -180,10 +180,7 @@ def simulate(cfg, run, x0):
     if len(start) != cfg.dim:
         raise ConfigError("simulate.x0", f"expected {cfg.dim} coordinates")
     battery = cfg.make_battery(run.seed)
-    trajectories = ensemble(
-        cfg.system, start, battery, cfg.horizon, cfg.dt,
-        blowup_bound=cfg.blowup_bound,
-    )
+    trajectories = ensemble(cfg.system, start, battery, cfg.horizon, cfg.dt)
     index = []
     for i, (pol, tr) in enumerate(zip(battery, trajectories)):
         name = f"trajectory_{i:03d}.csv"
@@ -209,9 +206,10 @@ def reach(cfg, run):
     blk = cfg.command_block("reach")
     W = blk.set("initial", "W")
     t_lo = blk.num("t_lo", 0.0)
+    if not 0.0 <= t_lo <= cfg.horizon:
+        raise ConfigError("reach.t_lo", f"must lie in [0, horizon={cfg.horizon:g}], got {t_lo:g}")
     result = reach_tube(
         cfg.system, W, (t_lo, cfg.horizon), cfg.make_grid(), cfg.make_battery(run.seed), cfg.dt,
-        blowup_bound=cfg.blowup_bound,
     )
     result.mask_set().to_csv(run.artifact("reach_mask.csv"))
     run.finish(
@@ -233,7 +231,7 @@ def invariant_set(cfg, run):
         raise ConfigError("invariant_set.mode", f"expected core or kernel, got {mode!r}")
     result = maximal_invariant(
         cfg.system, Om, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
-        dwell_window=blk.span("dwell_window"), mode=mode, blowup_bound=cfg.blowup_bound,
+        dwell_window=blk.span("dwell_window"), mode=mode,
     )
     result.mask.to_csv(run.artifact("invariant_mask.csv"))
     run.finish(result=result.to_dict())
@@ -247,9 +245,12 @@ def winning_set_cmd(cfg, run):
     blk = cfg.command_block("winning_set")
     A = blk.set("stable", "A")
     U = blk.set("unsafe", "U")
+    conv_radius = blk.num("conv_radius")
+    if conv_radius is not None and conv_radius < 0:
+        raise ConfigError("winning_set.conv_radius", f"must be nonnegative, got {conv_radius:g}")
     result = winning_set(
         cfg.system, A, U, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
-        conv_radius=blk.num("conv_radius"), blowup_bound=cfg.blowup_bound,
+        conv_radius=conv_radius,
     )
     result.mask_set().to_csv(run.artifact("winning_mask.csv"))
     run.finish(
@@ -270,7 +271,6 @@ def verify_ras(cfg, run):
     Om = blk.set("target", "Omega")
     verdict = check_ras(
         cfg.system, W, U, Om, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
-        blowup_bound=cfg.blowup_bound,
     )
     run.finish(verdict=verdict.to_dict())
     click.echo(f"ras: {verdict.satisfied}"
@@ -288,7 +288,7 @@ def verify_sws(cfg, run):
     verdict = check_sws(
         cfg.system, W, U, A, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
         eps_schedule=blk.nums("eps_schedule", [0.1, 0.25, 0.5]),
-        probe_horizon=blk.span("probe_horizon"), blowup_bound=cfg.blowup_bound,
+        probe_horizon=blk.span("probe_horizon"),
     )
     run.finish(verdict=verdict.to_dict())
     click.echo(f"sws: {verdict.satisfied}")
@@ -304,7 +304,6 @@ def probe_uas_cmd(cfg, run):
         cfg.system, A, blk.nums("eps_schedule", [0.1, 0.25, 0.5]), cfg.make_battery(run.seed),
         blk.span("horizon", cfg.horizon), cfg.dt,
         rho=blk.num("rho"), delta_floor=blk.num("delta_floor", DELTA_FLOOR),
-        blowup_bound=cfg.blowup_bound,
     )
     run.finish(probe=report.to_dict())
     click.echo(f"uas probe: {report.verdict}")
@@ -386,13 +385,13 @@ def construct_lyapunov(cfg, run):
     samples = make_grid(region, sample_res, size_cap=cfg.grid_size_cap).points
     env = estimate_kl_envelope(
         cfg.system, omega, samples, battery, horizon, cfg.dt,
-        n_bins=n_bins, blowup_bound=cfg.blowup_bound, region=region,
+        n_bins=n_bins, region=region,
     )
     pair = fit_sontag_pair(env, lam_cfg)
     mu = mu_cfg if mu_cfg is not None else 0.5 * pair.lam
     Vnum = NumericLyapunov(
         cfg.system, omega, pair.alpha1, mu, battery, horizon, cfg.dt,
-        pair=pair, region=region, blowup_bound=cfg.blowup_bound,
+        pair=pair, region=region,
     )
     rng = np.random.default_rng(run.seed)
     pick = rng.choice(samples.shape[0], size=min(n_validation, samples.shape[0]), replace=False)

@@ -35,16 +35,26 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _num(value, path: str, *, positive=False, nonnegative=False) -> float:
-    if isinstance(value, str):
-        # YAML 1.1 reads exponent literals without a sign (1e9) as strings
+def _real(value, path: str) -> float:
+    """A number other than NaN, infinity included.  Only box corners and
+    ``integration.blowup_bound``, where infinity has a meaning, read through
+    this alone; every other number is read with ``_num``."""
+    # YAML 1.1 reads exponent literals without a sign (1e9) as strings
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
         try:
-            value = float(value)
-        except ValueError:
-            raise ConfigError(path, f"expected a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
+            v = float(value)
+        except (ValueError, OverflowError):  # not a number, or an int past the float range
+            v = math.nan
+        if not math.isnan(v):
+            return v
+    raise ConfigError(path, f"expected a number, got {value!r}")
+
+
+def _num(value, path: str, *, positive=False, nonnegative=False) -> float:
+    """A finite number."""
+    v = _real(value, path)
+    if math.isinf(v):
+        raise ConfigError(path, f"must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(path, f"must be positive, got {v}")
     if nonnegative and v < 0:
@@ -103,10 +113,12 @@ def _numbers(value, path: str) -> list:
 
 
 def _vector(value, dim: int, path: str) -> tuple:
-    vec = _numbers(value, path)
-    if len(vec) != dim:
-        raise ConfigError(path, f"expected {dim} entries, got {len(vec)}")
-    return tuple(vec)
+    """A box corner, one number per axis; -inf or inf leaves that side open."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "expected a list of numbers")
+    if len(value) != dim:
+        raise ConfigError(path, f"expected {dim} entries, got {len(value)}")
+    return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass
@@ -126,7 +138,6 @@ class RunConfig:
     battery_extremal: tuple         # ScalarFields feeding extremal policies
     dt: float
     horizon: float
-    blowup_bound: float
     strict_tol: float
     pd_coeff: float
     validation_tol: float
@@ -178,7 +189,7 @@ class RunConfig:
             "integration": {
                 "dt": self.dt,
                 "horizon": self.horizon,
-                "blowup_bound": self.blowup_bound,
+                "blowup_bound": self.system.blowup_bound,
             },
             "tolerances": {
                 "strict_tol": self.strict_tol,
@@ -337,7 +348,6 @@ def load_config(path: str) -> RunConfig:
     except ParseError as ex:
         raise ConfigError("system.f", str(ex)) from None
     delta = _num(_need(system, "delta", "system"), "system.delta", nonnegative=True)
-    psys = PerturbedSystem(fvec, delta)
 
     sets: dict[str, SetSpec] = {}
     for name, spec in _section(raw, "sets").items():
@@ -390,7 +400,9 @@ def load_config(path: str) -> RunConfig:
     _whole_steps(horizon, dt, "integration.horizon")
     if n_random > 0:
         _whole_steps(dwell, dt, "battery.dwell")
-    blowup = _num(integ.get("blowup_bound", 1e6), "integration.blowup_bound", positive=True)
+    blowup = _real(integ.get("blowup_bound", 1e6), "integration.blowup_bound")
+    if blowup <= 0:
+        raise ConfigError("integration.blowup_bound", f"must be positive, got {blowup}")
 
     tol = _section(raw, "tolerances")
     strict_tol = _num(tol.get("strict_tol", 1e-9), "tolerances.strict_tol", positive=True)
@@ -412,7 +424,7 @@ def load_config(path: str) -> RunConfig:
         path=str(path),
         dim=dim,
         var_names=var_names,
-        system=psys,
+        system=PerturbedSystem(fvec, delta, blowup),
         sets=sets,
         grid_domain=grid_domain,
         grid_resolution=resolution,
@@ -423,7 +435,6 @@ def load_config(path: str) -> RunConfig:
         battery_extremal=tuple(extremal),
         dt=dt,
         horizon=horizon,
-        blowup_bound=blowup,
         strict_tol=strict_tol,
         pd_coeff=pd_coeff,
         validation_tol=validation_tol,

@@ -121,9 +121,9 @@ class PowerMonotone(MonotoneFn):
     """alpha(r) = scale * r^power with power >= 1 (locally Lipschitz)."""
 
     def __init__(self, power: float, scale: float = 1.0):
-        if power < 1:
+        if not power >= 1:
             raise ValueError("power must be >= 1 to keep alpha locally Lipschitz")
-        if scale <= 0:
+        if not scale > 0:
             raise ValueError("scale must be positive")
         self.power = float(power)
         self.scale = float(scale)
@@ -172,7 +172,6 @@ def estimate_kl_envelope(
     dt: float,
     *,
     n_bins: int = 20,
-    blowup_bound: float = 1e6,
     region=None,
 ) -> KLEnvelope:
     """Bin the sampled initial omega values, take the max of omega along all
@@ -194,7 +193,7 @@ def estimate_kl_envelope(
         bad = int(np.nonzero(~np.isfinite(s0))[0][0])
         raise ValueError(f"omega is not finite at sample {X0[bad].tolist()}")
 
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     t_idx = np.unique(np.linspace(0, n_steps, ENVELOPE_TIMES).astype(int))
     t_samples = t_idx * dt
     # frozen rows are escapes: their later columns keep the inf fill
@@ -206,11 +205,7 @@ def estimate_kl_envelope(
         if j is not None:
             profiles[rows, j] = omega.value_many(X)
 
-    res = run_sweep(
-        sys, X0, battery, horizon, dt,
-        blowup_bound=blowup_bound, observer=obs,
-        freeze_domain=_freeze_box(region),
-    )
+    res = run_sweep(sys, X0, battery, horizon, dt, observer=obs, freeze_domain=_freeze_box(region))
     if np.any(res.status != STATUS_HORIZON):
         r = int(np.nonzero(res.status != STATUS_HORIZON)[0][0])
         raise NotSettlingError(
@@ -382,7 +377,6 @@ class NumericLyapunov:
         *,
         pair: "SontagPair | None" = None,
         region=None,
-        blowup_bound: float = 1e6,
     ):
         if mu <= 0:
             raise ValueError("mu must be positive")
@@ -399,7 +393,6 @@ class NumericLyapunov:
         self.dt = float(dt)
         self.pair = pair
         self.region = region
-        self.blowup_bound = blowup_bound
 
     @property
     def provenance(self) -> dict:
@@ -437,11 +430,8 @@ class NumericLyapunov:
                 done = caps * math.exp(-decay * t) <= running.reshape(P, m).max(axis=0)
                 return done[rows % m]
 
-        res = run_sweep(
-            self.sys, X0, self.battery, self.horizon, self.dt,
-            blowup_bound=self.blowup_bound, observer=obs,
-            freeze_domain=_freeze_box(self.region),
-        )
+        res = run_sweep(self.sys, X0, self.battery, self.horizon, self.dt, observer=obs,
+                        freeze_domain=_freeze_box(self.region))
         bad = (res.status != STATUS_HORIZON) & (res.status != STATUS_RETIRED)
         if np.any(bad):
             r = int(np.nonzero(bad)[0][0])
@@ -528,11 +518,8 @@ def validate_lyapunov(
         if step in tau_steps:
             states_at[step] = (rows, Y.copy())
 
-    res = run_sweep(
-        sys, X, battery, max(taus), Vnum.dt,
-        blowup_bound=Vnum.blowup_bound, observer=record,
-        freeze_domain=_freeze_box(Vnum.region),
-    )
+    res = run_sweep(sys, X, battery, max(taus), Vnum.dt, observer=record,
+                    freeze_domain=_freeze_box(Vnum.region))
     worst_ratio = 0.0
     decrease_ok = True
     V_start = np.tile(Vx, P)  # V at each row's start

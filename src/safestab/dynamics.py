@@ -65,14 +65,21 @@ _STATUS_REASON = {
 
 @dataclass(frozen=True)
 class PerturbedSystem:
-    """x' = f(x) + d(t) with |d(t)| <= delta; delta = 0 is the nominal system."""
+    """x' = f(x) + d(t) with |d(t)| <= delta; delta = 0 is the nominal system.
+
+    A solution has escaped once a state is non-finite or has a coordinate of
+    magnitude above ``blowup_bound``; sweeps freeze it there as ``blow_up``.
+    An infinite bound still catches overflow."""
 
     f: VectorField
     delta: float = 0.0
+    blowup_bound: float = 1e6
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
+        if not self.blowup_bound > 0:
+            raise ValueError(f"blowup_bound must be positive, got {self.blowup_bound}")
         if len(self.f.components) != self.f.dim:
             raise ValueError(
                 f"vector field has {len(self.f.components)} components "
@@ -130,9 +137,9 @@ class ZeroPolicy(DisturbancePolicy):
 
 
 class ConstantPolicy(DisturbancePolicy):
-    def __init__(self, vector, label: str | None = None):
+    def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float).ravel()
-        self.label = label or "const[" + ",".join(f"{v:+.4g}" for v in self.vector) + "]"
+        self.label = "const[" + ",".join(f"{v:+.4g}" for v in self.vector) + "]"
         self._clamped = self.vector.copy()
 
     def prepare(self, sys, horizon, dt):
@@ -226,9 +233,11 @@ class SweepResult:
 
 
 def step_count(span: float, dt: float, name: str = "horizon") -> int:
-    """Number of dt-steps in ``span``.  A span that is not a whole number of
-    steps (relative tolerance 1e-9) raises ValueError: rounding it would
-    silently change its meaning."""
+    """Number of dt-steps in ``span``.  A non-finite span or dt, or a span
+    that is not a whole number of steps (relative tolerance 1e-9), raises
+    ValueError: rounding it would silently change its meaning."""
+    if not (math.isfinite(span) and math.isfinite(dt)):
+        raise ValueError(f"{name}={span:g} and dt={dt:g} must be finite")
     if dt <= 0 or span <= 0:
         raise ValueError(f"{name} and dt must be positive")
     if dt > span:
@@ -249,18 +258,17 @@ def run_sweep(
     horizon: float,
     dt: float,
     *,
-    blowup_bound: float = 1e6,
     freeze_domain: Box | None = None,
     observer=None,
 ) -> SweepResult:
     """Advance every (start, policy) pair with fixed-step RK4.
 
     ``horizon`` must be a whole number of ``dt`` steps.  Rows that blow up
-    (non-finite or |x|_inf > blowup_bound) or leave ``freeze_domain`` are
-    frozen at their last state and excluded from further updates; this is
-    always recorded in ``status``, never silent.  Row r starts at
-    ``starts[r % len(starts)]`` under ``policies[r // len(starts)]``
-    (``SweepResult.start_index``/``policy_index``).
+    (non-finite or |x|_inf > ``sys.blowup_bound``, read once per sweep) or
+    leave ``freeze_domain`` are frozen at their last state and excluded from
+    further updates; this is always recorded in ``status``, never silent.
+    Row r starts at ``starts[r % len(starts)]`` under
+    ``policies[r // len(starts)]`` (``SweepResult.start_index``/``policy_index``).
 
     The observer is the only view of a sweep in progress.
     ``observer(step, t, X, rows, D)`` is invoked once at t=0 and after every
@@ -306,7 +314,7 @@ def run_sweep(
     X, D, k1, k2, k3, k4, Xt, mag = bufs
     within, X_cols, Xt_cols, by_period = flags, None, None, None
     # |x| <= bound is False for NaN and +-inf, so one comparison covers both
-    bound = min(float(blowup_bound), _FLOAT_MAX)
+    bound = min(float(sys.blowup_bound), _FLOAT_MAX)
 
     def rhs(cols, out: np.ndarray) -> np.ndarray:
         for j, c in enumerate(comps):
@@ -457,12 +465,11 @@ def integrate(
     horizon: float,
     dt: float,
     *,
-    blowup_bound: float = 1e6,
     domain: Box | None = None,
 ) -> Trajectory:
     """Integrate one trajectory, recording every step.  Non-finite states
     terminate with reason 'blow_up'; they never raise."""
-    return ensemble(sys, x0, [policy], horizon, dt, blowup_bound=blowup_bound, domain=domain)[0]
+    return ensemble(sys, x0, [policy], horizon, dt, domain=domain)[0]
 
 
 def ensemble(
@@ -472,7 +479,6 @@ def ensemble(
     horizon: float,
     dt: float,
     *,
-    blowup_bound: float = 1e6,
     domain: Box | None = None,
 ) -> list[Trajectory]:
     """One trajectory per policy from the same start, integrated together in
@@ -492,16 +498,8 @@ def ensemble(
         states[step, rows] = X
         dists[step, rows] = D
 
-    res = run_sweep(
-        sys,
-        x0[None, :],
-        policies,
-        horizon,
-        dt,
-        blowup_bound=blowup_bound,
-        freeze_domain=domain,
-        observer=recorder,
-    )
+    res = run_sweep(sys, x0[None, :], policies, horizon, dt,
+                    freeze_domain=domain, observer=recorder)
     trajectories = []
     for p, pol in enumerate(policies):
         reason = res.reason(p)

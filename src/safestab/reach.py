@@ -165,8 +165,7 @@ class _Monitor:
         return stop
 
 
-def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt,
-                      blowup_bound, **watch):
+def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt, **watch):
     """The sweep shared by ``check_ras`` and ``winning_set``: per row, the
     first entry into U (``first``) and the last time outside the target
     (``last``); ``watch`` passes ``gauge`` or ``groups`` to the monitor."""
@@ -176,10 +175,7 @@ def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt,
         last=lambda pts, g, rows: ~target_member(pts),
         **watch,
     )
-    res = run_sweep(
-        sys, starts, battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=mon,
-    )
+    res = run_sweep(sys, starts, battery, horizon, dt, freeze_domain=grid.domain, observer=mon)
     return res, mon
 
 
@@ -221,22 +217,20 @@ def reach_tube(
     grid: Grid,
     battery,
     dt: float,
-    *,
-    blowup_bound: float = 1e6,
 ) -> ReachResult:
     """Cells visited by any battery trajectory started from the grid points
-    in W during [t_lo, t_hi] (scalar horizon means [0, horizon])."""
+    in W during [t_lo, t_hi] (scalar horizon means [0, horizon]); ValueError
+    unless 0 <= t_lo <= t_hi."""
     battery = list(battery)
     if isinstance(horizon, (tuple, list)):
         t_lo, t_hi = float(horizon[0]), float(horizon[1])
     else:
         t_lo, t_hi = 0.0, float(horizon)
+    if not 0.0 <= t_lo <= t_hi:
+        raise ValueError(f"t_lo={t_lo:g} must lie in [0, {t_hi:g}]")
     _, starts = _grid_starts(grid, W, "W")
     occ = _Occupancy(grid, t_lo)
-    res = run_sweep(
-        sys, starts, battery, t_hi, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=occ,
-    )
+    res = run_sweep(sys, starts, battery, t_hi, dt, freeze_domain=grid.domain, observer=occ)
     exits = int(np.count_nonzero(res.status == STATUS_LEFT_DOMAIN))
     return ReachResult(
         grid, occ.mask, (t_lo, t_hi), "sampled_under",
@@ -276,8 +270,6 @@ def check_invariance(
     battery,
     horizon: float,
     dt: float,
-    *,
-    blowup_bound: float = 1e6,
 ) -> InvarianceReport:
     """Simulate the battery from every grid point in S and report every
     escape (point, policy, time), earliest first, or a sampled-invariance
@@ -288,10 +280,7 @@ def check_invariance(
     tol = grid.cell_radius
     member = S.within(tol)
     mon = _Monitor(starts.shape[0] * len(battery), first=lambda pts, g, rows: ~member(pts))
-    res = run_sweep(
-        sys, starts, battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=mon,
-    )
+    res = run_sweep(sys, starts, battery, horizon, dt, freeze_domain=grid.domain, observer=mon)
     order = np.argsort(mon.first, kind="stable")
     escapes = [
         _counterexample(res, starts, battery, r, mon.first[r], "escape")
@@ -360,7 +349,6 @@ def maximal_invariant(
     *,
     dwell_window: float | None = None,
     mode: str = "core",
-    blowup_bound: float = 1e6,
 ) -> InvariantSetResult:
     """Largest sampled subset of Omega from which no battery trajectory can be
     driven out.
@@ -388,10 +376,7 @@ def maximal_invariant(
     w_steps = step_count(dwell_window, dt, "dwell_window")
 
     trace = _CellTrace(grid, m * P, w_steps)
-    run_sweep(
-        sys, starts, battery, w_steps * dt, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=trace,
-    )
+    run_sweep(sys, starts, battery, w_steps * dt, dt, freeze_domain=grid.domain, observer=trace)
 
     candidate = np.zeros(grid.size, dtype=bool)
     candidate[cells0] = True
@@ -422,12 +407,7 @@ def maximal_invariant(
         )
 
     # late-time occupancy over the kernel, then forward closure
-    kern_idx = np.nonzero(kernel_mask)[0]
-    tail = _Occupancy(grid, t_lo=SETTLE_FRACTION * horizon)
-    run_sweep(
-        sys, grid.point_of(kern_idx), battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=tail,
-    )
+    tail = reach_tube(sys, kernel, (SETTLE_FRACTION * horizon, horizon), grid, battery, dt)
     seed_mask = tail.mask & kernel_mask
     notes = ""
     if not seed_mask.any():
@@ -436,11 +416,7 @@ def maximal_invariant(
             empty=False,
             notes="no late-time occupancy inside the kernel; returning the kernel",
         )
-    closure = _Occupancy(grid, t_lo=0.0)
-    run_sweep(
-        sys, grid.point_of(np.nonzero(seed_mask)[0]), battery, horizon, dt,
-        blowup_bound=blowup_bound, freeze_domain=grid.domain, observer=closure,
-    )
+    closure = reach_tube(sys, MaskSet(grid, seed_mask), horizon, grid, battery, dt)
     core_mask = (closure.mask | seed_mask) & kernel_mask
     clipped = int(np.count_nonzero(closure.mask & ~kernel_mask))
     if clipped:
@@ -483,18 +459,20 @@ def winning_set(
     *,
     conv_radius: float | None = None,
     eval_cells: np.ndarray | None = None,
-    blowup_bound: float = 1e6,
 ) -> WinningSetResult:
     """Mark the grid cells from which every battery trajectory (i) never
     enters U and (ii) has entered A + conv_radius*B by the settle deadline
     SETTLE_FRACTION*horizon and stays there for the rest of the horizon.  Sampled semantics throughout.
 
     conv_radius defaults to twice the grid cell radius: below the grid
-    resolution, membership in A is not observable.
+    resolution, membership in A is not observable.  A negative or NaN one
+    raises ValueError.
     """
     battery = list(battery)
     if conv_radius is None:
         conv_radius = 2.0 * grid.cell_radius
+    if not conv_radius >= 0:
+        raise ValueError(f"conv_radius must be nonnegative, got {conv_radius}")
     both = A.contains_many(grid.points) & U.contains_many(grid.points)
     if np.any(both):
         raise ValueError("A and U intersect on the grid; the query is ill-posed")
@@ -506,7 +484,7 @@ def winning_set(
     member = A.within(conv_radius)
     # one row in U loses its cell, so the cell's other rows stop too
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
-                                 blowup_bound, groups=np.arange(m * P) % m)
+                                 groups=np.arange(m * P) % m)
     deadline = SETTLE_FRACTION * horizon
     safe_row = np.isinf(mon.first)
     settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
@@ -559,8 +537,6 @@ def check_ras(
     battery,
     horizon: float,
     dt: float,
-    *,
-    blowup_bound: float = 1e6,
 ) -> SpecVerdict:
     """Reach-avoid-stay: every battery trajectory from the W grid points must
     avoid U on [0, horizon] and be inside Omega from some time T on, where
@@ -574,7 +550,7 @@ def check_ras(
     # the running max of -dist(x, U) is minus the closest approach to U
     gauge = (lambda pts: -U.dist_many(pts)) if U.exact_distance else None
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
-                                 blowup_bound, gauge=gauge)
+                                 gauge=gauge)
     deadline = SETTLE_FRACTION * horizon
 
     counterexamples: list[Counterexample] = []
@@ -626,7 +602,6 @@ def check_sws(
     *,
     eps_schedule=(0.1, 0.25, 0.5),
     probe_horizon: float | None = None,
-    blowup_bound: float = 1e6,
 ) -> SpecVerdict:
     """Stability with safety: A must probe as uniformly asymptotically stable
     and every W grid cell must lie in the sampled winning set (trajectories
@@ -634,13 +609,9 @@ def check_sws(
     probe = probe_uas(
         sys, A, eps_schedule, battery,
         probe_horizon if probe_horizon is not None else horizon, dt,
-        blowup_bound=blowup_bound,
     )
     w_cells, _ = _grid_starts(grid, W, "W")
-    win = winning_set(
-        sys, A, U, grid, battery, horizon, dt,
-        eval_cells=w_cells, blowup_bound=blowup_bound,
-    )
+    win = winning_set(sys, A, U, grid, battery, horizon, dt, eval_cells=w_cells)
     missing = w_cells[~win.mask[w_cells]]
     counterexamples = list(probe.counterexamples)
     for c in missing[:50]:
@@ -756,7 +727,6 @@ def probe_uas(
     *,
     rho: float | None = None,
     delta_floor: float = DELTA_FLOOR,
-    blowup_bound: float = 1e6,
 ) -> UASProbeReport:
     """Empirical probe of uniform asymptotic stability of A.
 
@@ -805,10 +775,7 @@ def probe_uas(
         c = np.array(cs)[group]
         mon = _Monitor(group.size, gauge=A.dist_many, groups=group, stride=stride,
                        first=lambda pts, d, rows: d >= eps[rows])
-        res = run_sweep(
-            sys, starts, battery, horizon, dt,
-            blowup_bound=blowup_bound, observer=mon,
-        )
+        res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
         hard = (mon.peak >= eps) | (res.status == STATUS_BLOWUP)
         fails = hard | (mon.latest > GROWTH_FLAG * c)
         # each node's rows in the order of its own sweep: policy, then start
@@ -868,10 +835,7 @@ def probe_uas(
         levels = np.asarray(eps_schedule)[:, None]
         mon = _Monitor(starts.shape[0] * P, gauge=A.dist_many,
                        last=lambda pts, d, rows: d >= levels, stride=stride)
-        res = run_sweep(
-            sys, starts, battery, horizon, dt,
-            blowup_bound=blowup_bound, observer=mon,
-        )
+        res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
         bad = res.status == STATUS_BLOWUP
         unsettled = mon.latest >= eps_schedule[0]
         if np.any(bad) or np.any(unsettled):

@@ -52,6 +52,16 @@ class TestConfigValidation:
             load_config(path)
         assert err.value.path == "system.delta"
 
+    def test_blowup_bound_belongs_to_the_system(self, tmp_path):
+        cfg = base_config(integration={"dt": 0.01, "horizon": 1.0, "blowup_bound": 50},
+                          reach={"initial": "W"})
+        path = write_config(tmp_path, cfg)
+        assert load_config(path).system.blowup_bound == 50.0
+        out = tmp_path / "runs"
+        assert run_cli(["reach", "--config", path, "--out", str(out)]).exit_code == 0
+        report = json.loads(next(out.glob("reach-*/report.json")).read_text())
+        assert report["config"]["integration"]["blowup_bound"] == 50.0
+
     def test_missing_seed_with_randomness(self, tmp_path):
         cfg = base_config()
         del cfg["battery"]["seed"]
@@ -596,6 +606,56 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert message in result.output and "must be strings" in result.output
         assert_no_run_dir(out)
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("reach", "integration.horizon", math.inf),
+            ("reach", "battery.dwell", math.inf),
+            ("reach", "integration.dt", math.nan),
+            ("reach", "grid.resolution", math.nan),
+            ("verify-ras", "system.delta", math.nan),
+            ("verify-ras", "system.delta", 10**400),
+            ("verify-ras", "integration.blowup_bound", math.nan),
+            ("check-cert", "certificate.alpha1.scale", math.nan),
+            # t_lo past the horizon marks no cell; a negative one acted as 0
+            ("reach", "reach.t_lo", 100.0),
+            ("reach", "reach.t_lo", -0.5),
+            # a negative radius read as "no cell settled"
+            ("winning-set", "winning_set.conv_radius", -0.1),
+        ],
+        ids=["horizon-inf", "dwell-inf", "dt-nan", "resolution-nan", "delta-nan",
+             "delta-past-float-range", "blowup-nan", "scale-nan", "t_lo-past-horizon",
+             "t_lo-negative", "conv_radius-negative"],
+    )
+    def test_value_out_of_range_exits_2_and_names_field(self, tmp_path, command, field, value):
+        cfg = base_config(
+            integration={"dt": 0.01, "horizon": 1.0},
+            reach={"initial": "W"},
+            ras={"initial": "W", "unsafe": "U", "target": "Omega"},
+            winning_set={"stable": "A", "unsafe": "U"},
+            certificate={"check": "single", "V": "x^2", "domain": "Omega",
+                         "alpha1": {"power": 2}, "alpha2": {"power": 2},
+                         "omega": {"stable": "A"}},
+        )
+        _set_field(cfg, field, value)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli([command, "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert field in result.output
+        assert_no_run_dir(out)
+
+    def test_infinite_bound_and_open_box_side_still_run(self, tmp_path):
+        cfg = base_config(integration={"blowup_bound": math.inf},
+                          ras={"initial": "W", "unsafe": "U", "target": "Omega"})
+        cfg["sets"]["U"]["lo"] = [-math.inf]
+        out = tmp_path / "runs"
+        result = run_cli(["verify-ras", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(next(out.glob("verify-ras-*/report.json")).read_text())
+        assert report["config"]["integration"]["blowup_bound"] == math.inf
+        assert report["verdict"]["satisfied"] == "yes_sampled"
 
     def test_numeric_set_expression_is_its_source(self, tmp_path):
         cfg = base_config()

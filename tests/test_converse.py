@@ -66,6 +66,10 @@ class TestMonotoneFns:
         assert f.value_many(np.array([2.0, 0.0])).tolist() == [2.0, 0.0]
         with pytest.raises(ValueError):
             PowerMonotone(0.5)
+        with pytest.raises(ValueError, match="power"):
+            PowerMonotone(math.nan)
+        with pytest.raises(ValueError, match="scale"):
+            PowerMonotone(2, math.nan)
 
 
 class TestEnvelope:

@@ -86,6 +86,20 @@ class TestIntegrate:
         np.testing.assert_allclose(data[:, 1], tr.states[:, 0])
 
 
+class TestSystem:
+    @pytest.mark.parametrize("delta, bound, message", [
+        (math.nan, 1e6, "delta"), (math.inf, 1e6, "delta"), (-0.1, 1e6, "delta"),
+        (0.25, math.nan, "blowup_bound"), (0.25, 0.0, "blowup_bound"),
+    ])
+    def test_rejects_bad_delta_or_bound(self, bench_field, delta, bound, message):
+        with pytest.raises(ValueError, match=message):
+            PerturbedSystem(bench_field, delta, bound)
+
+    def test_bound_is_part_of_the_system(self, bench_field):
+        assert PerturbedSystem(bench_field, 0.25).blowup_bound == 1e6
+        assert PerturbedSystem(bench_field, 0.25, math.inf).blowup_bound == math.inf
+
+
 class TestPolicies:
     def test_constant_clamped_to_ball(self):
         sys = PerturbedSystem(parse_vector_field(["0", "0"], ["x", "y"]), 0.5)
@@ -230,9 +244,9 @@ class TestSweepEngine:
         assert list(res.policy_index) == [0, 0, 1, 1]
 
     def test_blowup_rows_freeze_without_poisoning_others(self):
-        sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0)
+        sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0, blowup_bound=1e3)
         starts = np.array([[2.0], [-0.5]])
-        res = run_sweep(sys, starts, [ZeroPolicy()], 5.0, 1e-3, blowup_bound=1e3)
+        res = run_sweep(sys, starts, [ZeroPolicy()], 5.0, 1e-3)
         assert res.reason(0) == "blow_up"
         assert res.reason(1) == "horizon_reached"
         assert np.isfinite(res.states[1, 0])
@@ -299,9 +313,8 @@ class TestSweepEngine:
         assert res.states.tolist() == [[1.0], [2.0]]
 
     def test_infinite_blowup_bound_still_catches_overflow(self):
-        sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0)
-        res = run_sweep(sys, np.array([[2.0], [-0.5]]), [ZeroPolicy()], 5.0, 1e-3,
-                        blowup_bound=math.inf)
+        sys = PerturbedSystem(parse_vector_field(["x^2"], ["x"]), 0.0, blowup_bound=math.inf)
+        res = run_sweep(sys, np.array([[2.0], [-0.5]]), [ZeroPolicy()], 5.0, 1e-3)
         assert res.reason(0) == "blow_up"
         assert np.isfinite(res.states[0, 0])
         assert res.reason(1) == "horizon_reached"
@@ -320,6 +333,11 @@ class TestSweepEngine:
             pol.prepare(bench_sys, 3.0, 0.03)
         with pytest.raises(ValueError, match="dwell"):
             run_sweep(bench_sys, np.array([[0.0]]), [pol], 3.0, 0.03)
+
+    @pytest.mark.parametrize("span, dt", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, math.nan)])
+    def test_non_finite_span_or_dt_rejected(self, span, dt):
+        with pytest.raises(ValueError, match="dwell=.* must be finite"):
+            step_count(span, dt, "dwell")
 
     def test_integral_ratios_with_rounding_noise_accepted(self, bench_sys):
         # 0.1 / 0.005 and 0.3 / 0.1 are not exact in binary floating point
@@ -392,7 +410,7 @@ def test_batched_row_equals_row_alone(bench_field, starts, codes, bound, retire)
     """Each (start, policy) row of a sweep is bitwise what it is when run
     alone, including rows that blow up, rows that leave the domain and rows
     that other rows' retirement moves in the sweep's buffers."""
-    sys = PerturbedSystem(bench_field, 0.25)
+    sys = PerturbedSystem(bench_field, 0.25, bound)
     domain = Box((-1.5,), (100.0,))
     X0 = np.array(starts)[:, None]
     m = X0.shape[0]
@@ -400,18 +418,18 @@ def test_batched_row_equals_row_alone(bench_field, starts, codes, bound, retire)
     def run(r, observer):
         i, p = (slice(None), slice(None)) if r is None else (slice(r % m, r % m + 1), [r // m])
         return run_sweep(sys, X0[i], [_bench_policy(c) for c in np.asarray(codes)[p]], 2.0, 1e-2,
-                         blowup_bound=bound, freeze_domain=domain, observer=observer)
+                         freeze_domain=domain, observer=observer)
 
     _check_rows_alone(run, m * len(codes), retire, 1e-2)
 
 
 def test_batched_property_reaches_every_status(bench_field):
     # the property's ranges produce blow-ups, domain exits and full runs
-    sys = PerturbedSystem(bench_field, 0.25)
     starts = np.array([[-1.8], [0.0], [4.0]])
     for bound, last in ((50.0, STATUS_BLOWUP), (1e6, STATUS_LEFT_DOMAIN)):
+        sys = PerturbedSystem(bench_field, 0.25, bound)
         res = run_sweep(sys, starts, [ConstantPolicy([0.25])], 2.0, 1e-2,
-                        blowup_bound=bound, freeze_domain=Box((-1.5,), (100.0,)))
+                        freeze_domain=Box((-1.5,), (100.0,)))
         assert res.status.tolist() == [STATUS_LEFT_DOMAIN, STATUS_HORIZON, last]
         assert 0.0 < res.end_times[2] < 1.0
 

@@ -628,8 +628,8 @@ class TestRasCounterexampleKinds:
 
     def test_blow_up_below_grid_edge_is_no(self):
         dt = 0.01
-        v = check_ras(self.drift, self.W, self.U, self.Omega, self.grid,
-                      [ZeroPolicy()], 3.0, dt, blowup_bound=1.0)
+        drift = PerturbedSystem(self.drift.f, 0.0, blowup_bound=1.0)
+        v = check_ras(drift, self.W, self.U, self.Omega, self.grid, [ZeroPolicy()], 3.0, dt)
         assert v.satisfied == "no"
         assert len(v.counterexamples) == 2
         for c in v.counterexamples:

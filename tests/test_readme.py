@@ -1,7 +1,10 @@
-"""The README's lists of fixed constants and sweep statuses match the code."""
+"""The README's lists of fixed constants and sweep statuses, and its library
+tour, match the code."""
 
 import ast
+import builtins
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -36,3 +39,37 @@ def test_readme_sweep_statuses_match_the_code():
     finished = re.findall(r"runs to the end is `(\w+)`", section)
     early = re.findall(r"^  \* `(\w+)`:", section, re.M)
     assert sorted(finished + early) == sorted(dynamics._STATUS_REASON.values())
+
+
+def _tour_blocks():
+    """The README's python blocks: the tour and the converse pipeline."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
+def _tour_imports(tree) -> dict:
+    """The namespace the import statements of a block produce."""
+    ns = {}
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    exec(compile(ast.Module(imports, type_ignores=[]), "README", "exec"), ns)
+    return ns
+
+
+def test_readme_tour_names_and_calls_match_the_api():
+    # too slow to run in the suite, so it is checked without running it
+    tree = ast.parse(_tour_blocks()[0])
+    ns = _tour_imports(tree)
+    assigned = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            assert node.id in ns or node.id in assigned or hasattr(builtins, node.id), node.id
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ns:
+            inspect.signature(ns[node.func.id]).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+
+
+def test_readme_converse_pipeline_runs():
+    tour, converse = _tour_blocks()[:2]
+    ns = _tour_imports(ast.parse(tour))
+    exec(compile(converse, "README", "exec"), ns)
+    assert ns["report"].passed
