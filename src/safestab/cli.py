@@ -31,7 +31,7 @@ from .certify import (
     check_lyapunov_barrier_pair,
     check_lyapunov_certificate,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _numbers, load_config
 from .converse import (
     NotSettlingError,
     NumericLyapunov,
@@ -174,7 +174,7 @@ def simulate(cfg, run, x0):
     """Integrate the policy battery from one initial state; one CSV per
     trajectory plus an index JSON."""
     if x0 is not None:
-        start = [float(v) for v in x0.split(",")]
+        start = _numbers(x0.split(","), "--x0")
     else:
         start = cfg.command_block("simulate").nums("x0", [])
     if len(start) != cfg.dim:

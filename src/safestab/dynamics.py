@@ -105,8 +105,9 @@ def _project_ball(D: np.ndarray, delta: float) -> np.ndarray:
 
 class DisturbancePolicy:
     """One disturbance signal d(t) (possibly state feedback).  ``values``
-    fills an (m, n) array for a batch of trajectories at time t; emitted
-    values always satisfy |d| <= delta."""
+    fills an (m, n) array for a batch of trajectories at time t.  The sweep
+    applies what it emits as it is, so emitted values must already lie in
+    the ball |d| <= delta (``_project_ball`` puts them there)."""
 
     label: str = "policy"
 
@@ -175,7 +176,7 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         raw = rng.standard_normal((n_dwell, sys.dim))
         norms = np.sqrt(np.sum(raw * raw, axis=1))
         norms[norms == 0.0] = 1.0
-        self._table = (sys.delta / norms)[:, None] * raw
+        self._table = _project_ball((sys.delta / norms)[:, None] * raw, sys.delta)
 
     def refresh_period(self, dt: float) -> int:
         return max(1, int(round(self.dwell / dt)))
@@ -212,7 +213,7 @@ class ExtremalFeedbackPolicy(DisturbancePolicy):
         safe = norms > 1e-12
         out[:] = 0.0
         out[safe] = (self.sign * self._delta / norms[safe])[:, None] * G[safe]
-        return out
+        return _project_ball(out, self._delta)
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +307,16 @@ def run_sweep(
         pol.prepare(sys, horizon, dt)
     periods = [pol.refresh_period(dt) for pol in policies]
 
-    comps = [c._compiled for c in sys.f.components]
+    step, n_scratch = sys.f.rk4_step(dt)
     # the running rows fill the first rows of every buffer, in sweep order
     bufs = [np.tile(starts, (P, 1)), np.zeros((R, n))] + [np.empty((R, n)) for _ in range(6)]
+    scratch = np.empty((n_scratch, R))
     flags = np.empty((R, n), dtype=bool)
     rows = np.arange(R)
-    X, D, k1, k2, k3, k4, Xt, mag = bufs
-    within, X_cols, Xt_cols, by_period = flags, None, None, None
+    X, D, Xt, mag = bufs[0], bufs[1], bufs[6], bufs[7]
+    within, step_args, by_period = flags, None, None
     # |x| <= bound is False for NaN and +-inf, so one comparison covers both
     bound = min(float(sys.blowup_bound), _FLOAT_MAX)
-
-    def rhs(cols, out: np.ndarray) -> np.ndarray:
-        for j, c in enumerate(comps):
-            out[:, j] = c(*cols)
-        out += D
-        return out
-
-    def refresh(pol, block, t):
-        pol.values(t, X[block], D[block])
-        _project_ball(D[block], sys.delta)
 
     def freeze(mask, code, t):
         status[rows[mask]] = code
@@ -334,7 +326,7 @@ def run_sweep(
         """Write the rows that stopped to the results and gather the running
         ones to the front of the buffers; each policy keeps a contiguous
         block because the order is kept."""
-        nonlocal rows, X, D, k1, k2, k3, k4, Xt, mag, within, X_cols, Xt_cols, by_period
+        nonlocal rows, X, D, Xt, mag, within, step_args, by_period
         keep = status[rows] == STATUS_RUNNING
         states[rows[~keep]] = X[~keep]
         dists[rows[~keep]] = D[~keep]
@@ -343,8 +335,9 @@ def run_sweep(
         bufs[1][: rows.size] = D[keep]
         X, D, k1, k2, k3, k4, Xt, mag = (b[: rows.size] for b in bufs)
         within = flags[: rows.size]
-        X_cols = [X[:, j] for j in range(n)]
-        Xt_cols = [Xt[:, j] for j in range(n)]
+        blocks = (X, Xt, k1, k2, k3, k4)
+        step_args = (X, D, Xt, k1, k2, k3, k4, *(B[:, j] for B in blocks for j in range(n)),
+                     *scratch[:, : rows.size])
         edges = np.searchsorted(rows, np.arange(P + 1) * m)
         plan: dict[int, list] = {}
         for p, pol in enumerate(policies):
@@ -360,15 +353,13 @@ def run_sweep(
             compact()
 
     for p, pol in enumerate(policies):
-        refresh(pol, slice(p * m, (p + 1) * m), 0.0)
+        pol.values(0.0, X[p * m : (p + 1) * m], D[p * m : (p + 1) * m])
     if freeze_domain is not None:
         freeze(~freeze_domain.contains_many(X), STATUS_LEFT_DOMAIN, 0.0)
     if observer is not None:
         observe(0, 0.0)
     compact()
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
     k = 0
     with np.errstate(all="ignore"):
         while k < n_steps and rows.size:
@@ -376,25 +367,8 @@ def run_sweep(
             for period, members in by_period:
                 if k % period == 0:
                     for pol, block in members:
-                        refresh(pol, block, t)
-            rhs(X_cols, k1)
-            np.multiply(k1, half, out=Xt)
-            Xt += X
-            rhs(Xt_cols, k2)
-            np.multiply(k2, half, out=Xt)
-            Xt += X
-            rhs(Xt_cols, k3)
-            np.multiply(k3, dt, out=Xt)
-            Xt += X
-            rhs(Xt_cols, k4)
-            # Xt := X + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-            np.add(k2, k3, out=k2)
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            np.multiply(k2, sixth, out=Xt)
-            Xt += X
-
+                        pol.values(t, X[block], D[block])
+            step(*step_args)  # Xt := the RK4 step from X
             k += 1
             t1 = k * dt
             np.abs(Xt, out=mag)

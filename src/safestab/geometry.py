@@ -16,7 +16,9 @@ Open sets (certificate domains D) are represented by a closed spec plus the
 convention that boundary ties count as outside; the proper indicator needs
 that so its boundary branch stays finite on every point it is evaluated at.
 
-All set objects are immutable after construction.
+Set objects are immutable in value.  Box and Grid keep work arrays for their
+row predicates (which still return fresh arrays), so one set or grid object
+must not be used from two threads at once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,18 @@ __all__ = [
 
 #: gap entries one chunk of MaskSet.dist_many may hold (points x cells x dim)
 _MASK_DIST_CHUNK = 1 << 20
+#: the most rows a predicate keeps work arrays for; a larger call allocates
+#: its own, so a grid-sized call leaves no grid-sized buffer behind
+_WORK_ROWS = 1 << 16
+
+
+def _work(bufs: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The work array ``bufs[key]`` of ``shape``, grown on demand."""
+    if shape[0] > _WORK_ROWS:
+        return np.empty(shape, dtype)
+    if key not in bufs or bufs[key].shape[0] < shape[0]:
+        bufs[key] = np.empty(shape, dtype)
+    return bufs[key][: shape[0]]
 
 
 class GridSizeError(ValueError):
@@ -117,6 +131,9 @@ class Box(SetSpec):
                 raise ValueError(f"box has lo={a} > hi={b}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_lo", np.asarray(lo))
+        object.__setattr__(self, "_hi", np.asarray(hi))
+        object.__setattr__(self, "_bufs", {})
 
     @property
     def dim(self) -> int:
@@ -127,29 +144,34 @@ class Box(SetSpec):
         return all(map(math.isfinite, self.lo)) and all(map(math.isfinite, self.hi))
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((X >= lo) & (X <= hi), axis=1)
+        return self._between(self._check_dim(X), np.greater_equal, np.less_equal)
 
     def contains_interior_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
-        return np.all((X > np.asarray(self.lo)) & (X < np.asarray(self.hi)), axis=1)
+        return self._between(self._check_dim(X), np.greater, np.less)
+
+    def _between(self, X: np.ndarray, above, below) -> np.ndarray:
+        """Rows x with above(x, lo) and below(x, hi) on every axis."""
+        a = above(X, self._lo, out=_work(self._bufs, "above", X.shape, bool))
+        b = below(X, self._hi, out=_work(self._bufs, "below", X.shape, bool))
+        np.logical_and(a, b, out=a)
+        return a.all(axis=1) if a.shape[1] > 1 else a[:, 0].copy()  # a fresh array
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
+        """An infinite corner never binds (max(-inf, -inf) still clamps to
+        0); a non-finite point gets an infinite or NaN distance."""
         X = self._check_dim(X)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        gap = np.maximum(np.maximum(lo - X, X - hi), 0.0)
-        gap = np.where(np.isfinite(gap), gap, 0.0)  # infinite extents never bind
-        return np.sqrt(np.sum(gap * gap, axis=1))
+        gap = np.subtract(self._lo, X, out=_work(self._bufs, "gap", X.shape))
+        over = np.subtract(X, self._hi, out=_work(self._bufs, "over", X.shape))
+        np.maximum(gap, over, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        np.multiply(gap, gap, out=gap)
+        d = np.add.reduce(gap, axis=1)
+        return np.sqrt(d, out=d)
 
     def depth_many(self, X: np.ndarray) -> np.ndarray:
         """0 outside, the smallest face gap inside."""
         X = self._check_dim(X)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        depth = np.minimum(X - lo, hi - X)
+        depth = np.minimum(X - self._lo, self._hi - X)
         return np.maximum(np.min(depth, axis=1), 0.0)
 
     def min_depth(self, box: "Box") -> float:
@@ -289,6 +311,7 @@ class Grid:
             c.flags.writeable = False
         self.cell_radius = 0.5 * float(np.linalg.norm(self.widths))
         self._points: np.ndarray | None = None
+        self._bufs: dict = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -305,13 +328,15 @@ class Grid:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        lo = np.asarray(self.domain.lo)
-        hi = np.asarray(self.domain.hi)
-        inside = np.all((X >= lo) & (X <= hi), axis=1)
-        ij = np.floor((X - lo) / self.widths).astype(np.int64)
-        ij = np.clip(ij, 0, np.asarray(self.shape) - 1)
+        inside = self.domain._between(X, np.greater_equal, np.less_equal)
+        u = np.subtract(X, self.domain._lo, out=_work(self._bufs, "u", X.shape))
+        ij = _work(self._bufs, "ij", X.shape, np.int64)
+        np.true_divide(u, self.widths, out=u)
+        np.copyto(ij, np.floor(u, out=u), casting="unsafe")
+        np.clip(ij, 0, np.asarray(self.shape) - 1, out=ij)
         flat = np.ravel_multi_index(tuple(ij.T), self.shape)
-        return np.where(inside, flat, -1), inside
+        np.copyto(flat, -1, where=~inside)
+        return flat, inside
 
     def point_of(self, flat_index) -> np.ndarray:
         idx = np.unravel_index(np.asarray(flat_index), self.shape)

@@ -199,7 +199,7 @@ class TestSimulate:
             ["simulate", "--config", path, "--out", str(tmp_path / "r"), "--x0", "nan"]
         )
         assert result.exit_code == 2
-        assert "finite" in result.output
+        assert "--x0[0]: expected a number, got 'nan'" in result.output
 
     def test_same_second_runs_keep_both_reports(self, tmp_path, monkeypatch):
         from datetime import datetime
@@ -481,6 +481,7 @@ class TestInputErrors:
             # 0.015 at dt 0.01 would silently become a 0.02 window
             ("invariant-set", {"invariant_set": {"target": "Omega", "dwell_window": 0.015}},
              [], "invariant_set.dwell_window"),
+            ("simulate", {}, ["--x0", "abc"], "--x0[0]: expected a number"),
         ],
     )
     def test_malformed_input_exits_2_and_writes_nothing(self, tmp_path, command, blocks,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from safestab import (
     run_sweep,
 )
 from safestab.dynamics import (
+    _project_ball,
     STATUS_BLOWUP,
     STATUS_HORIZON,
     STATUS_LEFT_DOMAIN,
@@ -123,6 +125,25 @@ class TestPolicies:
         down = ExtremalFeedbackPolicy(g, -1)
         tr2 = integrate(sys, [0.0, 0.0], down, 1.0, 1e-2)
         np.testing.assert_allclose(tr2.final_state, [-1.0, 0.0], atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0.0, 0.25])
+    def test_values_are_emitted_inside_the_ball(self, rng, dim, delta):
+        """The sweep applies emitted values as they are, so every built-in
+        policy emits values that ``_project_ball`` leaves bitwise unchanged
+        (+0.0 at delta 0).  The projection is not idempotent to the last bit
+        at every delta: a 3-D cube-vertex constant at delta 0.085 moves by one
+        ulp when projected twice."""
+        names = ("x", "y", "z")[:dim]
+        sys = PerturbedSystem(parse_vector_field(["0"] * dim, names), delta)
+        g = parse_scalar_field(" + ".join(f"{v}^2" for v in names), names)
+        X = rng.uniform(-2.0, 2.0, size=(40, dim))
+        for pol in default_policy_battery(sys, 8, 3, set_fields=[g]):
+            pol.prepare(sys, 10.0, 0.01)
+            for t in np.arange(101) * 0.1:
+                out = np.full_like(X, np.nan)
+                pol.values(t, X, out)
+                assert out.tobytes() == _project_ball(out.copy(), delta).tobytes(), pol.label
 
     def test_different_seeds_differ(self, bench_sys):
         a = integrate(bench_sys, [0.0], PiecewiseRandomPolicy(1, 0.1), 2.0, 1e-2)
@@ -318,6 +339,30 @@ class TestSweepEngine:
         assert res.reason(0) == "blow_up"
         assert np.isfinite(res.states[0, 0])
         assert res.reason(1) == "horizon_reached"
+
+    def test_step_allocates_no_per_row_temporaries(self, bench_sys):
+        """From one step's observer call to the next, the traced allocation
+        peak above what was held at the earlier call stays below a quarter of
+        one float64 per row: the step evaluates into the sweep's buffers.
+        (The sweep gathers its running rows after the call at t=0.)"""
+        battery = default_policy_battery(bench_sys, 8, 0)
+        starts = np.linspace(-1.5, 1.5, 1500)[:, None]
+        n_rows = starts.shape[0] * len(battery)  # 16,500
+        held, excess = [0], []
+
+        def observer(step, t, X, rows, D):
+            if step > 1:
+                excess.append(tracemalloc.get_traced_memory()[1] - held[0])
+            tracemalloc.reset_peak()
+            held[0] = tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            res = run_sweep(bench_sys, starts, battery, 0.5, 0.01, observer=observer)
+        finally:
+            tracemalloc.stop()
+        assert np.all(res.status == STATUS_HORIZON) and len(excess) == 49
+        assert max(excess) < n_rows * 8 / 4
 
     def test_non_integral_horizon_rejected(self, linear_sys):
         # 1.0 / 0.3: the run would stop at 0.9 while reporting 1.0

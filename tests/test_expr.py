@@ -1,10 +1,18 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safestab import (
+    ExtremalFeedbackPolicy,
+    PerturbedSystem,
+    PiecewiseRandomPolicy,
+    parse_vector_field,
+    run_sweep,
+)
 from safestab.expr import (
     Binary,
     Const,
@@ -14,6 +22,8 @@ from safestab.expr import (
     ScalarField,
     UnknownIdentifierError,
     Var,
+    VectorField,
+    Where,
     parse,
     parse_scalar_field,
     derivative,
@@ -314,12 +324,12 @@ XY = ("x", "y")
 _VARS = st.sampled_from([Var("x", 0), Var("y", 1)])
 
 
-def _trees(depth, consts, unary, binary):
+def _trees(depth, consts, unary, binary, leaves=_VARS):
     if depth == 0:
-        return st.one_of(_VARS, consts.map(Const))
-    sub = _trees(depth - 1, consts, unary, binary)
+        return st.one_of(leaves, consts.map(Const))
+    sub = _trees(depth - 1, consts, unary, binary, leaves)
     return st.one_of(
-        _VARS,
+        leaves,
         consts.map(Const),
         st.builds(Unary, st.sampled_from(unary), sub),
         st.builds(Binary, st.sampled_from(binary), sub, sub),
@@ -387,3 +397,110 @@ def test_symbolic_gradient_matches_central_differences(e, x):
     sym = at(f.grad(), *x)
     fd = central_fd(f, x, h=1e-5)
     assert np.all(np.abs(sym - fd) <= 1e-4 * (1.0 + np.abs(sym))), (to_source(e), x, sym, fd)
+
+
+# ---------------------------------------------------------------------------
+# The generated evaluator against numpy operators applied to the AST
+
+_NP_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+             "abs": np.abs, "tanh": np.tanh}
+_NP_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": operator.pow, "min": np.minimum, "max": np.maximum}
+
+
+def _reference(e, cols):
+    """Evaluate e by numpy operators on the AST, constants as float64 scalars."""
+    if isinstance(e, Const):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return cols[e.index]
+    if isinstance(e, Unary):
+        a = _reference(e.arg, cols)
+        return -a if e.op == "neg" else _NP_UNARY[e.op](a)
+    if isinstance(e, Where):
+        return np.where(_reference(e.cond, cols) > 0.0, _reference(e.pos, cols),
+                        _reference(e.neg, cols))
+    return _NP_BINARY[e.op](_reference(e.a, cols), _reference(e.b, cols))
+
+
+def _reference_many(e, X):
+    with np.errstate(all="ignore"):
+        return np.broadcast_to(_reference(e, [X[:, k] for k in range(X.shape[1])]),
+                               (X.shape[0],)).astype(np.float64)
+
+
+_SMALL = st.floats(-3.0, 3.0)
+_UNARY = ("neg", "sin", "exp", "log", "sqrt", "abs", "tanh")
+_BINARY = ("+", "-", "*", "/", "^", "min", "max")
+# any tree the parser makes, constant-only trees (folded once), and the Where
+# nodes of the derivatives of abs, min and max
+_EVAL_TREE = st.one_of(
+    _ANY_TREE,
+    _trees(3, _SMALL, _UNARY, _BINARY, leaves=_SMALL.map(Const)),
+    st.builds(derivative, _trees(3, _SMALL, _UNARY, _BINARY), st.sampled_from([0, 1])),
+)
+# NaN and inf domains: zeros of both signs, infinities, NaN, huge and tiny values
+_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+_EDGE_POINTS = np.concatenate([
+    np.stack(np.meshgrid(_EDGES, _EDGES, indexing="ij"), axis=-1).reshape(-1, 2),
+    np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 2)),
+])
+
+
+def _same_bits(got, want):
+    """Bitwise equal, signed zeros included, with NaN in the same places; the
+    sign and payload of a NaN met by another NaN depend on numpy's loop,
+    which the arrays' memory layout selects."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_EVAL_TREE)
+def test_evaluator_equals_numpy_operators_bitwise(e):
+    want = _reference_many(e, _EDGE_POINTS)
+    assert _same_bits(ScalarField(e, XY).eval_many(_EDGE_POINTS), want), to_source(e)
+    # a vector field writes each component into a column of its output
+    vec = VectorField([ScalarField(Var("y", 1), XY), ScalarField(e, XY)])
+    assert _same_bits(vec.eval_many(_EDGE_POINTS)[:, 1], want)
+
+
+def _textbook_sweep(sys, starts, policies, horizon, dt):
+    """Fixed-step RK4 on the whole batch, the disturbance refreshed from each
+    policy every step and f evaluated by ``_reference``; the final sum is
+    grouped as the engine groups it, 2 (k2 + k3) + k1 + k4."""
+    m = starts.shape[0]
+    X = np.tile(starts, (len(policies), 1))
+    D = np.empty_like(X)
+
+    def f(Y):
+        with np.errstate(all="ignore"):
+            return np.stack([_reference_many(c.expr, Y) for c in sys.f.components], axis=1)
+
+    for pol in policies:
+        pol.prepare(sys, horizon, dt)
+    for k in range(round(horizon / dt)):
+        for p, pol in enumerate(policies):
+            pol.values(k * dt, X[p * m:(p + 1) * m], D[p * m:(p + 1) * m])
+        k1 = f(X) + D
+        k2 = f(X + 0.5 * dt * k1) + D
+        k3 = f(X + 0.5 * dt * k2) + D
+        k4 = f(X + dt * k3) + D
+        X = X + dt / 6.0 * (2.0 * (k2 + k3) + k1 + k4)
+    return X
+
+
+@pytest.mark.parametrize("f, names, g, starts", [
+    (["-x + x^2"], ["x"], "x^2", [[-0.9], [0.1], [0.3]]),
+    (["y", "-sin(x) - 0.5*y + 0.1*exp(-x^2)"], ["x", "y"], "x^2 + 2*y^2",
+     [[0.5, -0.5], [-1.0, 0.2]]),
+], ids=["1d", "2d"])
+def test_sweep_with_feedback_equals_textbook_rk4(f, names, g, starts):
+    sys = PerturbedSystem(parse_vector_field(f, names), 0.2)
+    policies = [ExtremalFeedbackPolicy(parse_scalar_field(g, names), sign) for sign in (1, -1)]
+    policies.append(PiecewiseRandomPolicy(seed=4, dwell=0.05))
+    starts = np.array(starts)
+    res = run_sweep(sys, starts, policies, 1.0, 0.01)
+    assert np.all(res.status == 1)  # every row reached the horizon
+    want = _textbook_sweep(sys, starts, policies, 1.0, 0.01)
+    assert res.states.tobytes() == want.tobytes()

@@ -92,6 +92,14 @@ class TestDistance:
         assert d[0] == 0.0       # already in the complement region
         assert abs(d[1] - 0.75) < 1e-12
 
+    def test_non_finite_point_is_not_within_a_bounded_box(self):
+        A = Box((0.0,), (1.0,))
+        d = A.dist_many(column(math.inf, -math.inf, math.nan, 0.5))
+        assert d[:2].tolist() == [math.inf, math.inf] and math.isnan(d[2]) and d[3] == 0.0
+        assert A.within(0.1)(column(math.inf, math.nan, 1.05)).tolist() == [False, False, True]
+        # an open side still never binds for a finite point
+        assert Box((-math.inf,), (0.6,)).dist_many(column(-1e300, 0.7)) == pytest.approx([0, 0.1])
+
     def test_mask_set_distance_is_exact_in_2d(self, rng, monkeypatch):
         """A grid mask set's distance is the distance to the union of its
         closed cells, not the nearest centre less the half-diagonal."""
@@ -108,6 +116,25 @@ class TestDistance:
         # 7 points per chunk, so the points span many chunks
         monkeypatch.setattr(geometry, "_MASK_DIST_CHUNK", 7 * mask.sum() * 2)
         np.testing.assert_allclose(ms.dist_many(pts), cells.dist_many(pts), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("work_rows", [1 << 16, 3], ids=["kept", "own"])
+def test_hot_predicates_return_fresh_results(rng, monkeypatch, work_rows):
+    """Box and Grid reuse work arrays (up to _WORK_ROWS rows), but what a
+    call returns is never overwritten by the next call."""
+    monkeypatch.setattr(geometry, "_WORK_ROWS", work_rows)
+    B = Box((-1.0, 0.5), (1.0, 2.0))
+    g = make_grid(B, 0.25)
+    a, b = rng.uniform(-2, 3, size=(2, 50, 2))
+    calls = [B.contains_many, B.contains_interior_many, B.dist_many,
+             lambda X: g.cell_index_many(X)[0], lambda X: g.cell_index_many(X)[1]]
+    for call in calls:
+        first = call(a)
+        kept = first.copy()
+        call(b)
+        np.testing.assert_array_equal(first, kept)
+    flat, inside = g.cell_index_many(a)
+    assert np.array_equal(inside, B.contains_many(a)) and np.all((flat >= 0) == inside)
 
 
 class TestGrid:
