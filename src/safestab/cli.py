@@ -31,7 +31,7 @@ from .certify import (
     check_lyapunov_barrier_pair,
     check_lyapunov_certificate,
 )
-from .config import ConfigError, RunConfig, _numbers, load_config
+from .config import Block, ConfigError, RunConfig, load_config
 from .converse import (
     NotSettlingError,
     NumericLyapunov,
@@ -41,7 +41,6 @@ from .converse import (
     validate_lyapunov,
 )
 from .dynamics import ensemble
-from .expr import parse_scalar_field
 from .geometry import Box, DistanceIndicator, ProperIndicator, make_grid
 from .reach import (
     DELTA_FLOOR,
@@ -174,12 +173,12 @@ def simulate(cfg, run, x0):
     """Integrate the policy battery from one initial state; one CSV per
     trajectory plus an index JSON."""
     if x0 is not None:
-        start = _numbers(x0.split(","), "--x0")
+        start = Block(cfg, "", {"--x0": x0.split(",")}).nums("--x0")
     else:
         start = cfg.command_block("simulate").nums("x0", [])
-    if len(start) != cfg.dim:
-        raise ConfigError("simulate.x0", f"expected {cfg.dim} coordinates")
-    battery = cfg.make_battery(run.seed)
+    if len(start) != cfg.system.dim:
+        raise ConfigError("simulate.x0", f"expected {cfg.system.dim} coordinates")
+    battery = cfg.make_battery(seed=run.seed)
     trajectories = ensemble(cfg.system, start, battery, cfg.horizon, cfg.dt)
     index = []
     for i, (pol, tr) in enumerate(zip(battery, trajectories)):
@@ -205,11 +204,10 @@ def reach(cfg, run):
     """Sampled reach tube of the initial set over the configured horizon."""
     blk = cfg.command_block("reach")
     W = blk.set("initial", "W")
-    t_lo = blk.num("t_lo", 0.0)
-    if not 0.0 <= t_lo <= cfg.horizon:
-        raise ConfigError("reach.t_lo", f"must lie in [0, horizon={cfg.horizon:g}], got {t_lo:g}")
+    t_lo = blk.num("t_lo", 0.0, within=(0.0, cfg.horizon))
     result = reach_tube(
-        cfg.system, W, (t_lo, cfg.horizon), cfg.make_grid(), cfg.make_battery(run.seed), cfg.dt,
+        cfg.system, W, (t_lo, cfg.horizon), cfg.make_grid(), cfg.make_battery(seed=run.seed),
+        cfg.dt,
     )
     result.mask_set().to_csv(run.artifact("reach_mask.csv"))
     run.finish(
@@ -226,12 +224,10 @@ def invariant_set(cfg, run):
     """Sampled maximal invariant subset of the target set."""
     blk = cfg.command_block("invariant_set")
     Om = blk.set("target", "Omega")
-    mode = blk.get("mode", "core")
-    if mode not in ("core", "kernel"):
-        raise ConfigError("invariant_set.mode", f"expected core or kernel, got {mode!r}")
+    mode = blk.get("mode", "core", choices=("core", "kernel"))
     result = maximal_invariant(
-        cfg.system, Om, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
-        dwell_window=blk.span("dwell_window"), mode=mode,
+        cfg.system, Om, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
+        dwell_window=blk.span("dwell_window", None), mode=mode,
     )
     result.mask.to_csv(run.artifact("invariant_mask.csv"))
     run.finish(result=result.to_dict())
@@ -245,11 +241,9 @@ def winning_set_cmd(cfg, run):
     blk = cfg.command_block("winning_set")
     A = blk.set("stable", "A")
     U = blk.set("unsafe", "U")
-    conv_radius = blk.num("conv_radius")
-    if conv_radius is not None and conv_radius < 0:
-        raise ConfigError("winning_set.conv_radius", f"must be nonnegative, got {conv_radius:g}")
+    conv_radius = blk.num("conv_radius", None, nonnegative=True)
     result = winning_set(
-        cfg.system, A, U, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
+        cfg.system, A, U, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
         conv_radius=conv_radius,
     )
     result.mask_set().to_csv(run.artifact("winning_mask.csv"))
@@ -270,7 +264,7 @@ def verify_ras(cfg, run):
     U = blk.set("unsafe", "U")
     Om = blk.set("target", "Omega")
     verdict = check_ras(
-        cfg.system, W, U, Om, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
+        cfg.system, W, U, Om, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
     )
     run.finish(verdict=verdict.to_dict())
     click.echo(f"ras: {verdict.satisfied}"
@@ -286,9 +280,9 @@ def verify_sws(cfg, run):
     U = blk.set("unsafe", "U")
     A = blk.set("stable", "A")
     verdict = check_sws(
-        cfg.system, W, U, A, cfg.make_grid(), cfg.make_battery(run.seed), cfg.horizon, cfg.dt,
+        cfg.system, W, U, A, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
         eps_schedule=blk.nums("eps_schedule", [0.1, 0.25, 0.5]),
-        probe_horizon=blk.span("probe_horizon"),
+        probe_horizon=blk.span("probe_horizon", None),
     )
     run.finish(verdict=verdict.to_dict())
     click.echo(f"sws: {verdict.satisfied}")
@@ -301,9 +295,9 @@ def probe_uas_cmd(cfg, run):
     blk = cfg.command_block("uas")
     A = blk.set("stable", "A")
     report = probe_uas(
-        cfg.system, A, blk.nums("eps_schedule", [0.1, 0.25, 0.5]), cfg.make_battery(run.seed),
+        cfg.system, A, blk.nums("eps_schedule", [0.1, 0.25, 0.5]), cfg.make_battery(seed=run.seed),
         blk.span("horizon", cfg.horizon), cfg.dt,
-        rho=blk.num("rho"), delta_floor=blk.num("delta_floor", DELTA_FLOOR),
+        rho=blk.num("rho", None), delta_floor=blk.num("delta_floor", DELTA_FLOOR),
     )
     run.finish(probe=report.to_dict())
     click.echo(f"uas probe: {report.verdict}")
@@ -314,10 +308,8 @@ def probe_uas_cmd(cfg, run):
 def check_cert(cfg, run):
     """Check a Lyapunov (or Lyapunov-barrier) certificate on the grid."""
     blk = cfg.command_block("certificate")
-    kind = blk.get("check", "pair")
-    if "V" not in blk:
-        raise ConfigError("certificate.V", "missing required field")
-    V = parse_scalar_field(str(blk.get("V")), cfg.var_names)
+    kind = blk.get("check", "pair", choices=("pair", "single"))
+    V = blk.expr("V")
     D = blk.set("domain", "D")
     grid = cfg.make_grid()
     if kind == "pair":
@@ -325,7 +317,7 @@ def check_cert(cfg, run):
         W = blk.set("initial", "W")
         U = blk.set("unsafe", "U")
         if "B" in blk:
-            B = parse_scalar_field(str(blk.get("B")), cfg.var_names)
+            B = blk.expr("B")
         elif "barrier_from" in blk:
             K = blk.block("barrier_from").set("neighborhood", "K")
             B = barrier_from_lyapunov(V, K, W, grid)
@@ -336,20 +328,16 @@ def check_cert(cfg, run):
             cert, cfg.system, A, W, U, grid,
             strict_tol=cfg.strict_tol, pd_coeff=cfg.pd_coeff,
         )
-    elif kind == "single":
+    else:
         a1, a2 = blk.block("alpha1"), blk.block("alpha2")
         alpha1 = PowerMonotone(a1.num("power", 1), a1.num("scale", 1.0))
         alpha2 = PowerMonotone(a2.num("power", 1), a2.num("scale", 1.0))
         om = blk.block("omega", {})
         A = om.set("stable", "A")
-        if om.get("domain") is None:
-            omega = DistanceIndicator(A)
-        else:
-            omega = ProperIndicator(A, om.set("domain"))
+        om_dom = om.set("domain", None)
+        omega = DistanceIndicator(A) if om_dom is None else ProperIndicator(A, om_dom)
         cert = Certificate(V=V, D=D, alpha1=alpha1, alpha2=alpha2, omega=omega)
         report = check_lyapunov_certificate(cert, cfg.system, grid)
-    else:
-        raise ConfigError("certificate.check", f"expected pair or single, got {kind!r}")
     with open(run.artifact("certificate_report.json"), "w") as fh:
         fh.write(json.dumps(report.to_dict(), indent=2))
     run.finish(certificate=report.to_dict())
@@ -378,9 +366,9 @@ def construct_lyapunov(cfg, run):
     n_bins = blk.count("n_bins", 20)
     taus = blk.spans("taus", [0.5, 1.0, 2.0])
     horizon = blk.span("horizon", cfg.horizon)
-    lam_cfg = blk.num("lam")
-    mu_cfg = blk.num("mu")
-    battery = cfg.make_battery(run.seed)
+    lam_cfg = blk.num("lam", None)
+    mu_cfg = blk.num("mu", None)
+    battery = cfg.make_battery(seed=run.seed)
 
     samples = make_grid(region, sample_res, size_cap=cfg.grid_size_cap).points
     env = estimate_kl_envelope(
@@ -401,7 +389,7 @@ def construct_lyapunov(cfg, run):
 
     env.to_csv(run.artifact("kl_envelope.csv"))
     vgrid_vals = Vnum.value_many(samples)
-    header = ",".join([f"x{i+1}" for i in range(cfg.dim)] + ["V"])
+    header = ",".join([f"x{i+1}" for i in range(cfg.system.dim)] + ["V"])
     np.savetxt(run.artifact("lyapunov_grid.csv"),
                np.column_stack([samples, vgrid_vals]), delimiter=",",
                header=header, comments="")

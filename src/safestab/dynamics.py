@@ -122,9 +122,6 @@ class DisturbancePolicy:
     def values(self, t: float, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"kind": type(self).__name__, "label": self.label}
-
 
 class ZeroPolicy(DisturbancePolicy):
     label = "zero"
@@ -185,10 +182,6 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         idx = min(int(t / self.dwell + 1e-12), self._table.shape[0] - 1)
         out[:] = self._table[idx]
         return out
-
-    def describe(self) -> dict:
-        return {"kind": "PiecewiseRandomPolicy", "label": self.label,
-                "seed": self.seed, "dwell": self.dwell}
 
 
 class ExtremalFeedbackPolicy(DisturbancePolicy):

@@ -122,7 +122,7 @@ class TestConfigValidation:
         assert "battery.dwell" in result.output
         # the dwell is unused, and not checked, without random policies
         cfg["battery"] = {"n_random": 0}
-        assert load_config(write_config(tmp_path, cfg)).battery_dwell == 0.1
+        assert load_config(write_config(tmp_path, cfg)).resolved()["battery"]["dwell"] == 0.1
 
     def test_extremal_sets_need_sublevel(self, tmp_path):
         cfg = base_config()
@@ -138,6 +138,92 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         rc = load_config(path)
         assert len(rc.make_battery()) == 3 + 2 + 8
+
+
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml"
+
+# Every field with a default left out, null sections and lists, a count
+# written as 1e6 and a seed past the float range.
+DEFAULTS_CONFIG = """\
+system:
+  dim: 2
+  f: ["-x1+x2^2", "-x2*(1+x1^2)"]
+  delta: 0.1
+sets: null
+grid:
+  domain: {lo: [-1, -1], hi: [1, 1]}
+  resolution: 0.1
+  size_cap: 1e6
+battery:
+  seed: 4611686018427387905
+  extremal_sets: null
+tolerances: null
+reach: {initial: W, t_lo: 0}
+"""
+
+
+class TestConfigEcho:
+    """The config echo of report.json, as JSON text so that key order counts,
+    and the digest that names every run directory."""
+
+    @pytest.mark.parametrize("source, echo, digest", [
+        ("benchmark",
+         '{"system": {"dim": 1, "state_vars": ["x"], "f": ["-x + x^2"], "delta": 0.25}, '
+         '"sets": {"W": {"kind": "box", "lo": [-1.0], "hi": [-0.9]}, '
+         '"U": {"kind": "complement_box", "lo": ["-1.0e9"], "hi": [0.6]}, '
+         '"Omega": {"kind": "box", "lo": [-0.25], "hi": [0.5]}, '
+         '"A": {"kind": "box", "lo": [-0.20710678118654757], "hi": [0.5]}}, '
+         '"grid": {"domain": {"lo": [-1.5], "hi": [1.5]}, "resolution": 0.001, '
+         '"size_cap": 10000000}, '
+         '"battery": {"n_random": 8, "seed": 2024, "dwell": 0.1, "extremal_sets": []}, '
+         '"integration": {"dt": 0.001, "horizon": 30.0, "blowup_bound": 1000000.0}, '
+         '"tolerances": {"strict_tol": 1e-09, "pd_coeff": 1e-06, "validation_tol": 0.05}, '
+         '"simulate": {"x0": [-1.0]}, "reach": {"initial": "W"}, '
+         '"invariant_set": {"target": "Omega", "mode": "core"}, '
+         '"winning_set": {"stable": "A", "unsafe": "U"}, '
+         '"ras": {"initial": "W", "unsafe": "U", "target": "Omega"}, '
+         '"sws": {"initial": "W", "unsafe": "U", "stable": "A", '
+         '"eps_schedule": [0.1, 0.25, 0.5], "probe_horizon": 250.0}, '
+         '"uas": {"stable": "A", "eps_schedule": [0.1, 0.25, 0.5], "horizon": 250.0}}',
+         "17f1dec6"),
+        ("defaults",
+         '{"system": {"dim": 2, "state_vars": ["x1", "x2"], '
+         '"f": ["-x1 + x2^2", "-x2*(1 + x1^2)"], "delta": 0.1}, "sets": null, '
+         '"grid": {"domain": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}, "resolution": 0.1, '
+         '"size_cap": 1000000}, '
+         '"battery": {"n_random": 8, "seed": 4611686018427387905, "dwell": 0.1, '
+         '"extremal_sets": null}, '
+         '"integration": {"dt": 0.001, "horizon": 30.0, "blowup_bound": 1000000.0}, '
+         '"tolerances": {"strict_tol": 1e-09, "pd_coeff": 1e-06, "validation_tol": 0.05}, '
+         '"reach": {"initial": "W", "t_lo": 0}}',
+         "cca6ad89"),
+    ], ids=["benchmark", "defaults"])
+    def test_echo_and_digest_are_pinned(self, tmp_path, source, echo, digest):
+        if source == "benchmark":
+            path = BENCHMARK_CONFIG
+        else:
+            path = tmp_path / "defaults.yaml"
+            path.write_text(DEFAULTS_CONFIG)
+        cfg = load_config(str(path))
+        assert json.dumps(cfg.resolved()) == echo
+        assert cfg.digest() == digest
+
+    def test_seed_override_changes_the_report_only(self, tmp_path):
+        path = tmp_path / "defaults.yaml"
+        path.write_text(DEFAULTS_CONFIG + "integration: {dt: 0.01, horizon: 0.1}\n")
+        cfg = load_config(str(path))
+        digest = cfg.digest()
+        cfg.resolved()["battery"]["seed"] = 5  # each call returns its own copy
+        assert cfg.resolved()["battery"]["seed"] == 4611686018427387905
+        assert cfg.digest() == digest
+        out = tmp_path / "runs"
+        result = run_cli(["simulate", "--config", str(path), "--out", str(out),
+                          "--x0", "0.1,0.1", "--seed", "5"])
+        assert result.exit_code == 0, result.output
+        (run_dir,) = out.iterdir()
+        assert run_dir.name.startswith(f"simulate-{digest}-")
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["seed"] == 5 and report["config"]["battery"]["seed"] == 5
 
 
 class TestSimulate:
@@ -624,10 +710,12 @@ class TestInputErrors:
             ("reach", "reach.t_lo", -0.5),
             # a negative radius read as "no cell settled"
             ("winning-set", "winning_set.conv_radius", -0.1),
+            # a null number with a default is not a number
+            ("reach", "reach.t_lo", None),
         ],
         ids=["horizon-inf", "dwell-inf", "dt-nan", "resolution-nan", "delta-nan",
              "delta-past-float-range", "blowup-nan", "scale-nan", "t_lo-past-horizon",
-             "t_lo-negative", "conv_radius-negative"],
+             "t_lo-negative", "conv_radius-negative", "t_lo-null"],
     )
     def test_value_out_of_range_exits_2_and_names_field(self, tmp_path, command, field, value):
         cfg = base_config(
@@ -705,10 +793,11 @@ class TestWholeNumberFields:
     def test_whole_float_and_large_int_are_kept(self, tmp_path):
         cfg = base_config(battery={"n_random": 2.0, "seed": 2**62 + 1})
         cfg["grid"]["size_cap"] = 1e6
-        loaded = load_config(write_config(tmp_path, cfg))
-        assert loaded.battery_n_random == 2 and isinstance(loaded.battery_n_random, int)
-        assert loaded.battery_seed == 2**62 + 1
-        assert loaded.grid_size_cap == 10**6
+        echo = load_config(write_config(tmp_path, cfg)).resolved()
+        n_random = echo["battery"]["n_random"]
+        assert n_random == 2 and isinstance(n_random, int)
+        assert echo["battery"]["seed"] == 2**62 + 1
+        assert echo["grid"]["size_cap"] == 10**6 and isinstance(echo["grid"]["size_cap"], int)
 
     @pytest.mark.parametrize("taus", [[0.003, 0.5], [0.0, 0.5], [-3.0, 0.5]])
     def test_taus_must_be_whole_positive_steps(self, tmp_path, taus):
