@@ -361,7 +361,8 @@ def _build_set(cfg: RunConfig, spec, path: str) -> SetSpec:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser, with the same safe constructor and resolver
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except yaml.YAMLError as ex:

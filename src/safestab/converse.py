@@ -28,6 +28,7 @@ from .dynamics import (
     STATUS_HORIZON,
     STATUS_RETIRED,
     PerturbedSystem,
+    RowState,
     run_sweep,
     step_count,
 )
@@ -76,7 +77,8 @@ class NotSettlingError(RuntimeError):
 
 class MonotoneFn:
     """Strictly increasing, zero at zero, unbounded under linear
-    extrapolation: the piecewise surrogate for a class-K-infinity function."""
+    extrapolation: the piecewise surrogate for a class-K-infinity function.
+    ``value_many`` returns a fresh array, which the caller may update."""
 
     def value_many(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -130,7 +132,9 @@ class PowerMonotone(MonotoneFn):
 
     def value_many(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        return self.scale * np.power(np.maximum(s, 0.0), self.power)
+        out = np.maximum(s, 0.0, out=np.empty(s.shape))
+        np.power(out, self.power, out=out)
+        return np.multiply(self.scale, out, out=out)
 
     def __repr__(self) -> str:
         return f"PowerMonotone(power={self.power:g}, scale={self.scale:g})"
@@ -410,6 +414,7 @@ class NumericLyapunov:
         m = X0.shape[0]
         P = len(self.battery)
         running = np.zeros(m * P)
+        state = RowState(running=running)
         mu = self.mu
         alpha1 = self.alpha1
         omega = self.omega
@@ -422,10 +427,12 @@ class NumericLyapunov:
             decay = 0.0
 
         def obs(step, t, X, rows, D):
-            vals = np.asarray(omega.value_many(X), dtype=float)
-            weighted = alpha1.value_many(vals) * math.exp(mu * t)
-            running[rows] = np.maximum(running[rows], weighted)
+            run = state.align(rows)["running"]
+            weighted = alpha1.value_many(np.asarray(omega.value_many(X), dtype=float))
+            np.multiply(weighted, math.exp(mu * t), out=weighted)
+            np.maximum(run, weighted, out=run)
             if caps is not None and step % TRUNCATE_CHECK_STEPS == 0 and step > 0:
+                state.sync()
                 # nothing after t can raise a start's max once its certified bound is below it
                 done = caps * math.exp(-decay * t) <= running.reshape(P, m).max(axis=0)
                 return done[rows % m]
@@ -440,6 +447,7 @@ class NumericLyapunov:
                 f"'{self.battery[res.policy_index[r]].label}' left the evaluation "
                 "region; V is only defined on the settling region"
             )
+        state.sync()
         return running.reshape(P, m).max(axis=0)
 
 

@@ -107,7 +107,9 @@ class DisturbancePolicy:
     """One disturbance signal d(t) (possibly state feedback).  ``values``
     fills an (m, n) array for a batch of trajectories at time t.  The sweep
     applies what it emits as it is, so emitted values must already lie in
-    the ball |d| <= delta (``_project_ball`` puts them there)."""
+    the ball |d| <= delta, up to a few ulp of delta: ``_project_ball`` puts
+    them there, and a row it scaled can have a computed norm up to two
+    spacings of delta above it."""
 
     label: str = "policy"
 
@@ -226,6 +228,47 @@ class SweepResult:
         return _STATUS_REASON.get(int(self.status[row]), "running")
 
 
+class RowState:
+    """Per-row arrays of one sweep's observer, kept in running-block order.
+
+    ``arrays`` maps names to arrays whose last axis is indexed by sweep row.
+    ``align(rows)`` returns the same names mapped to the parts of the rows
+    in ``rows``, in that order, for the observer to read and update in
+    place.  They are gathered again, after the previous parts are written
+    back, only when the running set changes; within a sweep that set only
+    shrinks, so its size identifies it, and one RowState serves one sweep.
+    ``sync()`` writes the parts back, so the full arrays are current.  With
+    ``write_back=False`` the arrays are read only and never written back.
+    """
+
+    def __init__(self, write_back: bool = True, **arrays):
+        self.full = arrays
+        self.part: dict = {}
+        self._write_back = write_back
+        self._rows = None
+        self._dirty = False
+
+    def add(self, name: str, array: np.ndarray) -> None:
+        """Track one more full array from now on."""
+        self.full[name] = array
+        if self._rows is not None:
+            self.part[name] = array[..., self._rows]
+
+    def align(self, rows: np.ndarray) -> dict:
+        if self._rows is None or rows.size != self._rows.size:
+            self.sync()
+            self._rows = rows
+            self.part = {k: a[..., rows] for k, a in self.full.items()}
+        self._dirty = self._write_back
+        return self.part
+
+    def sync(self) -> None:
+        if self._dirty:
+            for k, a in self.full.items():
+                a[..., self._rows] = self.part[k]
+            self._dirty = False
+
+
 def step_count(span: float, dt: float, name: str = "horizon") -> int:
     """Number of dt-steps in ``span``.  A non-finite span or dt, or a span
     that is not a whole number of steps (relative tolerance 1e-9), raises
@@ -267,7 +310,9 @@ def run_sweep(
     The observer is the only view of a sweep in progress.
     ``observer(step, t, X, rows, D)`` is invoked once at t=0 and after every
     step.  ``rows`` holds the sweep indices of the rows still running, in
-    ascending order, and ``X`` and ``D`` their states and disturbances; at
+    ascending order (it only shrinks within a sweep, so an observer can keep
+    per-row state in the same order: ``RowState``), and ``X`` and ``D``
+    their states and disturbances; at
     t=0 every row is included (a start frozen there is still a state the row
     took); after t=0 it is called only while some row runs.  The observer
     must treat the arrays as read-only.  It returns None, or a boolean array

@@ -16,9 +16,9 @@ Open sets (certificate domains D) are represented by a closed spec plus the
 convention that boundary ties count as outside; the proper indicator needs
 that so its boundary branch stays finite on every point it is evaluated at.
 
-Set objects are immutable in value.  Box and Grid keep work arrays for their
-row predicates (which still return fresh arrays), so one set or grid object
-must not be used from two threads at once.
+Set objects are immutable in value.  Box, Grid and ProperIndicator keep work
+arrays for their row predicates (which still return fresh arrays), so one
+set, grid or indicator object must not be used from two threads at once.
 """
 
 from __future__ import annotations
@@ -171,8 +171,11 @@ class Box(SetSpec):
     def depth_many(self, X: np.ndarray) -> np.ndarray:
         """0 outside, the smallest face gap inside."""
         X = self._check_dim(X)
-        depth = np.minimum(X - self._lo, self._hi - X)
-        return np.maximum(np.min(depth, axis=1), 0.0)
+        gap = np.subtract(X, self._lo, out=_work(self._bufs, "gap", X.shape))
+        over = np.subtract(self._hi, X, out=_work(self._bufs, "over", X.shape))
+        np.minimum(gap, over, out=gap)
+        depth = np.minimum.reduce(gap, axis=1)
+        return np.maximum(depth, 0.0, out=depth)
 
     def min_depth(self, box: "Box") -> float:
         """The smallest face gap of ``box`` (negative when it sticks out)."""
@@ -483,6 +486,7 @@ class ProperIndicator:
                 )
             self.dist_A_to_Dc = float(gap)
         self.dim = A.dim
+        self._bufs: dict = {}
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -491,10 +495,16 @@ class ProperIndicator:
         base = self.A.dist_many(X)
         if self.D is None:
             return base
+        # 1/depth where depth > 0, else +inf (NaN and a zero of either sign
+        # included), less 2/gap; computed into the two fresh results
         depth = self.D.depth_many(X)
+        flat = np.greater(depth, 0.0, out=_work(self._bufs, "flat", depth.shape, bool))
+        np.logical_not(flat, out=flat)
         with np.errstate(divide="ignore"):
-            boundary = np.where(depth > 0.0, 1.0 / depth, np.inf) - 2.0 / self.dist_A_to_Dc
-        return np.maximum(base, boundary)
+            boundary = np.divide(1.0, depth, out=depth)
+        np.copyto(boundary, np.inf, where=flat)
+        np.subtract(boundary, 2.0 / self.dist_A_to_Dc, out=boundary)
+        return np.maximum(base, boundary, out=base)
 
 
 def DistanceIndicator(A: SetSpec) -> ProperIndicator:

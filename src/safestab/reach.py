@@ -23,6 +23,7 @@ from .dynamics import (
     STATUS_HORIZON,
     STATUS_LEFT_DOMAIN,
     PerturbedSystem,
+    RowState,
     run_sweep,
     step_count,
 )
@@ -116,7 +117,8 @@ class _Monitor:
     The events also receive ``rows``, the sweep indices of ``pts``.  Only
     what the caller passes is computed.  With ``groups`` (the group of each
     sweep row), a row that ``first`` flags retires every running row of its
-    group at that step.
+    group at that step.  The table is kept in running-block order while the
+    sweep runs (``RowState``); reading an outcome gives the full array.
     """
 
     def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
@@ -124,44 +126,51 @@ class _Monitor:
         self.first_event = first
         self.last_event = last
         self.gauge = gauge
-        self.groups = groups
-        if groups is not None:
-            self.lost = np.zeros(int(groups.max()) + 1, dtype=bool)
         self.stride = max(1, stride)
         self.n_rows = n_rows
-        self.first = np.full(n_rows, np.inf)
-        self.last = None  # shaped by the first flags seen (every row is live at t=0)
-        self.peak = self.latest = None
+        table = {"first": np.full(n_rows, np.inf)}
         if gauge is not None:
-            self.peak = np.full(n_rows, -np.inf)
-            self.latest = np.zeros(n_rows)
+            table.update(peak=np.full(n_rows, -np.inf), latest=np.zeros(n_rows))
+        self._table = RowState(**table)
+        self._groups = None
+        if groups is not None:
+            self.lost = np.zeros(int(groups.max()) + 1, dtype=bool)
+            self._groups = RowState(write_back=False, groups=groups)
+
+    def _outcome(self, name):
+        self._table.sync()
+        return self._table.full.get(name)
+
+    first = property(lambda self: self._outcome("first"))
+    # shaped by the first flags seen (every row is live at t=0)
+    last = property(lambda self: self._outcome("last"))
+    peak = property(lambda self: self._outcome("peak"))
+    latest = property(lambda self: self._outcome("latest"))
 
     def __call__(self, step, t, X, rows, D):
         if step % self.stride:
             return None
+        table = self._table.align(rows)
         g = None
         if self.gauge is not None:
             g = self.gauge(X)
-            self.peak[rows] = np.maximum(self.peak[rows], g)
-            self.latest[rows] = g
+            np.maximum(table["peak"], g, out=table["peak"])
+            np.copyto(table["latest"], g)
         stop = None
         if self.first_event is not None:
             flags = self.first_event(X, g, rows)
             if flags.any():
-                fresh = flags & np.isinf(self.first[rows])
-                self.first[rows[fresh]] = t
-                if self.groups is not None:
-                    self.lost[self.groups[rows[flags]]] = True
-                    stop = self.lost[self.groups[rows]]
+                # t only grows, so the minimum keeps the first time
+                np.minimum(table["first"], t, out=table["first"], where=flags)
+                if self._groups is not None:
+                    groups = self._groups.align(rows)["groups"]
+                    self.lost[groups[flags]] = True
+                    stop = self.lost[groups]
         if self.last_event is not None:
             flags = self.last_event(X, g, rows)
-            if self.last is None:
-                self.last = np.full(flags.shape[:-1] + (self.n_rows,), -np.inf)
-            if flags.ndim == 1:
-                self.last[rows[flags]] = t
-            else:
-                for level, f in zip(self.last, flags):
-                    level[rows[f]] = t
+            if "last" not in table:
+                self._table.add("last", np.full(flags.shape[:-1] + (self.n_rows,), -np.inf))
+            np.copyto(table["last"], t, where=flags)
         return stop
 
 
@@ -773,8 +782,9 @@ def probe_uas(
         group = np.tile(np.repeat(np.arange(len(nodes)), sizes), P)
         eps = np.array([eps_schedule[j] for j, _ in nodes])[group]
         c = np.array(cs)[group]
+        eps_at = RowState(write_back=False, eps=eps)
         mon = _Monitor(group.size, gauge=A.dist_many, groups=group, stride=stride,
-                       first=lambda pts, d, rows: d >= eps[rows])
+                       first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"])
         res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
         hard = (mon.peak >= eps) | (res.status == STATUS_BLOWUP)
         fails = hard | (mon.latest > GROWTH_FLAG * c)

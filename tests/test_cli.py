@@ -92,6 +92,17 @@ class TestConfigValidation:
         assert result.exit_code == 2
         assert "system.delta" in result.output
 
+    def test_malformed_yaml_exits_2(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("system: {dim: 1, f: [-x]\nsets: [\n")
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(str(path))
+        out = tmp_path / "runs"
+        result = run_cli(["simulate", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "config: invalid YAML" in result.output
+        assert_no_run_dir(out)
+
     def test_dt_exceeding_horizon_rejected(self, tmp_path):
         cfg = base_config(integration={"dt": 50.0, "horizon": 20.0})
         path = write_config(tmp_path, cfg)

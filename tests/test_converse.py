@@ -219,6 +219,46 @@ class TestNumericLyapunov:
             assert {res.reason(r) for r in rows} == {"retired"}
             np.testing.assert_allclose(res.end_times[rows], end, rtol=1e-12)
 
+    def test_observer_updates_the_running_max_in_place(self, monkeypatch):
+        """On a 24,200-row V sweep with a proper indicator, one observation
+        allocates under 2.5 float64 per row: omega's two fresh results (the
+        distance to A and the depth in D) and alpha1's.  The indicator
+        computes into those, and the running max is kept in running-block
+        order; the indicator's temporaries and gathering and scattering the
+        running max by ``rows`` take 4.1 per row."""
+        import tracemalloc
+
+        import safestab.converse as converse
+        from safestab import ProperIndicator
+
+        sys = PerturbedSystem(parse_vector_field(["-x + x^2"], ["x"]), 0.25)
+        battery = default_policy_battery(sys, n_random=8, seed=0)
+        omega = ProperIndicator(Box((-0.2,), (0.5,)), Box((-1.2,), (0.55,)))
+        V = NumericLyapunov(sys, omega, PowerMonotone(2), 0.1, battery, 0.5, 0.01)
+        xs = np.linspace(-1.1, 0.5, 2200)[:, None]
+        n_rows = xs.shape[0] * len(battery)  # 24,200
+        excess, run_sweep = [], converse.run_sweep
+
+        def measured_sweep(*args, observer, **kwargs):
+            def measured(step, t, X, rows, D):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                stop = observer(step, t, X, rows, D)
+                if step > 0:
+                    excess.append(tracemalloc.get_traced_memory()[1] - held)
+                return stop
+
+            return run_sweep(*args, observer=measured, **kwargs)
+
+        monkeypatch.setattr(converse, "run_sweep", measured_sweep)
+        tracemalloc.start()
+        try:
+            V.value_many(xs)
+        finally:
+            tracemalloc.stop()
+        assert len(excess) == 50
+        assert max(excess) < 2.5 * 8 * n_rows
+
     def test_mu_must_stay_below_lambda(self, linear_setup):
         sys, omega, battery, _, env = linear_setup
         pair = fit_sontag_pair(env, lam=0.5)

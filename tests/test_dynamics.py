@@ -145,6 +145,32 @@ class TestPolicies:
                 pol.values(t, X, out)
                 assert out.tobytes() == _project_ball(out.copy(), delta).tobytes(), pol.label
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0.085, 0.1, 0.2])
+    def test_emitted_norms_within_a_few_ulp_of_delta(self, rng, dim, delta):
+        """A row that ``_project_ball`` scaled can have a computed norm up to
+        two spacings of delta above it, so the ball holds every emitted
+        value only up to a few ulp of delta.  Covers constants off every
+        direction, long random tables and feedback on many states."""
+        names = ("x", "y", "z")[:dim]
+        sys = PerturbedSystem(parse_vector_field(["0"] * dim, names), delta)
+        g = parse_scalar_field(" + ".join(f"{v}^2 + {v}^3" for v in names), names)
+        X = rng.uniform(-2.0, 2.0, size=(20_000, dim))
+        policies = default_policy_battery(sys, 4, 7, set_fields=[g])
+        policies += [ConstantPolicy(v) for v in rng.standard_normal((500, dim))]
+        emitted = []
+        for pol in policies:
+            pol.prepare(sys, 200.0, 0.1)
+            if isinstance(pol, ExtremalFeedbackPolicy):
+                emitted.append(pol.values(0.0, X, np.empty_like(X)))
+                continue
+            times = np.arange(2001) * 0.1 if isinstance(pol, PiecewiseRandomPolicy) else [0.0]
+            for t in times:  # one row per table entry
+                emitted.append(pol.values(t, X[:1], np.empty((1, dim))))
+        D = np.concatenate(emitted)
+        norms = np.sqrt(np.sum(D * D, axis=1))
+        assert np.all(norms <= delta + 4 * np.spacing(delta))
+
     def test_different_seeds_differ(self, bench_sys):
         a = integrate(bench_sys, [0.0], PiecewiseRandomPolicy(1, 0.1), 2.0, 1e-2)
         b = integrate(bench_sys, [0.0], PiecewiseRandomPolicy(2, 0.1), 2.0, 1e-2)

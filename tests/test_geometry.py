@@ -126,7 +126,8 @@ def test_hot_predicates_return_fresh_results(rng, monkeypatch, work_rows):
     B = Box((-1.0, 0.5), (1.0, 2.0))
     g = make_grid(B, 0.25)
     a, b = rng.uniform(-2, 3, size=(2, 50, 2))
-    calls = [B.contains_many, B.contains_interior_many, B.dist_many,
+    calls = [B.contains_many, B.contains_interior_many, B.dist_many, B.depth_many,
+             ProperIndicator(Box((0.0, 1.0), (0.5, 1.5)), B).value_many,
              lambda X: g.cell_index_many(X)[0], lambda X: g.cell_index_many(X)[1]]
     for call in calls:
         first = call(a)
@@ -234,6 +235,43 @@ class TestProperIndicator:
         om = ProperIndicator(MaskSet(g, mask), Box((-1.0,), (1.0,)))
         assert om.dist_A_to_Dc > 0.5
         assert om.value_many(column(0.0))[0] == 0.0
+
+    @pytest.mark.parametrize("D_kind", ["box", "complement"])
+    def test_bitwise_equal_to_closed_form(self, D_kind):
+        """omega on points in A, on the boundary of D (-0.0 on a face at +0.0
+        included), outside D, at +-inf and at NaN equals the closed form
+        computed with plain numpy temporaries, bit for bit."""
+        A = Box((0.25, 0.5), (0.5, 0.75))
+        if D_kind == "box":
+            D = Box((0.0, 0.0), (1.0, 2.0))
+            lo, hi = np.array([0.0, 0.0]), np.array([1.0, 2.0])
+            depth_of = lambda X: np.maximum(np.min(np.minimum(X - lo, hi - X), axis=1), 0.0)
+        else:  # R^2 minus [2, 3] x [-1, 1]: the depth is the distance to that box
+            D = BoxComplement(Box((2.0, -1.0), (3.0, 1.0)))
+            lo, hi = np.array([2.0, -1.0]), np.array([3.0, 1.0])
+            depth_of = lambda X: np.sqrt(np.sum(
+                np.maximum(np.maximum(lo - X, X - hi), 0.0) ** 2, axis=1))
+        om = ProperIndicator(A, D)
+        inf, nan = math.inf, math.nan
+        X = np.array([
+            [0.3, 0.6], [0.25, 0.75], [0.5, 0.5],                   # in A
+            [0.0, 1.0], [-0.0, 1.0], [1.0, 2.0], [0.5, 0.0],        # on the boundary of D
+            [2.0, 0.0], [3.0, -1.0], [2.5, 1.0],
+            [1.5, 1.0], [-1.0, 3.0], [2.5, 0.0],                    # outside D
+            [0.9, 1.9], [1e-300, 1.0], [0.1, 0.1],                  # near the boundary
+            [inf, 0.5], [-inf, 0.5], [0.5, inf], [inf, -inf],
+            [nan, 0.5], [0.5, nan], [nan, nan],
+        ])
+        rng = np.random.default_rng(5)
+        X = np.concatenate([X, rng.uniform(-1.0, 4.0, size=(500, 2))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth = depth_of(X)
+            boundary = np.where(depth > 0.0, 1.0 / depth, np.inf) - 2.0 / om.dist_A_to_Dc
+            expected = np.maximum(A.dist_many(X), boundary)
+            got = om.value_many(X)
+        assert got.tobytes() == expected.tobytes()
+        on_boundary = slice(3, 7) if D_kind == "box" else slice(7, 10)
+        assert np.all(got[on_boundary] == math.inf) and np.isnan(got[20:23]).all()
 
 
 
