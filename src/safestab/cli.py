@@ -41,7 +41,7 @@ from .converse import (
     validate_lyapunov,
 )
 from .dynamics import ensemble
-from .geometry import Box, DistanceIndicator, ProperIndicator, make_grid
+from .geometry import Box, DistanceIndicator, ProperIndicator, _write_csv, make_grid
 from .reach import (
     DELTA_FLOOR,
     check_ras,
@@ -390,9 +390,7 @@ def construct_lyapunov(cfg, run):
     env.to_csv(run.artifact("kl_envelope.csv"))
     vgrid_vals = Vnum.value_many(samples)
     header = ",".join([f"x{i+1}" for i in range(cfg.system.dim)] + ["V"])
-    np.savetxt(run.artifact("lyapunov_grid.csv"),
-               np.column_stack([samples, vgrid_vals]), delimiter=",",
-               header=header, comments="")
+    _write_csv(run.artifact("lyapunov_grid.csv"), np.column_stack([samples, vgrid_vals]), header)
     run.finish(
         envelope={
             "decay_rate": env.decay_rate,

@@ -32,6 +32,7 @@ from .dynamics import (
     run_sweep,
     step_count,
 )
+from .geometry import _write_csv
 
 #: time columns of the envelope table (fewer when the horizon has fewer steps)
 ENVELOPE_TIMES = 241
@@ -159,7 +160,7 @@ class KLEnvelope:
     def to_csv(self, path) -> None:
         s, t = np.meshgrid(self.s_bins, self.t_samples, indexing="ij")
         rows = np.column_stack([s.ravel(), t.ravel(), self.table.ravel()])
-        np.savetxt(path, rows, delimiter=",", header="s,t,beta", comments="")
+        _write_csv(path, rows, "s,t,beta")
 
     def check_monotone(self) -> bool:
         ok_s = np.all(np.diff(self.table, axis=0) >= -1e-15)

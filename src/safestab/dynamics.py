@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ScalarField, VectorField
-from .geometry import Box
+from .geometry import Box, _fold, _write_csv
 
 __all__ = [
     "PerturbedSystem",
@@ -91,15 +91,21 @@ class PerturbedSystem:
         return self.f.dim
 
 
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of A, as a fresh array."""
+    return np.sqrt(_fold(np.add, A * A))
+
+
 def _project_ball(D: np.ndarray, delta: float) -> np.ndarray:
-    """Clamp rows of D onto the ball of radius delta."""
+    """Clamp rows of D onto the ball of radius delta, in place."""
     if delta == 0.0:
         D[:] = 0.0
         return D
-    norms = np.sqrt(np.sum(D * D, axis=1))
+    norms = _row_norms(D)
     over = norms > delta
-    if np.any(over):
-        D[over] *= (delta / norms[over])[:, None]
+    if over.any():
+        np.divide(delta, norms, out=norms, where=over)
+        np.multiply(D, norms[:, None], out=D, where=over[:, None])
     return D
 
 
@@ -173,7 +179,7 @@ class PiecewiseRandomPolicy(DisturbancePolicy):
         n_dwell = int(math.ceil(horizon / self.dwell)) + 2
         rng = np.random.default_rng(self.seed)
         raw = rng.standard_normal((n_dwell, sys.dim))
-        norms = np.sqrt(np.sum(raw * raw, axis=1))
+        norms = _row_norms(raw)
         norms[norms == 0.0] = 1.0
         self._table = _project_ball((sys.delta / norms)[:, None] * raw, sys.delta)
 
@@ -204,10 +210,11 @@ class ExtremalFeedbackPolicy(DisturbancePolicy):
 
     def values(self, t, X, out):
         G = self._grad.eval_many(X)
-        norms = np.sqrt(np.sum(G * G, axis=1))
+        norms = _row_norms(G)
         safe = norms > 1e-12
+        np.divide(self.sign * self._delta, norms, out=norms, where=safe)
         out[:] = 0.0
-        out[safe] = (self.sign * self._delta / norms[safe])[:, None] * G[safe]
+        np.multiply(norms[:, None], G, out=out, where=safe[:, None])
         return _project_ball(out, self._delta)
 
 
@@ -411,7 +418,7 @@ def run_sweep(
             t1 = k * dt
             np.abs(Xt, out=mag)
             np.less_equal(mag, bound, out=within)
-            ok = within.all(axis=1) if n > 1 else within[:, 0]
+            ok = _fold(np.logical_and, within)
             stopped = np.count_nonzero(ok) < rows.size
             if stopped:
                 freeze(~ok, STATUS_BLOWUP, t1)
@@ -459,15 +466,12 @@ class Trajectory:
         return float(self.times[-1])
 
     def max_disturbance_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.disturbances**2, axis=1)).max())
+        return float(_row_norms(self.disturbances).max())
 
     def to_csv(self, path) -> None:
         n = self.states.shape[1]
-        header = ",".join(
-            ["t"] + [f"x{i+1}" for i in range(n)] + [f"d{i+1}" for i in range(n)]
-        )
-        data = np.column_stack([self.times, self.states, self.disturbances])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        header = ",".join(["t"] + [f"x{i+1}" for i in range(n)] + [f"d{i+1}" for i in range(n)])
+        _write_csv(path, np.column_stack([self.times, self.states, self.disturbances]), header)
 
 
 def integrate(

@@ -19,6 +19,11 @@ that so its boundary branch stays finite on every point it is evaluated at.
 Set objects are immutable in value.  Box, Grid and ProperIndicator keep work
 arrays for their row predicates (which still return fresh arrays), so one
 set, grid or indicator object must not be used from two threads at once.
+A predicate reduces over the n state columns as a left fold of in-place
+column ufuncs (``_fold``), bit for bit what ``ufunc.reduce(axis=1)`` gives
+but without its per-call set-up; float sums of n >= 8 columns keep numpy's
+pairwise ``np.add.reduce``.  CSV artifacts are written in blocks of rows
+with savetxt's ``%.18e`` format (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -59,6 +64,30 @@ def _work(bufs: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     if key not in bufs or bufs[key].shape[0] < shape[0]:
         bufs[key] = np.empty(shape, dtype)
     return bufs[key][: shape[0]]
+
+
+def _fold(ufunc, A: np.ndarray) -> np.ndarray:
+    """``ufunc`` over the columns of the (R, n) array A, folded left to right
+    into A's first column, which is returned: ``ufunc.reduce(A, axis=1)`` bit
+    for bit (up to the sign bit of a NaN or of a zero minimum), except that
+    numpy adds n >= 8 columns pairwise, so such sums keep ``np.add.reduce``."""
+    first = A[:, 0]
+    if A.shape[1] >= 8 and ufunc is np.add:
+        return np.add.reduce(A, axis=1, out=first)
+    for j in range(1, A.shape[1]):
+        ufunc(first, A[:, j], out=first)
+    return first
+
+
+def _write_csv(path, data: np.ndarray, header: str) -> None:
+    """The bytes of ``np.savetxt(path, data, delimiter=",", header=header,
+    comments="")``, formatting up to _WORK_ROWS rows per ``%`` call."""
+    row = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, data.shape[0], _WORK_ROWS):
+            block = data[i : i + _WORK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 class GridSizeError(ValueError):
@@ -154,28 +183,40 @@ class Box(SetSpec):
         a = above(X, self._lo, out=_work(self._bufs, "above", X.shape, bool))
         b = below(X, self._hi, out=_work(self._bufs, "below", X.shape, bool))
         np.logical_and(a, b, out=a)
-        return a.all(axis=1) if a.shape[1] > 1 else a[:, 0].copy()  # a fresh array
+        return _fold(np.logical_and, a).copy()  # a fresh array
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
         """An infinite corner never binds (max(-inf, -inf) still clamps to
         0); a non-finite point gets an infinite or NaN distance."""
+        return self._dist(X)
+
+    def _dist(self, X: np.ndarray, kept: bool = False) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(self._lo, X, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(X, self._hi, out=_work(self._bufs, "over", X.shape))
         np.maximum(gap, over, out=gap)
         np.maximum(gap, 0.0, out=gap)
         np.multiply(gap, gap, out=gap)
-        d = np.add.reduce(gap, axis=1)
-        return np.sqrt(d, out=d)
+        return np.sqrt(_fold(np.add, gap), out=self._result(X, kept))
 
     def depth_many(self, X: np.ndarray) -> np.ndarray:
         """0 outside, the smallest face gap inside."""
+        return self._depth(X)
+
+    def _depth(self, X: np.ndarray, kept: bool = False) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(X, self._lo, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(self._hi, X, out=_work(self._bufs, "over", X.shape))
         np.minimum(gap, over, out=gap)
-        depth = np.minimum.reduce(gap, axis=1)
-        return np.maximum(depth, 0.0, out=depth)
+        return np.maximum(_fold(np.minimum, gap), 0.0, out=self._result(X, kept))
+
+    def _result(self, X: np.ndarray, kept: bool):
+        """Where a distance goes: a kept work array for ``within``, whose mask
+        is fresh, or a fresh array (None) for the public predicates."""
+        return _work(self._bufs, "result", X.shape[:1]) if kept else None
+
+    def within(self, tol: float):
+        return lambda X: self._dist(X, True) <= tol
 
     def min_depth(self, box: "Box") -> float:
         """The smallest face gap of ``box`` (negative when it sticks out)."""
@@ -205,6 +246,9 @@ class BoxComplement(SetSpec):
 
     def depth_many(self, X: np.ndarray) -> np.ndarray:
         return self.box.dist_many(X)
+
+    def within(self, tol: float):
+        return lambda X: self.box._depth(X, True) <= tol
 
     def min_depth(self, box: Box) -> float:
         """The Euclidean distance from ``box`` to the excluded box."""
@@ -314,6 +358,7 @@ class Grid:
             c.flags.writeable = False
         self.cell_radius = 0.5 * float(np.linalg.norm(self.widths))
         self._points: np.ndarray | None = None
+        self._top = np.asarray(counts, dtype=float) - 1.0
         self._bufs: dict = {}
 
     @property
@@ -327,18 +372,19 @@ class Grid:
 
     def cell_index_many(self, X: np.ndarray):
         """Flat cell indices for points; second return is the inside-domain mask.
-        Outside points get index -1."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        Outside points, non-finite ones included, get index -1."""
+        X = self.domain._check_dim(X)
         inside = self.domain._between(X, np.greater_equal, np.less_equal)
         u = np.subtract(X, self.domain._lo, out=_work(self._bufs, "u", X.shape))
-        ij = _work(self._bufs, "ij", X.shape, np.int64)
-        np.true_divide(u, self.widths, out=u)
-        np.copyto(ij, np.floor(u, out=u), casting="unsafe")
-        np.clip(ij, 0, np.asarray(self.shape) - 1, out=ij)
-        flat = np.ravel_multi_index(tuple(ij.T), self.shape)
-        np.copyto(flat, -1, where=~inside)
+        np.floor(np.true_divide(u, self.widths, out=u), out=u)
+        # clamped as floats (fmax/fmin drop a NaN), so every cast is exact
+        np.fmin(np.fmax(u, 0.0, out=u), self._top, out=u)
+        flat = u[:, 0]  # whole numbers below 2**53, so the C-order index is exact
+        for j in range(1, self.dim):
+            np.add(np.multiply(flat, self.shape[j], out=flat), u[:, j], out=flat)
+        flat = flat.astype(np.int64)
+        if np.count_nonzero(inside) < inside.size:
+            np.copyto(flat, -1, where=~inside)
         return flat, inside
 
     def point_of(self, flat_index) -> np.ndarray:
@@ -389,11 +435,11 @@ class MaskSet(SetSpec):
         return not bool(self.mask.any())
 
     def contains_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
+        return self._lookup(self.mask, self._check_dim(X))
+
+    def _lookup(self, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
         flat, inside = self.grid.cell_index_many(X)
-        out = np.zeros(X.shape[0], dtype=bool)
-        out[inside] = self.mask[flat[inside]]
-        return out
+        return mask[flat] & inside  # an outside row reads cell -1, then drops it
 
     def dist_many(self, X: np.ndarray) -> np.ndarray:
         """Distance to the union of the marked closed cells: the smallest
@@ -417,13 +463,7 @@ class MaskSet(SetSpec):
         cells = max(0, int(math.ceil(tol / self.grid.widths.min() - 1e-9)))
         dilated = self.grid.dilate(self.mask, cells) if cells else self.mask
 
-        def member(X: np.ndarray) -> np.ndarray:
-            flat, inside = self.grid.cell_index_many(X)
-            out = np.zeros(X.shape[0], dtype=bool)
-            out[inside] = dilated[flat[inside]]
-            return out
-
-        return member
+        return lambda X: self._lookup(dilated, X)
 
     def hull_box(self) -> Box:
         if self.is_empty:
@@ -436,7 +476,7 @@ class MaskSet(SetSpec):
         pts = self.grid.points
         data = np.column_stack([pts, self.mask.astype(int)])
         header = ",".join([f"x{i+1}" for i in range(self.dim)] + ["marked"])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        _write_csv(path, data, header)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +529,7 @@ class ProperIndicator:
         self._bufs: dict = {}
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        X = self.A._check_dim(X)
         base = self.A.dist_many(X)
         if self.D is None:
             return base

@@ -216,7 +216,7 @@ class _Occupancy:
         if t < self.t_lo:
             return
         flat, inside = self.grid.cell_index_many(X)
-        self.mask[flat[inside]] = True
+        self.mask[flat if np.count_nonzero(inside) == flat.size else flat[inside]] = True
 
 
 def reach_tube(
@@ -344,8 +344,7 @@ class _CellTrace:
         self.cells = np.full((n_rows, n_steps + 1), -1, dtype=np.int64)
 
     def __call__(self, step, t, X, rows, D):
-        flat, inside = self.grid.cell_index_many(X)
-        self.cells[rows, step] = np.where(inside, flat, -1)
+        self.cells[rows, step] = self.grid.cell_index_many(X)[0]
 
 
 def maximal_invariant(
