@@ -32,7 +32,7 @@ from .dynamics import (
     run_sweep,
     step_count,
 )
-from .geometry import _write_csv
+from .geometry import _work, _write_csv
 
 #: time columns of the envelope table (fewer when the horizon has fewer steps)
 ENVELOPE_TIMES = 241
@@ -79,9 +79,10 @@ class NotSettlingError(RuntimeError):
 class MonotoneFn:
     """Strictly increasing, zero at zero, unbounded under linear
     extrapolation: the piecewise surrogate for a class-K-infinity function.
-    ``value_many`` returns a fresh array, which the caller may update."""
+    ``value_many`` returns a fresh array, which the caller may update, or
+    writes into ``out``, which may be ``s`` itself."""
 
-    def value_many(self, s: np.ndarray) -> np.ndarray:
+    def value_many(self, s: np.ndarray, out=None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -111,12 +112,15 @@ class PiecewiseMonotone(MonotoneFn):
         last_slope = (v[-1] - v[-2]) / (s[-1] - s[-2]) if s.size > 1 else 1.0
         self.end_slope = max(last_slope, eps)
 
-    def value_many(self, s: np.ndarray) -> np.ndarray:
+    def value_many(self, s: np.ndarray, out=None) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        out = np.interp(s, self.s, self.v)
+        vals = np.interp(s, self.s, self.v)
         beyond = s > self.s[-1]
         if np.any(beyond):
-            out = np.where(beyond, self.v[-1] + self.end_slope * (s - self.s[-1]), out)
+            vals = np.where(beyond, self.v[-1] + self.end_slope * (s - self.s[-1]), vals)
+        if out is None:
+            return vals
+        np.copyto(out, vals)
         return out
 
 
@@ -131,9 +135,9 @@ class PowerMonotone(MonotoneFn):
         self.power = float(power)
         self.scale = float(scale)
 
-    def value_many(self, s: np.ndarray) -> np.ndarray:
+    def value_many(self, s: np.ndarray, out=None) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        out = np.maximum(s, 0.0, out=np.empty(s.shape))
+        out = np.maximum(s, 0.0, out=np.empty(s.shape) if out is None else out)
         np.power(out, self.power, out=out)
         return np.multiply(self.scale, out, out=out)
 
@@ -203,12 +207,13 @@ def estimate_kl_envelope(
     t_samples = t_idx * dt
     # frozen rows are escapes: their later columns keep the inf fill
     profiles = np.full((m * P, t_idx.size), np.inf)
-    col_of = {int(k): j for j, k in enumerate(t_idx)}
 
-    def obs(step, t, X, rows, D):
-        j = col_of.get(step)
-        if j is not None:
-            profiles[rows, j] = omega.value_many(X)
+    def obs(steps, ts, X, rows, D):
+        lo, hi = np.searchsorted(t_idx, [steps[0], steps[-1] + 1])
+        if lo < hi:
+            at = X[t_idx[lo:hi] - steps[0]]
+            values = omega.value_many(at.reshape(-1, X.shape[2]))
+            profiles[rows, lo:hi] = values.reshape(hi - lo, rows.size).T
 
     res = run_sweep(sys, X0, battery, horizon, dt, observer=obs, freeze_domain=_freeze_box(region))
     if np.any(res.status != STATUS_HORIZON):
@@ -427,16 +432,29 @@ class NumericLyapunov:
             caps = None
             decay = 0.0
 
-        def obs(step, t, X, rows, D):
+        bufs: dict = {}
+
+        def obs(steps, ts, X, rows, D):
             run = state.align(rows)["running"]
-            weighted = alpha1.value_many(np.asarray(omega.value_many(X), dtype=float))
-            np.multiply(weighted, math.exp(mu * t), out=weighted)
-            np.maximum(run, weighted, out=run)
-            if caps is not None and step % TRUNCATE_CHECK_STEPS == 0 and step > 0:
-                state.sync()
-                # nothing after t can raise a start's max once its certified bound is below it
-                done = caps * math.exp(-decay * t) <= running.reshape(P, m).max(axis=0)
-                return done[rows % m]
+            kk, r = X.shape[:2]
+            w = omega.value_many(X.reshape(kk * r, -1), out=_work(bufs, "w", (kk * r,)))
+            weighted = alpha1.value_many(w, out=w).reshape(kk, r)
+            # each step's scalar e^{mu t}, as the step-by-step product had it
+            weighted *= np.array([math.exp(mu * t) for t in ts.tolist()])[:, None]
+            # a block holds at most one check, as BLOCK_STEPS < TRUNCATE_CHECK_STEPS
+            due = np.flatnonzero((steps % TRUNCATE_CHECK_STEPS == 0) & (steps > 0))
+            c = int(due[0]) if caps is not None and due.size else kk - 1
+            top = np.max(weighted[: c + 1], axis=0, out=_work(bufs, "top", (r,)))
+            np.maximum(run, top, out=run)
+            if caps is None or not due.size:
+                return None
+            state.sync()
+            # nothing after t can raise a start's max once its certified bound is below it
+            done = (caps * math.exp(-decay * ts[c]) <= running.reshape(P, m).max(axis=0))[rows % m]
+            if c + 1 < kk:  # the rows that run on take the rest of the block
+                run = state.align(rows)["running"]
+                np.maximum(run, np.max(weighted[c + 1 :], axis=0, out=top), out=run, where=~done)
+            return np.where(done, c, -1)
 
         res = run_sweep(self.sys, X0, self.battery, self.horizon, self.dt, observer=obs,
                         freeze_domain=_freeze_box(self.region))
@@ -523,9 +541,10 @@ def validate_lyapunov(
 
     states_at = {}  # step -> (running rows, their states)
 
-    def record(step, t, Y, rows, D):
-        if step in tau_steps:
-            states_at[step] = (rows, Y.copy())
+    def record(steps, ts, Y, rows, D):
+        for k in tau_steps:
+            if steps[0] <= k <= steps[-1]:
+                states_at[k] = (rows, Y[k - steps[0]].copy())
 
     res = run_sweep(sys, X, battery, max(taus), Vnum.dt, observer=record,
                     freeze_domain=_freeze_box(Vnum.region))

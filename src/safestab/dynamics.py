@@ -51,6 +51,12 @@ STATUS_LEFT_DOMAIN = 3
 #: the rows an observer stops with a row mask (perfbench reads 4 as a stopped sweep)
 STATUS_RETIRED = 5
 
+#: the most steps, and the most state floats (32 KiB), of an observer call
+#: of more than one step: a block's temporaries stay far below glibc's mmap
+#: threshold, and the work arrays its predicates keep stay small
+BLOCK_STEPS = 64
+BLOCK_FLOATS = 4096
+
 #: relative slack allowed when a time span must be a whole number of steps
 _WHOLE_STEP_RTOL = 1e-9
 _FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -239,14 +245,11 @@ class RowState:
     """Per-row arrays of one sweep's observer, kept in running-block order.
 
     ``arrays`` maps names to arrays whose last axis is indexed by sweep row.
-    ``align(rows)`` returns the same names mapped to the parts of the rows
-    in ``rows``, in that order, for the observer to read and update in
-    place.  They are gathered again, after the previous parts are written
-    back, only when the running set changes; within a sweep that set only
-    shrinks, so its size identifies it, and one RowState serves one sweep.
-    ``sync()`` writes the parts back, so the full arrays are current.  With
-    ``write_back=False`` the arrays are read only and never written back.
-    """
+    ``align(rows)`` maps the same names to the parts of the rows in
+    ``rows``, in that order, for the observer to update in place; they are
+    gathered again, the old parts written back, only when the running set
+    (which only shrinks, so its size identifies it) changes.  ``sync()``
+    writes the parts back.  With ``write_back=False`` they are read only."""
 
     def __init__(self, write_back: bool = True, **arrays):
         self.full = arrays
@@ -309,24 +312,26 @@ def run_sweep(
 
     ``horizon`` must be a whole number of ``dt`` steps.  Rows that blow up
     (non-finite or |x|_inf > ``sys.blowup_bound``, read once per sweep) or
-    leave ``freeze_domain`` are frozen at their last state and excluded from
-    further updates; this is always recorded in ``status``, never silent.
+    leave ``freeze_domain`` are frozen and excluded from further updates: a
+    blown-up row keeps its last state, a row that left the domain its first
+    state outside.  This is always recorded in ``status``, never silent.
     Row r starts at ``starts[r % len(starts)]`` under
     ``policies[r // len(starts)]`` (``SweepResult.start_index``/``policy_index``).
 
-    The observer is the only view of a sweep in progress.
-    ``observer(step, t, X, rows, D)`` is invoked once at t=0 and after every
-    step.  ``rows`` holds the sweep indices of the rows still running, in
-    ascending order (it only shrinks within a sweep, so an observer can keep
-    per-row state in the same order: ``RowState``), and ``X`` and ``D``
-    their states and disturbances; at
-    t=0 every row is included (a start frozen there is still a state the row
-    took); after t=0 it is called only while some row runs.  The observer
-    must treat the arrays as read-only.  It returns None, or a boolean array
-    over ``rows`` that stops the rows it flags as ``retired``, each keeping
-    its state at that step.  The sweep stops after the step at which the
-    last row stopped, so a state wanted at a later step is the row's final
-    state.  Only the running rows are integrated.
+    The observer, the only view of a sweep in progress, sees blocks of
+    steps: ``observer(steps, ts, X, rows, D)`` gets k step numbers, their
+    times ``ts = steps * dt``, and the read-only (k, r, n) states and
+    disturbances (of the step that reached each state) of the r running
+    rows, with ascending sweep indices ``rows`` (they only shrink, so an
+    observer can keep per-row state in that order: ``RowState``).  t=0 is a
+    block of its own with every row, a start frozen there included; then
+    k = clamp(BLOCK_FLOATS // (r n), 1, BLOCK_STEPS), fewer at the horizon
+    or before a step where some row blows up or leaves the domain, which is
+    a block of its own.  The observer returns None or an (r,) int array of
+    the block index at which each row retires (-1: it runs on), and the row
+    stops ``retired`` with that index's state, disturbance and time, bit
+    for bit as if observed step by step.  The sweep stops after the step at
+    which the last row stopped, so a later state is the row's final one.
     """
     n_steps = step_count(horizon, dt)
     starts = np.atleast_2d(np.asarray(starts, dtype=np.float64))
@@ -353,36 +358,35 @@ def run_sweep(
     periods = [pol.refresh_period(dt) for pol in policies]
 
     step, n_scratch = sys.f.rk4_step(dt)
-    # the running rows fill the first rows of every buffer, in sweep order
-    bufs = [np.tile(starts, (P, 1)), np.zeros((R, n))] + [np.empty((R, n)) for _ in range(6)]
+    stages = np.empty((4, R, n))
     scratch = np.empty((n_scratch, R))
-    flags = np.empty((R, n), dtype=bool)
-    rows = np.arange(R)
-    X, D, Xt, mag = bufs[0], bufs[1], bufs[6], bufs[7]
-    within, step_args, by_period = flags, None, None
-    # |x| <= bound is False for NaN and +-inf, so one comparison covers both
+    flags = np.empty((2, R, n), dtype=bool)
+    # a row leaves [lo, hi] by blowing up (|x| > bound; NaN and +-inf fail
+    # every comparison) or by leaving the freeze domain
     bound = min(float(sys.blowup_bound), _FLOAT_MAX)
+    box = (-np.inf, np.inf) if freeze_domain is None else (freeze_domain.lo, freeze_domain.hi)
+    lo, hi = np.maximum(box[0], -bound), np.minimum(box[1], bound)
+    rows = np.arange(R)
+    # the running rows' states at the steps of a block, slot j + 1 being the
+    # step from slot j with disturbance slot j; slot 0 carries the last ones
+    xbuf, dbuf = np.empty(0), np.empty(0)
+    XB = DB = args = by_period = above = below = None
+    changed = False
 
-    def freeze(mask, code, t):
-        status[rows[mask]] = code
-        end_times[rows[mask]] = t
-
-    def compact():
-        """Write the rows that stopped to the results and gather the running
-        ones to the front of the buffers; each policy keeps a contiguous
-        block because the order is kept."""
-        nonlocal rows, X, D, Xt, mag, within, step_args, by_period
-        keep = status[rows] == STATUS_RUNNING
-        states[rows[~keep]] = X[~keep]
-        dists[rows[~keep]] = D[~keep]
-        rows = rows[keep]
-        bufs[0][: rows.size] = X[keep]
-        bufs[1][: rows.size] = D[keep]
-        X, D, k1, k2, k3, k4, Xt, mag = (b[: rows.size] for b in bufs)
-        within = flags[: rows.size]
-        blocks = (X, Xt, k1, k2, k3, k4)
-        step_args = (X, D, Xt, k1, k2, k3, k4, *(B[:, j] for B in blocks for j in range(n)),
-                     *scratch[:, : rows.size])
+    def layout():
+        """Lay the slots out for the running rows; each policy's rows stay
+        contiguous."""
+        nonlocal xbuf, dbuf, XB, DB, args, by_period, above, below
+        r = rows.size
+        above, below = flags[:, :r]
+        K = min(max(BLOCK_FLOATS // (r * n), 1), BLOCK_STEPS)
+        if xbuf.size < (K + 1) * r * n:
+            xbuf = np.empty((K + 1) * r * n)
+        if dbuf.size < K * r * n:
+            dbuf = np.empty(K * r * n)
+        XB = xbuf[: (K + 1) * r * n].reshape(K + 1, r, n)
+        DB = dbuf[: K * r * n].reshape(K, r, n)
+        args = [None] * (K + 1)
         edges = np.searchsorted(rows, np.arange(P + 1) * m)
         plan: dict[int, list] = {}
         for p, pol in enumerate(policies):
@@ -390,54 +394,101 @@ def run_sweep(
                 plan.setdefault(periods[p], []).append((pol, slice(edges[p], edges[p + 1])))
         by_period = list(plan.items())
 
-    def observe(step, t):
-        """Call the observer and retire the running rows it flags."""
-        stop = observer(step, t, X, rows, D)
-        if stop is not None and stop.any():
-            freeze(stop & (status[rows] == STATUS_RUNNING), STATUS_RETIRED, t)
-            compact()
+    def slot_args(j):
+        """The step's arguments from slot j to slot j + 1."""
+        r = rows.size
+        K1, K2, K3, K4 = stages[:, :r]
+        blocks = (XB[j], XB[j + 1], K1, K2, K3, K4)
+        args[j] = (XB[j], DB[j], XB[j + 1], K1, K2, K3, K4,
+                   *(B[:, c] for B in blocks for c in range(n)), *scratch[:, :r])
+        return args[j]
 
+    def freeze(mask, code, t, xs, ds):
+        """Stop the rows in ``mask`` at t with state and disturbance slots xs, ds."""
+        nonlocal changed
+        at = np.flatnonzero(mask)
+        if at.size:
+            stopped = rows[at]
+            status[stopped], end_times[stopped] = code, t
+            states[stopped], dists[stopped] = XB[xs, at], DB[ds, at]
+            changed = True
+
+    def observe(k0, kk, xs, ds):
+        """Show steps k0.. in slots xs.., ds.. and retire the rows flagged."""
+        steps = np.arange(k0, k0 + kk)
+        ts = steps * dt
+        ret = observer(steps, ts, XB[xs : xs + kk], rows, DB[ds : ds + kk])
+        if ret is not None:
+            stop = ret >= 0
+            if stop.any():
+                stop &= status[rows] == STATUS_RUNNING
+                at = ret[stop] if kk > 1 else 0
+                freeze(stop, STATUS_RETIRED, ts[at], xs + at, ds + at)
+
+    def compact(xs, ds):
+        """Carry slots xs, ds to slot 0, gathering the rows if some stopped."""
+        nonlocal rows, changed, XB, args
+        if not changed:
+            if xs and XB.shape[0] == 2:  # one step per block: swap the slots' roles
+                XB, args = XB[::-1], args[::-1]
+            elif xs:
+                XB[0] = XB[xs]
+            if ds:
+                DB[0] = DB[ds]
+            return
+        keep = status[rows] == STATUS_RUNNING
+        x, d = XB[xs][keep], DB[ds][keep]
+        rows, changed = rows[keep], False
+        if rows.size:
+            layout()
+            XB[0], DB[0] = x, d
+
+    layout()
+    XB[0] = np.tile(starts, (P, 1))
     for p, pol in enumerate(policies):
-        pol.values(0.0, X[p * m : (p + 1) * m], D[p * m : (p + 1) * m])
+        pol.values(0.0, XB[0, p * m : (p + 1) * m], DB[0, p * m : (p + 1) * m])
     if freeze_domain is not None:
-        freeze(~freeze_domain.contains_many(X), STATUS_LEFT_DOMAIN, 0.0)
+        freeze(~freeze_domain.contains_many(XB[0]), STATUS_LEFT_DOMAIN, 0.0, 0, 0)
     if observer is not None:
-        observe(0, 0.0)
-    compact()
+        observe(0, 1, 0, 0)
+    compact(0, 0)
 
     k = 0
     with np.errstate(all="ignore"):
         while k < n_steps and rows.size:
-            t = k * dt
-            for period, members in by_period:
-                if k % period == 0:
-                    for pol, block in members:
-                        pol.values(t, X[block], D[block])
-            step(*step_args)  # Xt := the RK4 step from X
-            k += 1
-            t1 = k * dt
-            np.abs(Xt, out=mag)
-            np.less_equal(mag, bound, out=within)
-            ok = _fold(np.logical_and, within)
-            stopped = np.count_nonzero(ok) < rows.size
-            if stopped:
-                freeze(~ok, STATUS_BLOWUP, t1)
-                np.copyto(X, Xt, where=ok[:, None])
-            else:
-                np.copyto(X, Xt)
-            if freeze_domain is not None:
-                # a blown-up row kept its previous state, which was inside
-                inside = freeze_domain.contains_many(X)
-                if np.count_nonzero(inside) < rows.size:
-                    freeze(~inside, STATUS_LEFT_DOMAIN, t1)
-                    stopped = True
-            if stopped:
-                compact()
-            if observer is not None and rows.size:
-                observe(k, t1)
+            r = rows.size
+            kk = min(DB.shape[0], n_steps - k)
+            j, failed = 0, False
+            while j < kk and not failed:
+                if j:
+                    np.copyto(DB[j], DB[j - 1])
+                for period, members in by_period:
+                    if (k + j) % period == 0:
+                        for pol, block in members:
+                            pol.values((k + j) * dt, XB[j][block], DB[j][block])
+                step(*(args[j] or slot_args(j)))
+                j += 1
+                np.greater_equal(XB[j], lo, out=above)
+                np.less_equal(XB[j], hi, out=below)
+                ok = _fold(np.logical_and, np.logical_and(above, below, out=above))
+                failed = np.count_nonzero(ok) < r
+            if observer is not None and j > failed:
+                observe(k + 1, j - failed, 1, 0)
+            k += j
+            if failed:
+                # rows the observer retired earlier in the block do not fail
+                running = status[rows] == STATUS_RUNNING
+                np.less_equal(np.abs(XB[j], out=stages[0, :r]), bound, out=below)
+                finite = _fold(np.logical_and, below)
+                freeze(running & ~finite, STATUS_BLOWUP, k * dt, j - 1, j - 1)
+                freeze(running & finite & ~ok, STATUS_LEFT_DOMAIN, k * dt, j, j - 1)
+            compact(j, j - 1)
+            if failed and observer is not None and rows.size:
+                observe(k, 1, 0, 0)
+                compact(0, 0)
 
-    states[rows] = X
-    dists[rows] = D
+    if rows.size:
+        states[rows], dists[rows] = XB[0], DB[0]
     status[status == STATUS_RUNNING] = STATUS_HORIZON
     return SweepResult(states, status, end_times, start_index, policy_index, dists)
 
@@ -510,9 +561,10 @@ def ensemble(
     states = np.empty(shape)
     dists = np.zeros(shape)
 
-    def recorder(step, t, X, rows, D):
-        states[step, rows] = X
-        dists[step, rows] = D
+    def recorder(steps, ts, X, rows, D):
+        block = slice(steps[0], steps[-1] + 1)
+        states[block, rows] = X
+        dists[block, rows] = D
 
     res = run_sweep(sys, x0[None, :], policies, horizon, dt,
                     freeze_domain=domain, observer=recorder)

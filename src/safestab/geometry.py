@@ -109,8 +109,8 @@ class SetSpec:
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
-        """||x||_S: Euclidean distance from each point to the set."""
+    def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
+        """||x||_S: Euclidean distance from each point to the set (into ``out``)."""
         raise self._lacks("closed-form distance")
 
     def within(self, tol: float):
@@ -125,7 +125,7 @@ class SetSpec:
         """The smallest box containing the set."""
         raise self._lacks("box hull")
 
-    def depth_many(self, X: np.ndarray) -> np.ndarray:
+    def depth_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """||x||_{R^n \\ S}: distance from each point to the complement."""
         raise self._lacks("closed-form distance to its complement")
 
@@ -185,35 +185,35 @@ class Box(SetSpec):
         np.logical_and(a, b, out=a)
         return _fold(np.logical_and, a).copy()  # a fresh array
 
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
+    def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """An infinite corner never binds (max(-inf, -inf) still clamps to
         0); a non-finite point gets an infinite or NaN distance."""
-        return self._dist(X)
+        return self._dist(X, out)
 
-    def _dist(self, X: np.ndarray, kept: bool = False) -> np.ndarray:
+    def _dist(self, X: np.ndarray, out=None) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(self._lo, X, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(X, self._hi, out=_work(self._bufs, "over", X.shape))
         np.maximum(gap, over, out=gap)
         np.maximum(gap, 0.0, out=gap)
         np.multiply(gap, gap, out=gap)
-        return np.sqrt(_fold(np.add, gap), out=self._result(X, kept))
+        return np.sqrt(_fold(np.add, gap), out=self._result(X, out))
 
-    def depth_many(self, X: np.ndarray) -> np.ndarray:
+    def depth_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """0 outside, the smallest face gap inside."""
-        return self._depth(X)
+        return self._depth(X, out)
 
-    def _depth(self, X: np.ndarray, kept: bool = False) -> np.ndarray:
+    def _depth(self, X: np.ndarray, out=None) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(X, self._lo, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(self._hi, X, out=_work(self._bufs, "over", X.shape))
         np.minimum(gap, over, out=gap)
-        return np.maximum(_fold(np.minimum, gap), 0.0, out=self._result(X, kept))
+        return np.maximum(_fold(np.minimum, gap), 0.0, out=self._result(X, out))
 
-    def _result(self, X: np.ndarray, kept: bool):
-        """Where a distance goes: a kept work array for ``within``, whose mask
-        is fresh, or a fresh array (None) for the public predicates."""
-        return _work(self._bufs, "result", X.shape[:1]) if kept else None
+    def _result(self, X: np.ndarray, out):
+        """Where a distance goes: ``out`` (None: a fresh array), or for
+        ``within``, whose mask is fresh, a kept work array (True)."""
+        return _work(self._bufs, "result", X.shape[:1]) if out is True else out
 
     def within(self, tol: float):
         return lambda X: self._dist(X, True) <= tol
@@ -241,11 +241,11 @@ class BoxComplement(SetSpec):
     def contains_many(self, X: np.ndarray) -> np.ndarray:
         return ~self.box.contains_interior_many(X)
 
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
-        return self.box.depth_many(X)
+    def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
+        return self.box.depth_many(X, out)
 
-    def depth_many(self, X: np.ndarray) -> np.ndarray:
-        return self.box.dist_many(X)
+    def depth_many(self, X: np.ndarray, out=None) -> np.ndarray:
+        return self.box.dist_many(X, out)
 
     def within(self, tol: float):
         return lambda X: self.box._depth(X, True) <= tol
@@ -305,11 +305,12 @@ class Union(SetSpec):
             out |= m.contains_many(X)
         return out
 
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
+    def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
         X = self._check_dim(X)
-        out = np.full(X.shape[0], np.inf)
+        out = np.empty(X.shape[0]) if out is None else out
+        out.fill(np.inf)
         for m in self.members:
-            out = np.minimum(out, m.dist_many(X))
+            np.minimum(out, m.dist_many(X), out=out)
         return out
 
 
@@ -441,7 +442,7 @@ class MaskSet(SetSpec):
         flat, inside = self.grid.cell_index_many(X)
         return mask[flat] & inside  # an outside row reads cell -1, then drops it
 
-    def dist_many(self, X: np.ndarray) -> np.ndarray:
+    def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """Distance to the union of the marked closed cells: the smallest
         norm of the per-axis gap to a cell, over chunks of points."""
         X = self._check_dim(X)
@@ -450,7 +451,7 @@ class MaskSet(SetSpec):
             raise EmptySetError("mask set is empty")
         half = 0.5 * self.grid.widths
         lo, hi = centers - half, centers + half
-        out = np.empty(X.shape[0])
+        out = np.empty(X.shape[0]) if out is None else out
         chunk = max(1, _MASK_DIST_CHUNK // centers.size)
         for i in range(0, X.shape[0], chunk):
             x = X[i : i + chunk, None, :]
@@ -528,14 +529,16 @@ class ProperIndicator:
         self.dim = A.dim
         self._bufs: dict = {}
 
-    def value_many(self, X: np.ndarray) -> np.ndarray:
+    def value_many(self, X: np.ndarray, out=None) -> np.ndarray:
+        """omega at each point; with ``out``, the depth uses a work array."""
         X = self.A._check_dim(X)
-        base = self.A.dist_many(X)
+        base = self.A.dist_many(X, out)
         if self.D is None:
             return base
         # 1/depth where depth > 0, else +inf (NaN and a zero of either sign
-        # included), less 2/gap; computed into the two fresh results
-        depth = self.D.depth_many(X)
+        # included), less 2/gap; computed into the two results
+        depth = self.D.depth_many(X, None if out is None else
+                                  _work(self._bufs, "depth", X.shape[:1]))
         flat = np.greater(depth, 0.0, out=_work(self._bufs, "flat", depth.shape, bool))
         np.logical_not(flat, out=flat)
         with np.errstate(divide="ignore"):

@@ -27,7 +27,7 @@ from .dynamics import (
     run_sweep,
     step_count,
 )
-from .geometry import Box, Grid, MaskSet, SetSpec
+from .geometry import Box, Grid, MaskSet, SetSpec, _work
 
 __all__ = [
     "Counterexample",
@@ -62,6 +62,8 @@ BISECT_ITERS = 10
 GROWTH_FLAG = 1.25
 #: time between two distance samples of probe_uas
 OBSERVE_DT = 0.01
+#: the lost-at index of a group that still runs
+_RUNS = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,14 @@ class _Monitor:
     * ``peak`` and ``latest``: the running max and the latest value of
       ``gauge(pts)``, which the two events receive as ``g``.
 
-    The events also receive ``rows``, the sweep indices of ``pts``.  Only
-    what the caller passes is computed.  With ``groups`` (the group of each
-    sweep row), a row that ``first`` flags retires every running row of its
-    group at that step.  The table is kept in running-block order while the
-    sweep runs (``RowState``); reading an outcome gives the full array.
+    Each runs once per block of sampled steps: ``pts`` holds its states as
+    (steps x rows, n), ``g`` is shaped (steps, rows), an event flags the
+    flat ``pts`` or has (steps, rows) as its last two axes, and ``rows`` are
+    the block's sweep indices.  Only what the caller passes is computed.
+    With ``groups`` (the group of each sweep row), a row that ``first``
+    flags retires every running row of its group at that step, whose later
+    steps are not recorded.  The table is kept in running-block order while
+    the sweep runs (``RowState``); reading an outcome gives the full array.
     """
 
     def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
@@ -132,9 +137,11 @@ class _Monitor:
         if gauge is not None:
             table.update(peak=np.full(n_rows, -np.inf), latest=np.zeros(n_rows))
         self._table = RowState(**table)
+        self._bufs: dict = {}
         self._groups = None
         if groups is not None:
-            self.lost = np.zeros(int(groups.max()) + 1, dtype=bool)
+            # the block index at which each group is lost (_RUNS while it runs)
+            self._lost_at = np.full(int(groups.max()) + 1, _RUNS)
             self._groups = RowState(write_back=False, groups=groups)
 
     def _outcome(self, name):
@@ -147,31 +154,68 @@ class _Monitor:
     peak = property(lambda self: self._outcome("peak"))
     latest = property(lambda self: self._outcome("latest"))
 
-    def __call__(self, step, t, X, rows, D):
-        if step % self.stride:
+    def _work(self, key, shape, dtype=np.float64):
+        return _work(self._bufs, key, (math.prod(shape),), dtype).reshape(shape)
+
+    def _flagged(self, flags, ts, last=False):
+        """Per row of ``flags`` (..., steps, rows): whether it is flagged in
+        the block, the index of its first (or last) flag (None for a one-step
+        block) and that index's time, in kept work arrays."""
+        kk = flags.shape[-2]
+        if kk == 1:
+            return flags[..., 0, :], None, ts[0]
+        shape = flags.shape[:-2] + flags.shape[-1:]
+        hit = np.logical_or.reduce(flags, axis=-2, out=self._work("hit", shape, bool))
+        at = np.argmax(flags[..., ::-1, :] if last else flags, axis=-2,
+                       out=self._work(f"at{last}", shape, np.intp))
+        if last:
+            np.subtract(kk - 1, at, out=at)
+        return hit, at, np.take(ts, at, out=self._work("t", shape), mode="clip")
+
+    def __call__(self, steps, ts, X, rows, D):
+        i0 = -int(steps[0]) % self.stride
+        if self.stride > 1:
+            X, ts = X[i0 :: self.stride], ts[i0 :: self.stride]
+        kk, r = X.shape[:2]
+        if not kk:
             return None
+        pts = X.reshape(kk * r, -1)
         table = self._table.align(rows)
-        g = None
-        if self.gauge is not None:
-            g = self.gauge(X)
-            np.maximum(table["peak"], g, out=table["peak"])
-            np.copyto(table["latest"], g)
-        stop = None
+        g = None if self.gauge is None else self.gauge(pts).reshape(kk, r)
+        stop = live = None
         if self.first_event is not None:
-            flags = self.first_event(X, g, rows)
-            if flags.any():
-                # t only grows, so the minimum keeps the first time
-                np.minimum(table["first"], t, out=table["first"], where=flags)
-                if self._groups is not None:
-                    groups = self._groups.align(rows)["groups"]
-                    self.lost[groups[flags]] = True
-                    stop = self.lost[groups]
+            hit, at, t = self._flagged(self.first_event(pts, g, rows).reshape(kk, r), ts)
+            flagged = hit.any()
+            if flagged and self._groups is not None:
+                groups = self._groups.align(rows)["groups"]
+                np.minimum.at(self._lost_at, groups[hit], 0 if at is None else at[hit])
+                end = np.take(self._lost_at, groups, out=self._work("end", (r,), np.intp),
+                              mode="clip")
+                self._lost_at[groups[hit]] = _RUNS
+                stop = end < _RUNS
+                np.minimum(end, kk - 1, out=end)
+                if at is not None:  # a lost group's later steps are not recorded
+                    hit, live = hit & (at == end), np.arange(kk)[:, None] <= end
+            if flagged:  # t only grows, so the minimum keeps the first time
+                np.minimum(table["first"], t, out=table["first"], where=hit)
+        if g is not None:
+            top = g[0] if kk == 1 else np.max(g, axis=0, out=self._work("top", (r,)),
+                                              initial=-np.inf, where=True if live is None else live)
+            np.maximum(table["peak"], top, out=table["peak"])
+            np.copyto(table["latest"], g[-1])
+            if stop is not None:  # a row that retires keeps its value at its stop
+                lost = np.flatnonzero(stop)
+                table["latest"][lost] = g[end[lost], lost]
         if self.last_event is not None:
-            flags = self.last_event(X, g, rows)
+            flags = self.last_event(pts, g, rows)
+            flags = flags.reshape(kk, r) if flags.ndim == 1 else flags
+            if live is not None:
+                flags = flags & live
             if "last" not in table:
-                self._table.add("last", np.full(flags.shape[:-1] + (self.n_rows,), -np.inf))
-            np.copyto(table["last"], t, where=flags)
-        return stop
+                self._table.add("last", np.full(flags.shape[:-2] + (self.n_rows,), -np.inf))
+            hit, _, t = self._flagged(flags, ts, last=True)
+            np.copyto(table["last"], t, where=hit)
+        return None if stop is None else np.where(stop, i0 + self.stride * end, -1)
 
 
 def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt, **watch):
@@ -212,10 +256,11 @@ class _Occupancy:
         self.t_lo = t_lo
         self.mask = np.zeros(grid.size, dtype=bool)
 
-    def __call__(self, step, t, X, rows, D):
-        if t < self.t_lo:
+    def __call__(self, steps, ts, X, rows, D):
+        late = X[np.searchsorted(ts, self.t_lo) :]
+        if not late.size:
             return
-        flat, inside = self.grid.cell_index_many(X)
+        flat, inside = self.grid.cell_index_many(late.reshape(-1, X.shape[2]))
         self.mask[flat if np.count_nonzero(inside) == flat.size else flat[inside]] = True
 
 
@@ -336,17 +381,6 @@ class InvariantSetResult:
         }
 
 
-class _CellTrace:
-    """Visited cell index per row per step of a short window (-1 = outside)."""
-
-    def __init__(self, grid: Grid, n_rows: int, n_steps: int):
-        self.grid = grid
-        self.cells = np.full((n_rows, n_steps + 1), -1, dtype=np.int64)
-
-    def __call__(self, step, t, X, rows, D):
-        self.cells[rows, step] = self.grid.cell_index_many(X)[0]
-
-
 def maximal_invariant(
     sys: PerturbedSystem,
     omega_set: SetSpec,
@@ -383,12 +417,16 @@ def maximal_invariant(
     P = len(battery)
     w_steps = step_count(dwell_window, dt, "dwell_window")
 
-    trace = _CellTrace(grid, m * P, w_steps)
-    run_sweep(sys, starts, battery, w_steps * dt, dt, freeze_domain=grid.domain, observer=trace)
+    # the cell each row visits at each step of the window (-1 = outside)
+    visited = np.full((m * P, w_steps + 1), -1, dtype=np.int64)
 
+    def trace(steps, ts, X, rows, D):
+        cells = grid.cell_index_many(X.reshape(-1, X.shape[2]))[0]
+        visited[rows, steps[0] : steps[-1] + 1] = cells.reshape(steps.size, rows.size).T
+
+    run_sweep(sys, starts, battery, w_steps * dt, dt, freeze_domain=grid.domain, observer=trace)
     candidate = np.zeros(grid.size, dtype=bool)
     candidate[cells0] = True
-    visited = trace.cells  # (m*P, w_steps+1)
     valid = visited >= 0
     iterations = 0
     while True:
@@ -841,7 +879,7 @@ def probe_uas(
             rho_used = 0.9 * best if best > 0 else delta_floor
         starts = _shell_points(hull, rho_used)
         # settle time into each eps neighborhood: the last time at distance >= eps
-        levels = np.asarray(eps_schedule)[:, None]
+        levels = np.asarray(eps_schedule)[:, None, None]
         mon = _Monitor(starts.shape[0] * P, gauge=A.dist_many,
                        last=lambda pts, d, rows: d >= levels, stride=stride)
         res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)

@@ -220,12 +220,12 @@ class TestNumericLyapunov:
             np.testing.assert_allclose(res.end_times[rows], end, rtol=1e-12)
 
     def test_observer_updates_the_running_max_in_place(self, monkeypatch):
-        """On a 24,200-row V sweep with a proper indicator, one observation
-        allocates under 2.5 float64 per row: omega's two fresh results (the
-        distance to A and the depth in D) and alpha1's.  The indicator
-        computes into those, and the running max is kept in running-block
-        order; the indicator's temporaries and gathering and scattering the
-        running max by ``rows`` take 4.1 per row."""
+        """On a 24,200-row V sweep with a proper indicator (one step per
+        block), one observation allocates under a quarter float64 per row:
+        omega's distance to A and depth in D and alpha1 are computed into
+        kept work arrays, and the running max is kept in running-block
+        order.  Fresh results take 2.0 per row; gathering and scattering the
+        running max by ``rows`` takes 4.1 more."""
         import tracemalloc
 
         import safestab.converse as converse
@@ -240,11 +240,11 @@ class TestNumericLyapunov:
         excess, run_sweep = [], converse.run_sweep
 
         def measured_sweep(*args, observer, **kwargs):
-            def measured(step, t, X, rows, D):
+            def measured(steps, ts, X, rows, D):
                 tracemalloc.reset_peak()
                 held = tracemalloc.get_traced_memory()[0]
-                stop = observer(step, t, X, rows, D)
-                if step > 0:
+                stop = observer(steps, ts, X, rows, D)
+                if steps[0] > 0:
                     excess.append(tracemalloc.get_traced_memory()[1] - held)
                 return stop
 
@@ -257,7 +257,7 @@ class TestNumericLyapunov:
         finally:
             tracemalloc.stop()
         assert len(excess) == 50
-        assert max(excess) < 2.5 * 8 * n_rows
+        assert max(excess) < 0.25 * 8 * n_rows
 
     def test_mu_must_stay_below_lambda(self, linear_setup):
         sys, omega, battery, _, env = linear_setup

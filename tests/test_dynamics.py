@@ -299,11 +299,15 @@ class TestSweepEngine:
         assert np.isfinite(res.states[1, 0])
 
     def test_snapshots(self, linear_sys):
-        # an observer sees every row's state at every step, t = 0 included
+        # an observer sees every row's state at every step, t = 0 included,
+        # in blocks of consecutive steps
         seen = {}
 
-        def record(step, t, X, rows, D):
-            seen[step] = (t, X.copy(), rows.copy(), D.copy())
+        def record(steps, ts, X, rows, D):
+            assert X.shape == D.shape == (steps.size, rows.size, 1)
+            assert np.array_equal(ts, steps * 1e-3) and not seen.keys() & set(steps.tolist())
+            for k, t, x, d in zip(steps.tolist(), ts.tolist(), X, D):
+                seen[k] = (t, x.copy(), rows.copy(), d.copy())
 
         res = run_sweep(linear_sys, np.array([[1.0]]), [ZeroPolicy()], 2.0, 1e-3,
                         observer=record)
@@ -320,7 +324,8 @@ class TestSweepEngine:
         calls = []
         res = run_sweep(
             bench_sys, np.array([[0.6]]), [ConstantPolicy([0.25])], 300.0, 5e-3,
-            observer=lambda step, t, X, rows, D: calls.append((step, X[:, 0].copy(), rows)),
+            observer=lambda steps, ts, X, rows, D: calls.extend(
+                (k, x[:, 0].copy(), rows) for k, x in zip(steps.tolist(), X)),
         )
         assert res.reason(0) == "blow_up"
         assert 9.0 < res.end_times[0] < 12.0
@@ -339,18 +344,19 @@ class TestSweepEngine:
         res = run_sweep(
             sys, np.array([[5.0]]), [ZeroPolicy()], 2.0, 1e-2,
             freeze_domain=Box((-1.0,), (1.0,)),
-            observer=lambda step, t, X, rows, D: calls.append((step, X[0, 0], rows.tolist())),
+            observer=lambda steps, ts, X, rows, D: calls.append(
+                (steps.tolist(), X[:, 0, 0].tolist(), rows.tolist())),
         )
-        assert calls == [(0, 5.0, [0])]
+        assert calls == [([0], [5.0], [0])]
         assert res.reason(0) == "left_domain" and res.end_times[0] == 0.0
         assert res.states[0, 0] == 5.0
 
     def test_stop_at_start_ends_at_zero(self, linear_sys):
         calls = []
 
-        def retire_all(step, t, X, rows, D):
-            calls.append(step)
-            return np.ones(rows.size, dtype=bool)
+        def retire_all(steps, ts, X, rows, D):
+            calls.extend(steps.tolist())
+            return np.zeros(rows.size, dtype=int)
 
         res = run_sweep(linear_sys, np.array([[1.0], [2.0]]), [ZeroPolicy()], 1.0, 1e-2,
                         observer=retire_all)
@@ -376,8 +382,9 @@ class TestSweepEngine:
         n_rows = starts.shape[0] * len(battery)  # 16,500
         held, excess = [0], []
 
-        def observer(step, t, X, rows, D):
-            if step > 1:
+        def observer(steps, ts, X, rows, D):
+            assert steps.size == 1  # 16,500 rows take one step per block
+            if steps[0] > 1:
                 excess.append(tracemalloc.get_traced_memory()[1] - held[0])
             tracemalloc.reset_peak()
             held[0] = tracemalloc.get_traced_memory()[0]
@@ -446,12 +453,19 @@ def _check_rows_alone(run, n_rows, retire, dt):
     ``retire``, the rows it lists.  A row still running then must end
     ``retired`` at that step, holding the state it has there when run alone;
     every other row must be bitwise the row run alone."""
-    batch = run(None, lambda step, t, X, rows, D: np.isin(rows, retire.get(step, [])))
+
+    def retirer(steps, ts, X, rows, D):
+        at = np.full(rows.size, -1)
+        for i, k in reversed(list(enumerate(steps.tolist()))):
+            at[np.isin(rows, retire.get(k, []))] = i
+        return at
+
+    batch = run(None, retirer)
     for r in range(n_rows):
         seen = {}
 
-        def record(step, t, X, rows, D):
-            seen[step] = X.copy()
+        def record(steps, ts, X, rows, D):
+            seen.update(zip(steps.tolist(), X.copy()))
 
         alone = run(r, record)
         # the row runs on the steps before the one it froze at
@@ -532,3 +546,79 @@ def test_batched_row_equals_row_alone_2d(starts, n_random, retire):
 
     n_policies = len(default_policy_battery(sys, n_random=n_random, seed=4, set_fields=[g]))
     _check_rows_alone(run, m * n_policies, retire, 1e-2)
+
+
+def _blocked_and_stepped(monkeypatch, run):
+    """``run()`` with the default block length, then with one step per block."""
+    from safestab import dynamics
+
+    blocked = run()
+    monkeypatch.setattr(dynamics, "BLOCK_STEPS", 1)
+    stepped = run()
+    monkeypatch.undo()
+    return blocked, stepped
+
+
+def _assert_same_bits(a, b, names=("status", "end_times", "states", "disturbances")):
+    for name in names:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        if x.dtype == np.float64:
+            x, y = x.view(np.int64), y.view(np.int64)
+        assert np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("seed, bound", [(0, 50.0), (1, 1e6), (2, 50.0), (3, 1e6)])
+def test_blocks_equal_single_steps_under_random_retirement(monkeypatch, bench_field, seed,
+                                                           bound):
+    """A sweep observed in blocks ends every row bitwise as one observed step
+    by step: rows retired at seeded random steps inside blocks, rows frozen
+    at t=0, and blocks cut short by a blow-up (bound 50) or by an exit from
+    the domain (bound 1e6)."""
+    rng = np.random.default_rng(seed)
+    sys = PerturbedSystem(bench_field, 0.25, bound)
+    starts = np.vstack([rng.uniform(-1.8, 4.0, (11, 1)), [[-1.8]]])
+    retire_at = rng.integers(0, 300, 12 * 8)  # beyond 200 steps: never
+
+    def retirer(steps, ts, X, rows, D):
+        at = retire_at[rows] - steps[0]
+        return np.where(at < steps.size, at, -1)
+
+    def run():
+        return run_sweep(sys, starts, [_bench_policy(c) for c in range(8)], 2.0, 1e-2,
+                         freeze_domain=Box((-1.5,), (100.0,)), observer=retirer)
+
+    blocked, stepped = _blocked_and_stepped(monkeypatch, run)
+    _assert_same_bits(blocked, stepped)
+    late = blocked.end_times > 0
+    cut = STATUS_BLOWUP if bound == 50.0 else STATUS_LEFT_DOMAIN
+    assert np.any(late & (blocked.status == cut)) and np.any(~late)
+    retired_at = blocked.end_times[late & (blocked.status == STATUS_RETIRED)]
+    assert np.unique(retired_at).size > 10  # inside blocks of up to 42 steps
+
+
+@pytest.mark.parametrize("stride", range(1, 8))
+def test_blocks_equal_single_steps_in_the_monitor(monkeypatch, bench_field, stride):
+    """The battery monitor, with a gauge, two-level last times and groups
+    that retire together, gives bitwise the same sweep and outcome table in
+    blocks as step by step, at every sampling stride."""
+    from safestab.reach import _Monitor
+
+    rng = np.random.default_rng(stride)
+    sys = PerturbedSystem(bench_field, 0.25, 50.0)
+    starts = rng.uniform(-1.4, 1.9, (10, 1))
+    groups = rng.integers(0, 20, 10 * 8)
+    A = Box((-0.2,), (0.2,))
+    levels = np.array([0.05, 0.3])[:, None, None]
+
+    def run():
+        mon = _Monitor(groups.size, gauge=A.dist_many, groups=groups, stride=stride,
+                       first=lambda pts, d, rows: d >= 2.0,
+                       last=lambda pts, d, rows: d >= levels)
+        res = run_sweep(sys, starts, [_bench_policy(c) for c in range(8)], 2.0, 1e-2,
+                        freeze_domain=Box((-1.5,), (100.0,)), observer=mon)
+        return res, mon
+
+    (blocked, mon_b), (stepped, mon_s) = _blocked_and_stepped(monkeypatch, run)
+    _assert_same_bits(blocked, stepped)
+    _assert_same_bits(mon_b, mon_s, ("first", "last", "peak", "latest"))
+    assert np.any((blocked.status == STATUS_RETIRED) & (blocked.end_times > 0))

@@ -436,15 +436,16 @@ def _sequential_shell_run(sys, A, battery, c, eps, horizon, dt):
     R = starts.shape[0] * len(battery)
     first, peak, latest = np.full(R, np.inf), np.full(R, -np.inf), np.zeros(R)
 
-    def observer(step, t, X, rows, D):
-        if step % stride:
-            return None
-        d = A.dist_many(X)
-        peak[rows] = np.maximum(peak[rows], d)
-        latest[rows] = d
-        hit = d >= eps
-        first[rows[hit & np.isinf(first[rows])]] = t
-        return np.full(rows.size, hit.any())
+    def observer(steps, ts, X, rows, D):
+        for i in np.flatnonzero(steps % stride == 0):
+            d = A.dist_many(X[i])
+            peak[rows] = np.maximum(peak[rows], d)
+            latest[rows] = d
+            hit = d >= eps
+            first[rows[hit & np.isinf(first[rows])]] = ts[i]
+            if hit.any():
+                return np.full(rows.size, i)
+        return None
 
     res = run_sweep(sys, starts, battery, horizon, dt, observer=observer)
     hard = (peak >= eps) | (res.status == STATUS_BLOWUP)
@@ -491,7 +492,7 @@ def _sequential_probe(sys, A, eps_schedule, battery, horizon, dt, delta_floor):
 
     rho = 0.9 * best
     starts = _shell_points(A.hull_box(), rho)
-    levels = np.asarray(eps_schedule)[:, None]
+    levels = np.asarray(eps_schedule)[:, None, None]
     mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
                    last=lambda pts, d, rows: d >= levels,
                    stride=max(1, int(round(OBSERVE_DT / dt))))
@@ -753,8 +754,9 @@ def test_monitor_table_equals_full_array_reference(bench, seed, stride, levels, 
     """Under seeded random retirement on top of the monitor's own group
     retirement, the in-place table (gauge peak and latest, first, single-
     or multi-level last, groups, a per-row threshold) equals the reference
-    exactly, call by call in what it retires and at the end.  Without
-    groups a row is flagged first many times, and keeps its first time."""
+    run step by step over each block, exactly, block by block in what it
+    retires and at the end.  Without groups a row is flagged first many
+    times, and keeps its first time."""
     from safestab.dynamics import STATUS_RETIRED, RowState, run_sweep
     from safestab.reach import _Monitor
 
@@ -767,24 +769,34 @@ def test_monitor_table_equals_full_array_reference(bench, seed, stride, levels, 
     groups = rng.integers(0, 50, n_rows) if grouped else None
     eps = rng.uniform(0.3, 1.5, n_rows)
     eps_at = RowState(write_back=False, eps=eps)
+    block_levels = np.asarray(levels)[..., None]
     mon = _Monitor(n_rows, gauge=A.dist_many, groups=groups, stride=stride,
                    first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"],
-                   last=lambda pts, d, rows: d >= levels)
+                   last=lambda pts, d, rows: d >= block_levels)
     ref = _FullArrayMonitor(n_rows, lambda pts, d, rows: d >= eps[rows],
                             lambda pts, d, rows: d >= levels, A.dist_many, groups, stride)
-    retired = []
+    retired, blocks = [], []
 
-    def both(step, t, X, rows, D):
-        stop, want = mon(step, t, X, rows, D), ref(step, t, X, rows, D)
-        assert (stop is None) == (want is None)
+    def both(steps, ts, X, rows, D):
+        stop = mon(steps, ts, X, rows, D)
+        blocks.append(steps.size)
+        # the reference sees the block step by step, without the rows it retired
+        want = np.full(rows.size, -1)
+        for i, (k, t) in enumerate(zip(steps.tolist(), ts.tolist())):
+            on = np.flatnonzero(want < 0)
+            got = ref(k, t, X[i, on], rows[on], D[i, on])
+            if got is not None:
+                want[on[got]] = i
+        assert (stop is None) == (not np.any(want >= 0))
         if stop is not None:
             np.testing.assert_array_equal(stop, want)
-        chance = rng.random(rows.size) < 0.01
+        # once both have seen the whole block, retire a few more rows at its end
+        chance = (rng.random(rows.size) < 0.03) & (want < 0)
         retired.append(chance.sum())
-        return chance if stop is None else stop | chance
+        return np.where(chance, steps.size - 1, want)
 
     res = run_sweep(sys, starts, battery, 4.0, 0.01, observer=both)
-    assert sum(retired) > 20 and np.any(res.status == STATUS_RETIRED)
+    assert sum(retired) > 20 and np.any(res.status == STATUS_RETIRED) and max(blocks) > 20
     assert np.isfinite(ref.first).sum() > 10 and (not grouped or ref.lost.sum() > 5)
     for name in ("first", "last", "peak", "latest"):
         np.testing.assert_array_equal(getattr(mon, name), getattr(ref, name), err_msg=name)
@@ -807,18 +819,18 @@ def test_monitor_updates_its_table_in_place(bench):
     starts = np.linspace(-1.2, 0.45, 1500)[:, None]
     n_rows = starts.shape[0] * len(battery)  # 16,500
     A = Box((ROOT_LEFT,), (0.5,))
-    levels = np.array([[0.05], [0.1], [0.2]])
+    levels = np.array([[0.05], [0.1], [0.2]])[..., None]
     eps_at = RowState(write_back=False, eps=np.full(n_rows, 0.9))
     mon = _Monitor(n_rows, gauge=A.dist_many, groups=np.arange(n_rows) % 1500,
                    first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"],
                    last=lambda pts, d, rows: d >= levels)
     excess, size = [], [0]
 
-    def observer(step, t, X, rows, D):
+    def observer(steps, ts, X, rows, D):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        stop = mon(step, t, X, rows, D)
-        if step > 0 and rows.size == size[0]:
+        stop = mon(steps, ts, X, rows, D)
+        if steps[0] > 0 and rows.size == size[0]:
             excess.append(tracemalloc.get_traced_memory()[1] - held)
         size[0] = rows.size
         return stop

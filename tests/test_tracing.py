@@ -127,3 +127,23 @@ def test_violated_benchmark_probe_runs_two_shell_sweeps():
                                 delta_floor=0.005)
     assert rep.verdict == "violated"
     assert len(sweeps) == 2
+
+
+def test_observer_runs_once_per_block_of_steps():
+    """A traced 500-step sweep of 22 rows that no row leaves early calls its
+    observer once at t=0 and once per block of K steps, not once per step."""
+    tracing = _load_tracing()
+    rec = tracing.SpanRecorder()
+    rec.install()
+    try:
+        sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.1)
+        grid = geometry.make_grid(geometry.Box((-2.0,), (2.0,)), 0.5)
+        battery = dynamics.default_policy_battery(sys_, n_random=8)
+        reach.reach_tube(sys_, geometry.Box((0.1,), (0.9,)), 5.0, grid, battery, 0.01)
+        (sweep,) = rec.sweeps
+        assert sweep[1:4] == (22, 2, 500)  # rows, starts, steps
+        calls = sum(rec.names[i] == tracing.OBSERVER for i in rec.name)
+    finally:
+        rec.uninstall()
+    K = min(max(dynamics.BLOCK_FLOATS // 22, 1), dynamics.BLOCK_STEPS)
+    assert K > 1 and calls == math.ceil(500 / K) + 1
