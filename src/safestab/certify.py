@@ -78,7 +78,6 @@ class Certificate:
 
 @dataclass
 class ConditionResult:
-    name: str
     status: str              # pass_sampled | fail | skipped
     margin: float            # min slack of the inequality over checked points
     worst_point: tuple | None
@@ -86,17 +85,6 @@ class ConditionResult:
     rhs: float | None = None
     n_points: int = 0
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "margin": None if math.isnan(self.margin) else self.margin,
-            "worst_point": None if self.worst_point is None else list(self.worst_point),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "n_points": self.n_points,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -113,15 +101,6 @@ class CertificateReport:
     def failed_conditions(self) -> list[str]:
         return [k for k, c in self.conditions.items() if c.status == "fail"]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "conditions": {k: c.to_dict() for k, c in self.conditions.items()},
-            "tolerances": self.tolerances,
-            "skipped_points": self.skipped_points,
-            "semantics": self.semantics,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Worst-case Lie derivatives
@@ -136,19 +115,18 @@ def lie_many(V: ScalarField, sys: PerturbedSystem, X: np.ndarray, sign: float) -
     return np.sum(G * F, axis=1) + sign * sys.delta * np.sqrt(np.sum(G * G, axis=1))
 
 
-def _reduce(name: str, slack: np.ndarray, pts: np.ndarray, lhs=None, rhs=None,
+def _reduce(slack: np.ndarray, pts: np.ndarray, lhs=None, rhs=None,
             note: str = "") -> ConditionResult:
     """Pass iff min slack >= 0; the worst point is deterministic (min slack,
     ties by row order)."""
     if slack.size == 0:
-        return ConditionResult(name, "skipped", math.nan, None, n_points=0,
-                               note=note or "no grid points to check")
+        return ConditionResult("skipped", math.nan, None, note=note or "no grid points to check")
     bad = ~np.isfinite(slack)
     slack = np.where(bad, -np.inf, slack)
     i = int(np.argmin(slack))
     status = "pass_sampled" if slack[i] >= 0.0 else "fail"
     return ConditionResult(
-        name, status, float(slack[i]), tuple(float(v) for v in np.atleast_1d(pts[i])),
+        status, float(slack[i]), tuple(float(v) for v in np.atleast_1d(pts[i])),
         lhs=None if lhs is None else float(lhs[i]),
         rhs=None if rhs is None else float(rhs[i]),
         n_points=int(slack.size), note=note,
@@ -193,9 +171,9 @@ def check_lyapunov_certificate(
     tol = COND_TOL * (1.0 + np.abs(V))
 
     conditions = {
-        "lower_bound": _reduce("lower_bound", V + tol - a1, X, lhs=a1, rhs=V),
-        "upper_bound": _reduce("upper_bound", a2 + tol - V, X, lhs=V, rhs=a2),
-        "decrease": _reduce("decrease", (-V + tol) - lie, X, lhs=lie, rhs=-V),
+        "lower_bound": _reduce(V + tol - a1, X, lhs=a1, rhs=V),
+        "upper_bound": _reduce(a2 + tol - V, X, lhs=V, rhs=a2),
+        "decrease": _reduce((-V + tol) - lie, X, lhs=lie, rhs=-V),
     }
     return CertificateReport(
         conditions,
@@ -242,38 +220,37 @@ def check_lyapunov_barrier_pair(
 
     conditions = {}
     conditions["V_zero_on_A"] = _reduce(
-        "V_zero_on_A", tolV[on_A] - np.abs(V[on_A]), X[on_A], lhs=V[on_A],
+        tolV[on_A] - np.abs(V[on_A]), X[on_A], lhs=V[on_A],
         note=f"{int(on_A.sum())} grid points on A",
     )
     floor = pd_coeff * np.minimum(rA[off_A], rA[off_A] ** 2)
     conditions["V_positive_definite"] = _reduce(
-        "V_positive_definite", V[off_A] - floor, X[off_A], lhs=V[off_A], rhs=floor,
+        V[off_A] - floor, X[off_A], lhs=V[off_A], rhs=floor,
         note=f"floor pd_coeff*min(r, r^2), pd_coeff={pd_coeff:g}",
     )
     lieV = lie_many(cert.V, sys, X, +1.0)
     strict = _strict_tol(V, strict_tol)
     conditions["V_strict_decrease_off_A"] = _reduce(
-        "V_strict_decrease_off_A", (-strict[off_A]) - lieV[off_A], X[off_A],
-        lhs=lieV[off_A],
+        (-strict[off_A]) - lieV[off_A], X[off_A], lhs=lieV[off_A],
         note="worst-case Lie derivative of V < 0 on D minus the A tube",
     )
 
     w_pts = pts[W.contains_many(pts)]
     Bw = cert.B.eval_many(w_pts)
-    conditions["B_nonneg_on_W"] = _reduce("B_nonneg_on_W", Bw, w_pts, lhs=Bw)
+    conditions["B_nonneg_on_W"] = _reduce(Bw, w_pts, lhs=Bw)
 
     u_pts = pts[U.contains_many(pts)]
     Bu = cert.B.eval_many(u_pts)
     strictB = _strict_tol(Bu, strict_tol)
     conditions["B_negative_on_U"] = _reduce(
-        "B_negative_on_U", (-strictB) - Bu, u_pts, lhs=Bu,
+        (-strictB) - Bu, u_pts, lhs=Bu,
         note="U checked on U intersected with the grid domain",
     )
 
     lieB = lie_many(cert.B, sys, X, -1.0)
     tolB = COND_TOL * (1.0 + np.abs(cert.B.eval_many(X)))
     conditions["B_nondecreasing"] = _reduce(
-        "B_nondecreasing", lieB + tolB, X, lhs=lieB,
+        lieB + tolB, X, lhs=lieB,
         note="best-case Lie derivative of B >= 0 on D",
     )
 

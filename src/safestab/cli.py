@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -41,9 +40,10 @@ from .converse import (
     validate_lyapunov,
 )
 from .dynamics import ensemble
-from .geometry import Box, DistanceIndicator, ProperIndicator, _write_csv, make_grid
+from .geometry import Box, DistanceIndicator, ProperIndicator, _write_csv, as_report, make_grid
 from .reach import (
     DELTA_FLOOR,
+    EPS_SCHEDULE,
     check_ras,
     check_sws,
     maximal_invariant,
@@ -90,11 +90,12 @@ class _Run:
         return self.dir / name
 
     def finish(self, **fields) -> Path:
-        self.report.update(fields)
+        # as_report leaves out the config echo, which keeps its -inf box corners
+        self.report.update(as_report(fields))
         self.report["elapsed_seconds"] = round(time.perf_counter() - self.t0, 3)
         out = self.dir / "report.json"
         with open(out, "w") as fh:
-            json.dump(self.report, fh, indent=2, default=_json_default)
+            json.dump(self.report, fh, indent=2)
         click.echo(f"report: {out}")
         return out
 
@@ -112,16 +113,6 @@ def _fresh_dir(root: Path, name: str) -> Path:
         except FileExistsError:
             suffix += 1
             path = root / f"{name}-{suffix}"
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return str(value)
 
 
 @click.group()
@@ -266,7 +257,7 @@ def verify_ras(cfg, run):
     verdict = check_ras(
         cfg.system, W, U, Om, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
     )
-    run.finish(verdict=verdict.to_dict())
+    run.finish(verdict=verdict)
     click.echo(f"ras: {verdict.satisfied}"
                + (f" (witness_T={verdict.witness_T:g})" if verdict.witness_T is not None else ""))
     return _VERDICT_EXIT[verdict.satisfied]
@@ -281,10 +272,10 @@ def verify_sws(cfg, run):
     A = blk.set("stable", "A")
     verdict = check_sws(
         cfg.system, W, U, A, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
-        eps_schedule=blk.nums("eps_schedule", [0.1, 0.25, 0.5]),
+        eps_schedule=blk.nums("eps_schedule", EPS_SCHEDULE),
         probe_horizon=blk.span("probe_horizon", None),
     )
-    run.finish(verdict=verdict.to_dict())
+    run.finish(verdict=verdict)
     click.echo(f"sws: {verdict.satisfied}")
     return _VERDICT_EXIT[verdict.satisfied]
 
@@ -295,11 +286,11 @@ def probe_uas_cmd(cfg, run):
     blk = cfg.command_block("uas")
     A = blk.set("stable", "A")
     report = probe_uas(
-        cfg.system, A, blk.nums("eps_schedule", [0.1, 0.25, 0.5]), cfg.make_battery(seed=run.seed),
+        cfg.system, A, blk.nums("eps_schedule", EPS_SCHEDULE), cfg.make_battery(seed=run.seed),
         blk.span("horizon", cfg.horizon), cfg.dt,
         rho=blk.num("rho", None), delta_floor=blk.num("delta_floor", DELTA_FLOOR),
     )
-    run.finish(probe=report.to_dict())
+    run.finish(probe=report)
     click.echo(f"uas probe: {report.verdict}")
     return EXIT_YES if report.verdict == "consistent_with_UAS" else EXIT_NO
 
@@ -338,9 +329,10 @@ def check_cert(cfg, run):
         omega = DistanceIndicator(A) if om_dom is None else ProperIndicator(A, om_dom)
         cert = Certificate(V=V, D=D, alpha1=alpha1, alpha2=alpha2, omega=omega)
         report = check_lyapunov_certificate(cert, cfg.system, grid)
+    written = as_report(report)
     with open(run.artifact("certificate_report.json"), "w") as fh:
-        fh.write(json.dumps(report.to_dict(), indent=2))
-    run.finish(certificate=report.to_dict())
+        fh.write(json.dumps(written, indent=2))
+    run.finish(certificate=written)
     click.echo("certificate: " + ("pass_sampled" if report.passed else
                                   f"fail ({', '.join(report.failed_conditions())})"))
     return EXIT_YES if report.passed else EXIT_NO
@@ -401,7 +393,7 @@ def construct_lyapunov(cfg, run):
         pair={"lam": pair.lam, "power": pair.power, "min_margin": pair.min_margin},
         mu=mu,
         provenance=Vnum.provenance,
-        validation=validation.to_dict(),
+        validation=validation,
     )
     click.echo(f"construct-lyapunov: validation {'pass' if validation.passed else 'fail'}")
     return EXIT_YES if validation.passed else EXIT_NO

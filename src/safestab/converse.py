@@ -485,19 +485,6 @@ class LyapunovValidation:
     def passed(self) -> bool:
         return self.sandwich_passed and self.decrease_passed
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sandwich_passed": self.sandwich_passed,
-            "decrease_passed": self.decrease_passed,
-            "worst_sandwich_margin": self.worst_sandwich_margin,
-            "worst_decrease_ratio": self.worst_decrease_ratio,
-            "n_samples": self.n_samples,
-            "taus": list(self.taus),
-            "tol": self.tol,
-            "failures": self.failures[:50],
-        }
-
 
 def validate_lyapunov(
     Vnum: NumericLyapunov,

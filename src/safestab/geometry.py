@@ -23,13 +23,13 @@ A predicate reduces over the n state columns as a left fold of in-place
 column ufuncs (``_fold``), bit for bit what ``ufunc.reduce(axis=1)`` gives
 but without its per-call set-up; float sums of n >= 8 columns keep numpy's
 pairwise ``np.add.reduce``.  CSV artifacts are written in blocks of rows
-with savetxt's ``%.18e`` format (``_write_csv``).
+with savetxt's ``%.18e`` format (``_write_csv``), report.json by ``as_report``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -55,6 +55,8 @@ _MASK_DIST_CHUNK = 1 << 20
 #: the most rows a predicate keeps work arrays for; a larger call allocates
 #: its own, so a grid-sized call leaves no grid-sized buffer behind
 _WORK_ROWS = 1 << 16
+#: the most items of a list of records that report.json writes
+REPORT_ITEMS = 50
 
 
 def _work(bufs: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -88,6 +90,33 @@ def _write_csv(path, data: np.ndarray, header: str) -> None:
         for i in range(0, data.shape[0], _WORK_ROWS):
             block = data[i : i + _WORK_ROWS]
             fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def as_report(value):
+    """``value`` as report.json writes it: a dataclass as its ``passed``
+    property, if it has one, then its fields in declaration order, a list
+    field of records cut to REPORT_ITEMS items and followed by ``n_<field>``,
+    its full length, but a field declared ``list[tuple]`` (a table) whole;
+    dicts, lists and tuples item by item; a non-finite float as None and a
+    numpy scalar as its Python number; anything else as it is."""
+    if is_dataclass(value):
+        out = {}
+        if isinstance(getattr(type(value), "passed", None), property):
+            out["passed"] = value.passed
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if isinstance(item, list) and str(f.type) != "list[tuple]":
+                out[f.name] = as_report(item[:REPORT_ITEMS])
+                out[f"n_{f.name}"] = len(item)
+            else:
+                out[f.name] = as_report(item)
+        return out
+    if isinstance(value, dict):
+        return {k: as_report(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_report(v) for v in value]
+    value = value.item() if isinstance(value, np.generic) else value
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 class GridSizeError(ValueError):

@@ -27,7 +27,7 @@ from .dynamics import (
     run_sweep,
     step_count,
 )
-from .geometry import Box, Grid, MaskSet, SetSpec, _work
+from .geometry import Box, Grid, MaskSet, SetSpec, _work, as_report
 
 __all__ = [
     "Counterexample",
@@ -56,6 +56,8 @@ INCONCLUSIVE = "inconclusive"
 SETTLE_FRACTION = 0.75
 #: smallest stability radius probe_uas resolves
 DELTA_FLOOR = 1e-3
+#: the eps levels of probe_uas when a command block gives none
+EPS_SCHEDULE = (0.1, 0.25, 0.5)
 #: bisection steps per eps level of probe_uas
 BISECT_ITERS = 10
 #: a probe run whose final distance exceeds GROWTH_FLAG times its start fails
@@ -73,15 +75,6 @@ class Counterexample:
     time: float
     kind: str
     value: float = math.nan
-
-    def to_dict(self) -> dict:
-        return {
-            "x0": list(self.x0),
-            "policy": self.policy,
-            "time": self.time,
-            "kind": self.kind,
-            "value": None if math.isnan(self.value) else self.value,
-        }
 
 
 def _grid_starts(grid: Grid, S: SetSpec, name: str):
@@ -304,17 +297,6 @@ class InvarianceReport:
     n_starts: int
     n_policies: int
     semantics: str = "sampled"
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "n_starts": self.n_starts,
-            "n_policies": self.n_policies,
-            "escapes": [c.to_dict() for c in self.escapes[:50]],
-            "n_escapes": len(self.escapes),
-            "semantics": self.semantics,
-        }
 
 
 def check_invariance(
@@ -562,17 +544,6 @@ class SpecVerdict:
     details: dict = field(default_factory=dict)
     semantics: str = "sampled battery: 'no' is falsification, 'yes' is evidence"
 
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "satisfied": self.satisfied,
-            "witness_T": self.witness_T,
-            "counterexamples": [c.to_dict() for c in self.counterexamples[:50]],
-            "n_counterexamples": len(self.counterexamples),
-            "details": self.details,
-            "semantics": self.semantics,
-        }
-
 
 def check_ras(
     sys: PerturbedSystem,
@@ -646,7 +617,7 @@ def check_sws(
     horizon: float,
     dt: float,
     *,
-    eps_schedule=(0.1, 0.25, 0.5),
+    eps_schedule=EPS_SCHEDULE,
     probe_horizon: float | None = None,
 ) -> SpecVerdict:
     """Stability with safety: A must probe as uniformly asymptotically stable
@@ -672,7 +643,7 @@ def check_sws(
     else:
         verdict = INCONCLUSIVE
     details = {
-        "probe": probe.to_dict(),
+        "probe": as_report(probe),
         "n_W_cells": int(w_cells.size),
         "n_W_not_winning": int(missing.size),
         "conv_radius": win.conv_radius,
@@ -686,26 +657,14 @@ def check_sws(
 
 @dataclass
 class UASProbeReport:
-    eps_table: list            # [(eps, delta_eps)]
+    eps_table: list[tuple]     # [(eps, delta_eps)]
     rho: float | None
-    attractivity: list         # [(eps, T_eps)]
+    attractivity: list[tuple]  # [(eps, T_eps)]
     verdict: str               # consistent_with_UAS | violated
     counterexamples: list
     delta_floor: float
     horizon: float
     semantics: str = "sampled"
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_table": [[e, d] for e, d in self.eps_table],
-            "rho": self.rho,
-            "attractivity": [[e, (None if t is None or math.isinf(t) else t)] for e, t in self.attractivity],
-            "verdict": self.verdict,
-            "counterexamples": [c.to_dict() for c in self.counterexamples[:50]],
-            "delta_floor": self.delta_floor,
-            "horizon": self.horizon,
-            "semantics": self.semantics,
-        }
 
 
 def _shell_points(hull: Box, c: float) -> np.ndarray:

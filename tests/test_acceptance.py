@@ -41,6 +41,7 @@ from safestab.converse import (
     fit_sontag_pair,
     validate_lyapunov,
 )
+from safestab.geometry import as_report
 from safestab.reach import probe_uas, reach_tube, winning_set
 
 from conftest import record_acceptance
@@ -145,7 +146,7 @@ def test_criterion_3_robustness_gap():
         if 0.5 < ce.x0[0] <= 0.51 and "+0.25" in ce.policy
         and ce.kind in ("left_eps_shell", "blow_up")
     ]
-    assert witnesses, [c.to_dict() for c in rep_bad.counterexamples]
+    assert witnesses, [as_report(c) for c in rep_bad.counterexamples]
     # reproduce the reported counterexample and confirm it escapes past 1.0
     tr = integrate(sys_bad, list(witnesses[0].x0), ConstantPolicy([0.25]), 250.0, 5e-3)
     assert tr.states.max() > 1.0
@@ -242,7 +243,7 @@ def test_criterion_5_certificate_checker_soundness():
     cond = bad1.conditions["B_nondecreasing"]
     assert cond.status == "fail"
     assert abs(cond.worst_point[0]) < 0.4
-    assert bad1.to_dict() == bad2.to_dict()
+    assert as_report(bad1) == as_report(bad2)
     record_acceptance(
         "criterion 5 PASS: pair passes at delta=0; at delta=0.4 the barrier "
         f"condition fails at x={cond.worst_point[0]:+.3f} (|x| < 0.4), deterministically"

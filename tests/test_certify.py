@@ -21,6 +21,7 @@ from safestab.certify import (
     lie_many,
 )
 from safestab.converse import PowerMonotone
+from safestab.geometry import as_report
 from test_expr import at
 
 
@@ -142,7 +143,7 @@ class TestPairCertificate:
         assert cond.status == "fail"
         assert abs(cond.worst_point[0]) < 0.4
         # the report carries the counterexample: the worst point and its Lie derivative
-        reported = rep.to_dict()["conditions"]["B_nondecreasing"]
+        reported = as_report(rep)["conditions"]["B_nondecreasing"]
         assert reported["worst_point"] == list(cond.worst_point)
         assert reported["margin"] < 0 and reported["lhs"] < 0
 
@@ -173,7 +174,7 @@ class TestPairCertificate:
         sys = PerturbedSystem(self.f, 0.4)
         r1 = check_lyapunov_barrier_pair(cert, sys, self.A, self.W, self.U, self.grid)
         r2 = check_lyapunov_barrier_pair(cert, sys, self.A, self.W, self.U, self.grid)
-        assert r1.to_dict() == r2.to_dict()
+        assert as_report(r1) == as_report(r2)
 
     def test_json_serialization(self):
         B = parse_scalar_field("1 - x^2", ["x"])
@@ -183,7 +184,7 @@ class TestPairCertificate:
         )
         import json
 
-        parsed = json.loads(json.dumps(rep.to_dict()))
+        parsed = json.loads(json.dumps(as_report(rep)))
         assert parsed["passed"] is True
         assert set(parsed["conditions"]) == {
             "V_zero_on_A", "V_positive_definite", "V_strict_decrease_off_A",

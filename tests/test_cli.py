@@ -437,6 +437,34 @@ class TestVerdictCommands:
         result = run_cli(["verify-sws", "--config", path, "--out", str(tmp_path / "r")])
         assert result.exit_code == 0, result.output
 
+    def test_verify_sws_w_miss_report_is_strict_json(self, tmp_path):
+        # the W cells in U are not winning; their counterexamples carry no time
+        cfg = base_config(
+            system={"dim": 1, "state_vars": ["x"], "f": ["-x"], "delta": 0.0},
+            battery={"n_random": 2, "seed": 5, "dwell": 0.1},
+            integration={"dt": 0.01, "horizon": 8.0},
+            grid={"domain": {"lo": [-1.5], "hi": [1.5]}, "resolution": 0.05},
+            sws={"initial": "WL", "unsafe": "UL", "stable": "O",
+                 "eps_schedule": [0.25, 0.5], "probe_horizon": 8.0},
+        )
+        cfg["sets"]["O"] = {"kind": "box", "lo": [0.0], "hi": [0.0]}
+        cfg["sets"]["WL"] = {"kind": "box", "lo": [-1.0], "hi": [1.0]}
+        cfg["sets"]["UL"] = {"kind": "box", "lo": [0.8], "hi": [3.0]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "r"
+        result = run_cli(["verify-sws", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        report = json.loads(next(out.glob("verify-sws-*/report.json")).read_text())
+        misses = [c for c in report["verdict"]["counterexamples"]
+                  if c["kind"] == "unsafe_or_divergent_from_W"]
+        assert misses and all(c["time"] is None for c in misses)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        results = {k: v for k, v in report.items() if k != "config"}
+        json.loads(json.dumps(results), parse_constant=reject)
+
 
 class TestCertificateCommand:
     def test_pair_pass_and_fail(self, tmp_path):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -19,6 +21,10 @@ from safestab import (
     make_grid,
     parse_scalar_field,
 )
+from safestab.certify import CertificateReport, ConditionResult
+from safestab.converse import LyapunovValidation
+from safestab.geometry import REPORT_ITEMS, as_report
+from safestab.reach import Counterexample, SpecVerdict, UASProbeReport
 
 
 def column(*xs):
@@ -396,3 +402,46 @@ def test_cell_index_of_cell_center_round_trips(grid, data):
     flat, inside = grid.cell_index_many(grid.point_of(idx))
     assert inside.all()
     np.testing.assert_array_equal(flat, idx)
+
+
+class TestAsReport:
+    def test_record_lists_are_cut_and_counted(self):
+        ces = [Counterexample((float(i),), "zero", 1.0, "escape") for i in range(60)]
+        out = as_report(SpecVerdict("ras", "no", None, ces))
+        assert list(out) == ["spec", "satisfied", "witness_T", "counterexamples",
+                             "n_counterexamples", "details", "semantics"]
+        assert len(out["counterexamples"]) == REPORT_ITEMS == 50
+        assert out["n_counterexamples"] == 60
+        assert out["counterexamples"][7] == {"x0": [7.0], "policy": "zero", "time": 1.0,
+                                             "kind": "escape", "value": None}
+
+    def test_tables_are_written_whole(self):
+        eps_table = [(0.01 * (i + 1), 0.005 * (i + 1)) for i in range(60)]
+        out = as_report(UASProbeReport(eps_table, None, [(0.1, math.inf), (0.2, 3.5)],
+                                       "violated", [], 1e-3, 10.0))
+        assert out["eps_table"] == [list(row) for row in eps_table]
+        assert out["attractivity"] == [[0.1, None], [0.2, 3.5]]
+        assert "n_eps_table" not in out and "n_attractivity" not in out
+        assert out["n_counterexamples"] == 0
+
+    def test_passed_comes_first(self):
+        cond = ConditionResult("fail", -1.0, (0.5,), lhs=math.inf, rhs=math.nan)
+        cert = as_report(CertificateReport({"decrease": cond}, {"cond_tol": 1e-9}))
+        assert list(cert) == ["passed", "conditions", "tolerances", "skipped_points",
+                              "semantics"]
+        assert cert["passed"] is False
+        assert cert["conditions"]["decrease"] == {
+            "status": "fail", "margin": -1.0, "worst_point": [0.5], "lhs": None,
+            "rhs": None, "n_points": 0, "note": ""}
+        val = as_report(LyapunovValidation(True, True, 0.1, 0.5, 10, (0.5, 1.0), 0.05))
+        assert list(val)[0] == "passed" and val["passed"] is True
+        assert val["taus"] == [0.5, 1.0] and val["n_failures"] == 0
+
+    def test_numpy_scalars_become_python_numbers(self):
+        out = as_report({"i": np.int64(3), "f": np.float64(0.5), "inf": np.float64(np.inf)})
+        assert out == {"i": 3, "f": 0.5, "inf": None}
+        assert type(out["i"]) is int and type(out["f"]) is float
+
+    def test_unknown_object_is_not_written(self):
+        with pytest.raises(TypeError):
+            json.dump(as_report({"x": object()}), io.StringIO())
