@@ -29,6 +29,7 @@ from .dynamics import (
     STATUS_RETIRED,
     PerturbedSystem,
     RowState,
+    record_sweep,
     run_sweep,
     step_count,
 )
@@ -205,17 +206,9 @@ def estimate_kl_envelope(
     n_steps = step_count(horizon, dt)
     t_idx = np.unique(np.linspace(0, n_steps, ENVELOPE_TIMES).astype(int))
     t_samples = t_idx * dt
-    # frozen rows are escapes: their later columns keep the inf fill
-    profiles = np.full((m * P, t_idx.size), np.inf)
-
-    def obs(steps, ts, X, rows, D):
-        lo, hi = np.searchsorted(t_idx, [steps[0], steps[-1] + 1])
-        if lo < hi:
-            at = X[t_idx[lo:hi] - steps[0]]
-            values = omega.value_many(at.reshape(-1, X.shape[2]))
-            profiles[rows, lo:hi] = values.reshape(hi - lo, rows.size).T
-
-    res = run_sweep(sys, X0, battery, horizon, dt, observer=obs, freeze_domain=_freeze_box(region))
+    res, profiles = record_sweep(sys, X0, battery, horizon, dt, t_idx,
+                                 value=lambda X, D: omega.value_many(X),
+                                 freeze_domain=_freeze_box(region))
     if np.any(res.status != STATUS_HORIZON):
         r = int(np.nonzero(res.status != STATUS_HORIZON)[0][0])
         raise NotSettlingError(
@@ -225,7 +218,7 @@ def estimate_kl_envelope(
             "region is not inside the attraction domain"
         )
     if not np.all(np.isfinite(profiles)):
-        r = int(np.nonzero(~np.isfinite(profiles).all(axis=1))[0][0])
+        r = int(np.nonzero(~np.isfinite(profiles).all(axis=0))[0][0])
         raise NotSettlingError(
             f"omega diverged along the trajectory from {X0[res.start_index[r]].tolist()}"
         )
@@ -237,9 +230,9 @@ def estimate_kl_envelope(
     groups = [g for g in groups if g.size]
     s_bins = np.array([s0[g].max() for g in groups])
     raw = np.zeros((len(groups), t_idx.size))
-    prof_by_start = profiles.reshape(P, m, t_idx.size)
+    prof_by_start = profiles.reshape(t_idx.size, P, m)
     for b, g in enumerate(groups):
-        raw[b] = prof_by_start[:, g, :].max(axis=(0, 1))
+        raw[b] = prof_by_start[:, :, g].max(axis=(1, 2))
     # merge bins with duplicate representatives (keep the max rows)
     keep_s, keep_rows = [], []
     for b in range(len(groups)):
@@ -526,25 +519,14 @@ def validate_lyapunov(
              "V": float(Vx[i]), "alpha2": float(a2[i])}
         )
 
-    states_at = {}  # step -> (running rows, their states)
-
-    def record(steps, ts, Y, rows, D):
-        for k in tau_steps:
-            if steps[0] <= k <= steps[-1]:
-                states_at[k] = (rows, Y[k - steps[0]].copy())
-
-    res = run_sweep(sys, X, battery, max(taus), Vnum.dt, observer=record,
-                    freeze_domain=_freeze_box(Vnum.region))
+    steps = sorted(set(tau_steps))
+    res, states = record_sweep(sys, X, battery, max(taus), Vnum.dt, steps,
+                               freeze_domain=_freeze_box(Vnum.region))
     worst_ratio = 0.0
     decrease_ok = True
     V_start = np.tile(Vx, P)  # V at each row's start
     for tau, k in zip(taus, tau_steps):
-        # a row that stopped earlier, or every row once the sweep stopped,
-        # keeps its final state
-        Y = res.states.copy()
-        if k in states_at:
-            Y[states_at[k][0]] = states_at[k][1]
-        Vy = Vnum.value_many(Y)
+        Vy = Vnum.value_many(states[steps.index(k)])
         decayed = V_start * math.exp(-Vnum.mu * tau)
         bound = decayed * (1.0 + tol) + ZERO_FLOOR
         ratio = np.where(V_start > ZERO_FLOOR, Vy / np.maximum(decayed, 1e-300), 0.0)
@@ -552,7 +534,7 @@ def validate_lyapunov(
         bad = Vy > bound
         if np.any(bad):
             decrease_ok = False
-            for r in np.nonzero(bad)[0][:10]:
+            for r in np.nonzero(bad)[0]:
                 failures.append(
                     {
                         "check": "decrease",

@@ -8,9 +8,9 @@ results "sampled".
 
 Integration is fixed-step RK4 with the disturbance held constant within each
 step.  The batched engine (`run_sweep`) advances many trajectories at once as
-numpy arrays; `ensemble` runs one such sweep over a whole battery from one
-start and records every path, and `integrate` is its one-policy case.  A row's
-result does not depend on the other rows of its sweep, so results are
+numpy arrays; `record_sweep` records chosen steps of a sweep, `ensemble` every
+path of a battery from one start, and `integrate` is its one-policy case.  A
+row's result does not depend on the other rows of its sweep, so results are
 bit-identical for identical (system, start, policy, horizon, dt, seed).
 """
 
@@ -36,6 +36,7 @@ __all__ = [
     "ensemble",
     "default_policy_battery",
     "run_sweep",
+    "record_sweep",
     "step_count",
     "SweepResult",
     "STATUS_RUNNING",
@@ -493,6 +494,44 @@ def run_sweep(
     return SweepResult(states, status, end_times, start_index, policy_index, dists)
 
 
+def record_sweep(sys: PerturbedSystem, starts, policies, horizon: float, dt: float, at, *,
+                 value=lambda X, D: X, freeze_domain: Box | None = None):
+    """``run_sweep`` that also returns ``value`` of every row at each step
+    number in ``at`` (ascending, non-empty) as one (len(at), R, ...) array;
+    ``value(X, D)`` maps (N, n) states and the disturbances of the steps
+    that reached them to an (N, ...) array.  From the step at which a row
+    stopped onward (past the horizon, for every row), its entries hold the
+    value of its final state and disturbance, so none is left unset."""
+    policies = list(policies)
+    at = np.asarray(at, dtype=np.int64)
+    R = np.atleast_2d(starts).shape[0] * len(policies)
+    seen = np.zeros(R, dtype=np.int64)  # each row's entries recorded so far
+    out = []
+
+    def put(i, rows, v):
+        if not out:
+            out.append(np.empty((at.size, R) + v.shape[2:], v.dtype))
+        out[0][i, rows] = v
+
+    def record(steps, ts, X, rows, D):
+        lo, hi = np.searchsorted(at, (steps[0], steps[-1] + 1))
+        if lo < hi:
+            k, n = at[lo:hi] - steps[0], X.shape[2]
+            v = value(X[k].reshape(-1, n), D[k].reshape(-1, n))
+            put(slice(lo, hi), rows, v.reshape(hi - lo, rows.size, *v.shape[1:]))
+            seen[rows] = hi
+
+    res = run_sweep(sys, starts, policies, horizon, dt, freeze_domain=freeze_domain,
+                    observer=record)
+    fill = np.flatnonzero(seen < at.size)
+    if fill.size:
+        v = value(res.states[fill], res.disturbances[fill])[None]
+        for i in np.unique(seen[fill]):
+            hit = seen[fill] == i
+            put(slice(i, None), fill[hit], v[:, hit])
+    return res, out[0]
+
+
 # ---------------------------------------------------------------------------
 # Single trajectories
 
@@ -500,7 +539,8 @@ def run_sweep(
 @dataclass
 class Trajectory:
     """One solution record: strictly increasing times from 0, the states, and
-    the disturbance applied on each step (last entry repeats)."""
+    in ``disturbances[i]`` the disturbance applied on the step that reached
+    ``states[i]`` (entry 0 repeats entry 1)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -552,39 +592,18 @@ def ensemble(
     one sweep; per-trajectory failures terminate that trajectory without
     aborting the ensemble."""
     policies = list(policies)
-    if not policies:
-        raise ValueError("ensemble needs a non-empty policy list")
     x0 = np.asarray(x0, dtype=float).ravel()
-    n_steps = step_count(horizon, dt)
-    shape = (n_steps + 1, len(policies), x0.size)
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty(shape)
-    dists = np.zeros(shape)
-
-    def recorder(steps, ts, X, rows, D):
-        block = slice(steps[0], steps[-1] + 1)
-        states[block, rows] = X
-        dists[block, rows] = D
-
-    res = run_sweep(sys, x0[None, :], policies, horizon, dt,
-                    freeze_domain=domain, observer=recorder)
+    at = np.arange(step_count(horizon, dt) + 1)
+    res, paths = record_sweep(sys, x0[None, :], policies, horizon, dt, at,
+                              value=lambda X, D: np.stack((X, D), axis=1), freeze_domain=domain)
     trajectories = []
     for p, pol in enumerate(policies):
         reason = res.reason(p)
         # a blown-up row's state at its freeze time is undefined: keep the last good one
         last = int(round(res.end_times[p] / dt)) - (reason == "blow_up")
-        if reason == "left_domain":  # the observer never sees the exit state
-            states[last, p] = res.states[p]
-            dists[last, p] = res.disturbances[p]
-        trajectories.append(
-            Trajectory(
-                times[: last + 1].copy(),
-                states[: last + 1, p].copy(),
-                dists[: last + 1, p].copy(),
-                terminated_reason=reason,
-                policy_label=pol.label,
-            )
-        )
+        path = paths[: last + 1, p]
+        trajectories.append(Trajectory(at[: last + 1] * dt, path[:, 0].copy(),
+                                       path[:, 1].copy(), reason, pol.label))
     return trajectories
 
 

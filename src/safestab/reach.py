@@ -24,6 +24,7 @@ from .dynamics import (
     STATUS_LEFT_DOMAIN,
     PerturbedSystem,
     RowState,
+    record_sweep,
     run_sweep,
     step_count,
 )
@@ -399,26 +400,19 @@ def maximal_invariant(
     P = len(battery)
     w_steps = step_count(dwell_window, dt, "dwell_window")
 
-    # the cell each row visits at each step of the window (-1 = outside)
-    visited = np.full((m * P, w_steps + 1), -1, dtype=np.int64)
-
-    def trace(steps, ts, X, rows, D):
-        cells = grid.cell_index_many(X.reshape(-1, X.shape[2]))[0]
-        visited[rows, steps[0] : steps[-1] + 1] = cells.reshape(steps.size, rows.size).T
-
-    run_sweep(sys, starts, battery, w_steps * dt, dt, freeze_domain=grid.domain, observer=trace)
+    # the cell each row visits at each step of the window
+    res, visited = record_sweep(sys, starts, battery, w_steps * dt, dt, np.arange(w_steps + 1),
+                                value=lambda X, D: grid.cell_index_many(X)[0],
+                                freeze_domain=grid.domain)
+    stayed = res.status == STATUS_HORIZON
     candidate = np.zeros(grid.size, dtype=bool)
     candidate[cells0] = True
-    valid = visited >= 0
     iterations = 0
     while True:
         iterations += 1
-        inside = np.where(valid, candidate[np.where(valid, visited, 0)], False)
-        row_ok = np.all(inside | ~valid, axis=1) & np.all(valid, axis=1)
-        start_ok = row_ok.reshape(P, m).all(axis=0)
-        new_candidate = np.zeros_like(candidate)
-        new_candidate[cells0[start_ok]] = True
-        new_candidate &= candidate
+        row_ok = np.all(candidate[visited], axis=0) & stayed
+        new_candidate = candidate.copy()
+        new_candidate[cells0[~row_ok.reshape(P, m).all(axis=0)]] = False
         if np.array_equal(new_candidate, candidate):
             break
         candidate = new_candidate
@@ -631,10 +625,9 @@ def check_sws(
     win = winning_set(sys, A, U, grid, battery, horizon, dt, eval_cells=w_cells)
     missing = w_cells[~win.mask[w_cells]]
     counterexamples = list(probe.counterexamples)
-    for c in missing[:50]:
-        x0 = tuple(float(v) for v in grid.point_of(np.array([c]))[0])
+    for c, x0 in zip(missing, grid.point_of(missing).tolist()):
         kind = "unsettled_from_W" if win.inconclusive[c] else "unsafe_or_divergent_from_W"
-        counterexamples.append(Counterexample(x0, "battery", math.nan, kind))
+        counterexamples.append(Counterexample(tuple(x0), "battery", math.nan, kind))
     stable = probe.verdict == "consistent_with_UAS"
     if stable and missing.size == 0:
         verdict = YES
@@ -827,7 +820,7 @@ def probe_uas(
     for eps, (delta_eps, _, fails) in zip(eps_schedule, search):
         if delta_eps < delta_floor:
             violated = True
-            counterexamples.extend(fails[:20])
+            counterexamples.extend(fails)
         best = max(best, delta_eps)
         eps_table.append((eps, max(delta_eps, eps_table[-1][1] if eps_table else 0.0)))
 

@@ -22,6 +22,7 @@ from safestab.converse import (
     fit_sontag_pair,
     validate_lyapunov,
 )
+from safestab.geometry import as_report
 
 
 def value_at(V, x):
@@ -286,6 +287,18 @@ class TestValidation:
         assert val.passed
         # actual decay rate 1 >= mu = 0.25, so the ratio stays below e^{-(1-mu)tau}
         assert val.worst_decrease_ratio <= math.exp(-0.75 * 0.5) + 1e-6
+
+    def test_every_decrease_failure_is_recorded(self):
+        # x' = x grows, so all 40 starts x 3 policies x 2 taus fail the decrease
+        esys = PerturbedSystem(parse_vector_field(["x"], ["x"]), 0.0)
+        bat = default_policy_battery(esys, n_random=0)
+        omega = DistanceIndicator(Box((0.0,), (0.0,)))
+        V = NumericLyapunov(esys, omega, PowerMonotone(1), 0.2, bat, 1.0, 1e-2)
+        xs = np.linspace(0.1, 1.0, 40)[:, None]
+        val = validate_lyapunov(V, PowerMonotone(1, 100.0), xs, taus=(0.5, 1.0))
+        assert len(bat) == 3 and val.sandwich_passed and not val.decrease_passed
+        assert len(val.failures) == 240
+        assert as_report(val)["n_failures"] == 240
 
     def test_zero_point_passes_trivially(self, linear_setup):
         sys, omega, battery, _, env = linear_setup

@@ -116,6 +116,15 @@ class TestPolicies:
         norms = np.abs(tr.disturbances[:-1, 0])
         np.testing.assert_allclose(norms, bench_sys.delta, atol=1e-12)
 
+    def test_disturbance_is_the_one_that_reached_each_state(self):
+        # refreshed every other step: entry 0 repeats entry 1, and entry i is
+        # the value applied on the step from states[i - 1]
+        sys = PerturbedSystem(parse_vector_field(["0", "0"], ["x", "y"]), 0.5)
+        pol = PiecewiseRandomPolicy(seed=3, dwell=0.02)
+        d = integrate(sys, [0.0, 0.0], pol, 0.1, 1e-2).disturbances
+        same = [np.array_equal(d[i], d[i + 1]) for i in range(5)]
+        assert same == [True, True, False, True, False]
+
     def test_extremal_feedback_follows_gradient(self):
         sys = PerturbedSystem(parse_vector_field(["0", "0"], ["x", "y"]), 1.0)
         g = parse_scalar_field("x", ["x", "y"])  # gradient (1, 0)
@@ -594,6 +603,38 @@ def test_blocks_equal_single_steps_under_random_retirement(monkeypatch, bench_fi
     assert np.any(late & (blocked.status == cut)) and np.any(~late)
     retired_at = blocked.end_times[late & (blocked.status == STATUS_RETIRED)]
     assert np.unique(retired_at).size > 10  # inside blocks of up to 42 steps
+
+
+@pytest.mark.parametrize("seed, bound", [(0, 50.0), (1, 1e6), (2, 50.0), (3, 1e6)])
+def test_record_sweep_holds_the_final_values_from_each_end_step(monkeypatch, bench_field, seed,
+                                                                 bound):
+    """``record_sweep`` records the same bits in blocks as step by step, and
+    from the step at which a row stopped onward it holds the row's final
+    state and disturbance: t=0 freezes, blow-ups (bound 50), domain exits
+    (bound 1e6), and steps past the horizon, where every row has stopped."""
+    from safestab.dynamics import record_sweep
+
+    rng = np.random.default_rng(seed)
+    sys = PerturbedSystem(bench_field, 0.25, bound)
+    starts = np.vstack([rng.uniform(-1.8, 4.0, (11, 1)), [[-1.8]]])
+    at = np.arange(240)  # the horizon is step 200
+
+    def run():
+        return record_sweep(sys, starts, [_bench_policy(c) for c in range(8)], 2.0, 1e-2, at,
+                            value=lambda X, D: np.stack((X, D), axis=1),
+                            freeze_domain=Box((-1.5,), (100.0,)))
+
+    (res, blocked), (_, stepped) = _blocked_and_stepped(monkeypatch, run)
+    assert blocked.shape == (240, 96, 2, 1)
+    assert np.array_equal(blocked.view(np.int64), stepped.view(np.int64))
+    assert np.array_equal(blocked[0, :, 0], np.tile(starts, (8, 1)))
+    end = np.rint(res.end_times / 1e-2)
+    cut = STATUS_BLOWUP if bound == 50.0 else STATUS_LEFT_DOMAIN
+    assert np.any((res.status == cut) & (end > 0)) and np.any(end == 0)
+    final = np.stack((res.states, res.disturbances), axis=1).view(np.int64)
+    for r in range(96):
+        held = blocked[at >= end[r], r].view(np.int64)
+        assert np.array_equal(held, np.broadcast_to(final[r], held.shape)), r
 
 
 @pytest.mark.parametrize("stride", range(1, 8))

@@ -14,6 +14,7 @@ from safestab import (
     make_grid,
     parse_vector_field,
 )
+from safestab.geometry import as_report
 from safestab.reach import (
     check_invariance,
     check_ras,
@@ -675,6 +676,18 @@ class TestSwsCounterexampleKinds:
         assert v.counterexamples
         assert {c.kind for c in v.counterexamples} == {"unsafe_or_divergent_from_W"}
         assert v.details["n_W_not_winning"] == v.details["n_W_cells"]
+
+
+    def test_every_w_miss_is_a_counterexample(self, linear_sys):
+        # the 100 W cells in [0.5, 1] start inside U; all of them are reported
+        grid = make_grid(Box((-1.5,), (1.5,)), 0.005)
+        v = check_sws(linear_sys, Box((-1.0,), (1.0,)), Box((0.5,), (3.0,)), self.A, grid,
+                      [ZeroPolicy()], 8.0, 1e-2, eps_schedule=[0.25, 0.5], probe_horizon=8.0)
+        assert v.details["probe"]["verdict"] == "consistent_with_UAS"
+        assert v.details["n_W_not_winning"] == 100
+        assert len(v.counterexamples) == 100
+        assert as_report(v)["n_counterexamples"] == 100
+        assert all(0.5 <= c.x0[0] <= 1.0 for c in v.counterexamples)
 
 
 def test_shell_points_2d_faces_and_corners():
