@@ -40,7 +40,7 @@ from .converse import (
     validate_lyapunov,
 )
 from .dynamics import ensemble
-from .geometry import Box, DistanceIndicator, ProperIndicator, _write_csv, as_report, make_grid
+from .geometry import Box, ProperIndicator, _write_csv, as_report, make_grid
 from .reach import (
     DELTA_FLOOR,
     EPS_SCHEDULE,
@@ -133,9 +133,10 @@ def command(name: str, *options):
 
     The scaffold owns the common options, loading the config, the run and
     its report, and exit code 2 for every input error (ValueError, which
-    ConfigError and the library's input errors are, or NotSettlingError);
-    the body parses its block, calls the library, writes its artifacts and
-    report fields, and returns its exit code."""
+    ConfigError and the library's input errors are, NotSettlingError, or a
+    RecursionError from an expression that nests too deeply); the body
+    parses its block, calls the library, writes its artifacts and report
+    fields, and returns its exit code."""
 
     def register(body):
         @functools.wraps(body)
@@ -143,8 +144,9 @@ def command(name: str, *options):
             try:
                 cfg = load_config(config_path)
                 code = body(cfg, _Run(cfg, name, out_dir, seed), **kwargs)
-            except (ValueError, NotSettlingError) as ex:
-                click.echo(f"config error: {ex}", err=True)
+            except (ValueError, NotSettlingError, RecursionError) as ex:
+                why = "the input nests too deeply" if isinstance(ex, RecursionError) else ex
+                click.echo(f"config error: {why}", err=True)
                 sys.exit(EXIT_CONFIG)
             sys.exit(code)
 
@@ -325,8 +327,7 @@ def check_cert(cfg, run):
         alpha2 = PowerMonotone(a2.num("power", 1), a2.num("scale", 1.0))
         om = blk.block("omega", {})
         A = om.set("stable", "A")
-        om_dom = om.set("domain", None)
-        omega = DistanceIndicator(A) if om_dom is None else ProperIndicator(A, om_dom)
+        omega = ProperIndicator(A, om.set("domain", None))
         cert = Certificate(V=V, D=D, alpha1=alpha1, alpha2=alpha2, omega=omega)
         report = check_lyapunov_certificate(cert, cfg.system, grid)
     written = as_report(report)
@@ -348,11 +349,7 @@ def construct_lyapunov(cfg, run):
         raise ConfigError("lyapunov.region", "the sampling region must be a box")
     A = blk.set("stable", "A")
     om_dom = blk.get("omega_domain", blk.get("region", "D"))
-    omega = (
-        DistanceIndicator(A)
-        if om_dom is None
-        else ProperIndicator(A, blk.set("omega_domain", om_dom))
-    )
+    omega = ProperIndicator(A, blk.set("omega_domain", om_dom))
     sample_res = blk.num("sample_resolution", 10 * cfg.grid_resolution)
     n_validation = blk.count("n_validation", 200)
     n_bins = blk.count("n_bins", 20)

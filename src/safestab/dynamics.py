@@ -611,6 +611,17 @@ def ensemble(
 # Policy battery
 
 
+def _directions(n: int) -> np.ndarray:
+    """The signed axes e_1, -e_1, ..., e_n, -e_n and then, for n > 1, the 2^n
+    sign vectors of the cube's vertices (row k is +1 on axis i where bit i
+    of k is set, else -1), in this order."""
+    axes = np.stack([np.eye(n), 0.0 - np.eye(n)], axis=1).reshape(2 * n, n)
+    if n == 1:
+        return axes
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return np.concatenate([axes, np.where(bits == 1, 1.0, -1.0)])
+
+
 def default_policy_battery(
     sys: PerturbedSystem,
     n_random: int = 8,
@@ -636,15 +647,8 @@ def default_policy_battery(
         seen.add(key)
         policies.append(ConstantPolicy(delta * direction))
 
-    for i in range(n):
-        for s in (+1.0, -1.0):
-            e = np.zeros(n)
-            e[i] = s
-            add_constant(e)
-    if n > 1:
-        for bits in range(2**n):
-            v = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
-            add_constant(v / np.sqrt(n))
+    for d in _directions(n):
+        add_constant(d / np.linalg.norm(d))
     for g in set_fields:
         policies.append(ExtremalFeedbackPolicy(g, +1))
         policies.append(ExtremalFeedbackPolicy(g, -1))

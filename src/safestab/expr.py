@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,158 +109,111 @@ class Where(Expr):
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# a number starts with a digit, or '.' and a digit, and takes an exponent
+# only when digits follow; whitespace (all that no group matches) is skipped
+_TOKEN = re.compile(
+    r"(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^(),])|(?P<bad>\S)"
+)
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # 'num', 'ident', 'op', 'end'
-    text: str
-    pos: int  # 1-based
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based position) of each token, then an 'end' token."""
+    tokens = []
+    for m in _TOKEN.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character '{text}'", pos)
+        if kind == "num":
             try:
                 value = float(text)
             except ValueError:
-                raise ParseError(f"malformed number '{text}'", i + 1) from None
+                raise ParseError(f"malformed number '{text}'", pos) from None
             if math.isinf(value):
-                raise ParseError(f"number '{text}' overflows a float", i + 1)
-            tokens.append(_Token("num", text, i + 1))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], i + 1))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            tokens.append(_Token("op", c, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character '{c}'", i + 1)
-    tokens.append(_Token("end", "", n + 1))
+                raise ParseError(f"number '{text}' overflows a float", pos)
+        tokens.append((kind, text, pos))
+    tokens.append(("end", "", len(source) + 1))
     return tokens
 
 
+_LEVELS = ("+-", "*/")  # the binary operator levels, loosest first
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], var_index: dict[str, int]):
+    # binary(0) := binary(1) (('+'|'-') binary(1))*
+    # binary(1) := signed(power) (('*'|'/') signed(power))*
+    # signed(p) := '-' signed(p) | p
+    # power     := atom ('^' signed(atom))*          (left-associative)
+    # atom      := number | ident | ident '(' args ')' | '(' binary(0) ')'
+    def __init__(self, tokens: list[tuple[str, str, int]], var_index: dict[str, int]):
         self.tokens = tokens
         self.var_index = var_index
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
+    def take(self, ops: str) -> tuple[str, str, int] | None:
+        """Consume and return the next token if it is one of the operators ``ops``."""
         tok = self.tokens[self.i]
+        if tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+        return None
+
+    def close(self, open_pos: int, at_end: str) -> None:
+        """Consume the ')' of the '(' at ``open_pos``; ``at_end`` is the
+        message when the input ends first."""
+        kind, text, pos = self.tokens[self.i]
+        if kind == "end":
+            raise ParseError(at_end, open_pos)
+        if text != ")":
+            raise ParseError(f"expected ')', found '{text}'", pos)
         self.i += 1
-        return tok
 
-    def expect(self, text: str, context_pos: int | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        if tok.kind == "end" and context_pos is not None:
-            raise ParseError(f"expected '{text}' before end of input", context_pos)
-        raise ParseError(f"expected '{text}', found '{tok.text or 'end of input'}'", tok.pos)
-
-    # expr   := term (('+'|'-') term)*
-    # term   := unary (('*'|'/') unary)*
-    # unary  := '-' unary | power
-    # power  := atom ('^' signed_atom)*          (left-associative)
-    # atom   := number | ident | ident '(' args ')' | '(' expr ')'
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_term())
+    def parse_binary(self, level: int = 0) -> Expr:
+        node = None
+        while node is None or (tok := self.take(_LEVELS[level])):
+            rhs = (self.parse_binary(level + 1) if level + 1 < len(_LEVELS)
+                   else self.parse_signed(self.parse_power))
+            node = rhs if node is None else Binary(tok[1], node, rhs)
         return node
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_power()
+    def parse_signed(self, operand) -> Expr:  # operand: parse_power or parse_atom
+        if self.take("-"):
+            return Unary("neg", self.parse_signed(operand))
+        return operand()
 
     def parse_power(self) -> Expr:
         node = self.parse_atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            node = Binary("^", node, self.parse_signed_atom())
+        while self.take("^"):
+            node = Binary("^", node, self.parse_signed(self.parse_atom))
         return node
 
-    def parse_signed_atom(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Unary("neg", self.parse_signed_atom())
-        return self.parse_atom()
-
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if self.peek().kind == "op" and self.peek().text == "(":
-                open_pos = self.advance().pos
-                if name not in UNARY_FUNCTIONS and name not in BINARY_FUNCTIONS:
-                    raise UnknownIdentifierError(name, tok.pos)
-                args = [self.parse_expr()]
-                while self.peek().kind == "op" and self.peek().text == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect(")", context_pos=open_pos)
-                if name in UNARY_FUNCTIONS:
-                    if len(args) != 1:
-                        raise ParseError(f"{name} takes one argument", tok.pos)
-                    return Unary(name, args[0])
-                if len(args) != 2:
-                    raise ParseError(f"{name} takes two arguments", tok.pos)
-                return Binary(name, args[0], args[1])
-            if name in self.var_index:
-                return Var(name, self.var_index[name])
-            raise UnknownIdentifierError(name, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            open_pos = self.advance().pos
-            node = self.parse_expr()
-            if self.peek().kind == "end":
-                raise ParseError("unclosed '('", open_pos)
-            self.expect(")", context_pos=open_pos)
+        kind, text, pos = self.tokens[self.i]
+        if kind == "end":
+            raise ParseError("unexpected end of input", self.tokens[max(self.i - 1, 0)][2])
+        self.i += 1
+        if kind == "num":
+            return Const(float(text))
+        if kind == "ident":
+            if paren := self.take("("):
+                if text not in UNARY_FUNCTIONS and text not in BINARY_FUNCTIONS:
+                    raise UnknownIdentifierError(text, pos)
+                args = [self.parse_binary()]
+                while self.take(","):
+                    args.append(self.parse_binary())
+                self.close(paren[2], "expected ')' before end of input")
+                unary = text in UNARY_FUNCTIONS
+                if len(args) != 2 - unary:
+                    arity = "one argument" if unary else "two arguments"
+                    raise ParseError(f"{text} takes {arity}", pos)
+                return Unary(text, *args) if unary else Binary(text, *args)
+            if text in self.var_index:
+                return Var(text, self.var_index[text])
+            raise UnknownIdentifierError(text, pos)
+        if text == "(":
+            node = self.parse_binary()
+            self.close(pos, "unclosed '('")
             return node
-        if tok.kind == "end":
-            prev = self.tokens[self.i - 1] if self.i > 0 else tok
-            raise ParseError("unexpected end of input", prev.pos)
-        raise ParseError(f"unexpected token '{tok.text}'", tok.pos)
+        raise ParseError(f"unexpected token '{text}'", pos)
 
 
 def parse(source: str, var_names: list[str] | tuple[str, ...]) -> Expr:
@@ -268,10 +222,10 @@ def parse(source: str, var_names: list[str] | tuple[str, ...]) -> Expr:
     if len(var_index) != len(var_names):
         raise ValueError(f"duplicate variable names in {list(var_names)}")
     parser = _Parser(_tokenize(source), var_index)
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing token '{tok.text}'", tok.pos)
+    node = parser.parse_binary()
+    kind, text, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing token '{text}'", pos)
     return node
 
 
@@ -374,6 +328,41 @@ def _neg(a: Expr) -> Expr:
     return Unary("neg", a)
 
 
+def _power_rule(a: Expr, b: Expr, da: Expr, db: Expr) -> Expr:
+    if isinstance(b, Const):
+        n = b.value
+        if n == 0.0:
+            return _ZERO
+        if n == 1.0:
+            return da
+        power = a if n == 2.0 else Binary("^", a, Const(n - 1.0))
+        return _mul(_mul(b, power), da)
+    # general u^v via exp(v log u)
+    return _mul(Binary("^", a, b), _add(_mul(db, Unary("log", a)), _div(_mul(b, da), a)))
+
+
+# the derivative of op(u) from (u, du), of op(a, b) from (a, b, da, db)
+_RULES = {
+    "neg": lambda u, du: _neg(du),
+    "sin": lambda u, du: _mul(Unary("cos", u), du),
+    "cos": lambda u, du: _neg(_mul(Unary("sin", u), du)),
+    "exp": lambda u, du: _mul(Unary("exp", u), du),
+    "log": lambda u, du: _div(du, u),
+    "sqrt": lambda u, du: _div(du, _mul(Const(2.0), Unary("sqrt", u))),
+    "tanh": lambda u, du: _mul(_sub(_ONE, _mul(Unary("tanh", u), Unary("tanh", u))), du),
+    # d|u| = du for u > 0, -du otherwise (left branch at u = 0)
+    "abs": lambda u, du: Where(u, du, _neg(du)),
+    "+": lambda a, b, da, db: _add(da, db),
+    "-": lambda a, b, da, db: _sub(da, db),
+    "*": lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)),
+    "/": lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), Binary("^", b, Const(2.0))),
+    "^": _power_rule,
+    # a > b: b is active; a tie picks a (the left argument)
+    "min": lambda a, b, da, db: Where(_sub(a, b), db, da),
+    "max": lambda a, b, da, db: Where(_sub(b, a), db, da),
+}
+
+
 def derivative(e: Expr, var_index: int) -> Expr:
     """Symbolic partial derivative.  Kinks of abs/min/max differentiate to the
     left branch (encoded via Where nodes, whose ties pick the 'neg' side)."""
@@ -382,84 +371,25 @@ def derivative(e: Expr, var_index: int) -> Expr:
     if isinstance(e, Var):
         return _ONE if e.index == var_index else _ZERO
     if isinstance(e, Unary):
-        da = derivative(e.arg, var_index)
-        u = e.arg
-        if e.op == "neg":
-            return _neg(da)
-        if e.op == "sin":
-            return _mul(Unary("cos", u), da)
-        if e.op == "cos":
-            return _neg(_mul(Unary("sin", u), da))
-        if e.op == "exp":
-            return _mul(Unary("exp", u), da)
-        if e.op == "log":
-            return _div(da, u)
-        if e.op == "sqrt":
-            return _div(da, _mul(Const(2.0), Unary("sqrt", u)))
-        if e.op == "tanh":
-            t = Unary("tanh", u)
-            return _mul(_sub(_ONE, _mul(t, t)), da)
-        if e.op == "abs":
-            # d|u| = du for u > 0, -du otherwise (left branch at u = 0)
-            return Where(u, da, _neg(da))
-        raise TypeError(f"unknown unary op {e.op}")
+        return _RULES[e.op](e.arg, derivative(e.arg, var_index))
     if isinstance(e, Binary):
-        da = derivative(e.a, var_index)
-        db = derivative(e.b, var_index)
-        a, b = e.a, e.b
-        if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
-        if e.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if e.op == "/":
-            return _div(_sub(_mul(da, b), _mul(a, db)), Binary("^", b, Const(2.0)))
-        if e.op == "^":
-            if isinstance(b, Const):
-                n = b.value
-                if n == 0.0:
-                    return _ZERO
-                if n == 1.0:
-                    return da
-                power = a if n == 2.0 else Binary("^", a, Const(n - 1.0))
-                return _mul(_mul(b, power), da)
-            # general u^v via exp(v log u)
-            term = _add(_mul(db, Unary("log", a)), _div(_mul(b, da), a))
-            return _mul(e, term)
-        if e.op == "min":
-            # a > b: b is active; tie picks a (the left argument)
-            return Where(_sub(a, b), db, da)
-        if e.op == "max":
-            return Where(_sub(b, a), db, da)
-        raise TypeError(f"unknown binary op {e.op}")
+        return _RULES[e.op](e.a, e.b, derivative(e.a, var_index), derivative(e.b, var_index))
     if isinstance(e, Where):
         return Where(e.cond, derivative(e.pos, var_index), derivative(e.neg, var_index))
     raise TypeError(f"unknown node {e!r}")
 
 
-def _free_vars(e: Expr, acc: set[str]) -> None:
-    if isinstance(e, Var):
-        acc.add(e.name)
-    elif isinstance(e, Unary):
-        _free_vars(e.arg, acc)
-    elif isinstance(e, Binary):
-        _free_vars(e.a, acc)
-        _free_vars(e.b, acc)
-    elif isinstance(e, Where):
-        _free_vars(e.cond, acc)
-        _free_vars(e.pos, acc)
-        _free_vars(e.neg, acc)
+_KIDS = {Unary: ("arg",), Binary: ("a", "b"), Where: ("cond", "pos", "neg")}
 
 
-def _has_kinks(e: Expr) -> bool:
-    if isinstance(e, Unary):
-        return e.op in NON_SMOOTH_OPS or _has_kinks(e.arg)
-    if isinstance(e, Binary):
-        return e.op in NON_SMOOTH_OPS or _has_kinks(e.a) or _has_kinks(e.b)
-    if isinstance(e, Where):
-        return True
-    return False
+def _nodes(e: Expr):
+    """Every node of the tree under e, e included."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        for k in _KIDS.get(type(e), ()):
+            stack.append(getattr(e, k))
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +450,7 @@ class _Emitter:
             return self._const(e.value)
         if isinstance(e, Var):
             return xs[e.index]
-        kids = {Unary: ("arg",), Binary: ("a", "b"), Where: ("cond", "pos", "neg")}[type(e)]
-        args = [self._operand(getattr(e, k), xs) for k in kids]
+        args = [self._operand(getattr(e, k), xs) for k in _KIDS[type(e)]]
         if all(a.startswith("_c") for a in args):
             with np.errstate(all="ignore"):
                 return self._const(eval(self._scalar(e, args), self.ns))
@@ -550,6 +479,17 @@ class _Emitter:
 # Fields
 
 
+def _columns(points, dim: int) -> tuple[int, list[np.ndarray]]:
+    """The number of points in an (m, dim) array (a (dim,) array is one
+    point) and its contiguous columns."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.shape[1] != dim:
+        raise ValueError(f"points have dimension {pts.shape[1]}, field expects {dim}")
+    return pts.shape[0], [np.ascontiguousarray(pts[:, k]) for k in range(dim)]
+
+
 class ScalarField:
     """An expression together with an ordered variable list.
 
@@ -560,9 +500,7 @@ class ScalarField:
     __slots__ = ("expr", "var_names", "dim", "_eval", "_scratch", "_grad")
 
     def __init__(self, expr: Expr, var_names: tuple[str, ...] | list[str]):
-        free: set[str] = set()
-        _free_vars(expr, free)
-        missing = free.difference(var_names)
+        missing = {n.name for n in _nodes(expr) if isinstance(n, Var)}.difference(var_names)
         if missing:
             raise ValueError(f"free variables {sorted(missing)} not in {list(var_names)}")
         self.expr = expr
@@ -576,7 +514,8 @@ class ScalarField:
 
     @property
     def is_smooth(self) -> bool:
-        return not _has_kinks(self.expr)
+        return not any(isinstance(n, Where) or getattr(n, "op", "") in NON_SMOOTH_OPS
+                       for n in _nodes(self.expr))
 
     @property
     def source(self) -> str:
@@ -585,15 +524,10 @@ class ScalarField:
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (m, dim) array; returns shape (m,).
         Domain failures produce NaN/Inf entries instead of raising."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {pts.shape[1]}, field expects {self.dim}")
-        cols = [np.ascontiguousarray(pts[:, k]) for k in range(self.dim)]
-        out = np.empty(pts.shape[0])
+        m, cols = _columns(points, self.dim)
+        out = np.empty(m)
         with np.errstate(all="ignore"):
-            self._eval(*cols, out, *np.empty((self._scratch, pts.shape[0])))
+            self._eval(*cols, out, *np.empty((self._scratch, m)))
         return out
 
     def grad(self, require_smooth: bool = False) -> "VectorField":
@@ -635,12 +569,9 @@ class VectorField:
         return len(self.components)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        out = np.empty((pts.shape[0], len(self.components)), dtype=np.float64)
-        cols = [np.ascontiguousarray(pts[:, k]) for k in range(self.dim)]
-        scratch = np.empty((max(c._scratch for c in self.components), pts.shape[0]))
+        m, cols = _columns(points, self.dim)
+        out = np.empty((m, len(self.components)), dtype=np.float64)
+        scratch = np.empty((max(c._scratch for c in self.components), m))
         with np.errstate(all="ignore"):
             for j, c in enumerate(self.components):
                 c._eval(*cols, out[:, j], *scratch[: c._scratch])

@@ -24,6 +24,7 @@ from .dynamics import (
     STATUS_LEFT_DOMAIN,
     PerturbedSystem,
     RowState,
+    _directions,
     record_sweep,
     run_sweep,
     step_count,
@@ -665,23 +666,11 @@ def _shell_points(hull: Box, c: float) -> np.ndarray:
     along each axis and corners pushed out along the diagonals."""
     lo = np.asarray(hull.lo)
     hi = np.asarray(hull.hi)
-    mid = 0.5 * (lo + hi)
-    n = lo.size
-    pts = []
-    for i in range(n):
-        p = mid.copy()
-        p[i] = hi[i] + c
-        pts.append(p.copy())
-        p[i] = lo[i] - c
-        pts.append(p.copy())
-    if n > 1:
-        shift = c / math.sqrt(n)
-        for bits in range(2**n):
-            sgn = np.array([1.0 if (bits >> i) & 1 else -1.0 for i in range(n)])
-            corner = np.where(sgn > 0, hi, lo)
-            pts.append(corner + sgn * shift)
-    uniq = np.unique(np.round(np.asarray(pts), 12), axis=0)
-    return uniq
+    d = _directions(lo.size)
+    # an axis moves by c, a diagonal by c/sqrt(n) along each of its axes
+    shift = np.where(np.count_nonzero(d, axis=1) > 1, c / math.sqrt(lo.size), c)[:, None]
+    pts = np.where(d > 0, hi + d * shift, np.where(d < 0, lo + d * shift, 0.5 * (lo + hi)))
+    return np.unique(np.round(pts, 12), axis=0)
 
 
 def _bisect(lo: float, hi: float, steps: int, floor: float, fails) -> tuple:
@@ -848,8 +837,7 @@ def probe_uas(
         else:
             times = [float(worst + dt) if np.isfinite(worst) else 0.0
                      for worst in mon.last.max(axis=1)]
-            for j in range(1, len(times)):  # T(eps) nonincreasing in eps
-                times[j] = min(times[j], times[j - 1])
+            # T(eps) is already nonincreasing: eps ascends, so no row's last time at d >= eps rises
             attractivity = list(zip(eps_schedule, times))
 
     verdict = "violated" if violated else "consistent_with_UAS"

@@ -607,6 +607,10 @@ class TestInputErrors:
             ("invariant-set", {"invariant_set": {"target": "Omega", "dwell_window": 0.015}},
              [], "invariant_set.dwell_window"),
             ("simulate", {}, ["--x0", "abc"], "--x0[0]: expected a number"),
+            # a 600-term sum is deeper than the recursion limit lets a field compile
+            ("simulate", {"system": {"dim": 1, "state_vars": ["x"], "delta": 0.25,
+                                     "f": [" + ".join(["-x", "x^2"] + ["0*x"] * 598)]}},
+             [], "the input nests too deeply"),
         ],
     )
     def test_malformed_input_exits_2_and_writes_nothing(self, tmp_path, command, blocks,

@@ -1,11 +1,16 @@
 import math
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safestab
 from safestab import (
     ExtremalFeedbackPolicy,
     PerturbedSystem,
@@ -93,6 +98,35 @@ class TestParse:
         with pytest.raises(ValueError):
             parse("x", ["x", "x"])
 
+    @pytest.mark.parametrize("source, error, message, position", [
+        ("x $ 1", ParseError, "unexpected character '$'", 3),
+        ("1.2.3", ParseError, "malformed number '1.2.3'", 1),
+        ("x + 1e999", ParseError, "number '1e999' overflows a float", 5),
+        ("sin(x", ParseError, "expected ')' before end of input", 4),
+        ("(x + 1", ParseError, "unclosed '('", 1),
+        ("x +", ParseError, "unexpected end of input", 3),
+        ("", ParseError, "unexpected end of input", 1),
+        ("*x", ParseError, "unexpected token '*'", 1),
+        ("x y", ParseError, "unexpected trailing token 'y'", 3),
+        ("sin(x, y)", ParseError, "sin takes one argument", 1),
+        ("max(x)", ParseError, "max takes two arguments", 1),
+        ("sinh(x)", UnknownIdentifierError, "unknown identifier 'sinh'", 1),
+    ])
+    def test_error_message_and_position(self, source, error, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(source, ["x", "y"])
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (position {position})"
+        assert err.value.position == position
+
+    def test_nesting_depth_at_module_level(self):
+        # five frames per parenthesis and two per term of a compiled sum
+        code = ("from safestab.expr import parse, parse_scalar_field\n"
+                "parse('(' * 197 + 'x' + ')' * 197, ['x'])\n"
+                "parse_scalar_field(' + '.join(['x'] * 496), ['x'])\n")
+        src = str(Path(safestab.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
 
 class TestEval:
     def test_benchmark_values(self):
@@ -156,6 +190,12 @@ class TestEval:
         f = parse_scalar_field("x + y", ["x", "y"])
         with pytest.raises(ValueError):
             f.eval_many(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_vector_dimension_mismatch(self, columns):
+        f = parse_vector_field(["x + y", "x"], ["x", "y"])
+        with pytest.raises(ValueError, match=f"dimension {columns}, field expects 2"):
+            f.eval_many(np.ones((3, columns)))
 
     def test_constant_subtrees_follow_numpy_semantics(self):
         pts = np.array([[1.0], [2.0]])
