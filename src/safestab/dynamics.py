@@ -361,7 +361,7 @@ def run_sweep(
     step, n_scratch = sys.f.rk4_step(dt)
     stages = np.empty((4, R, n))
     scratch = np.empty((n_scratch, R))
-    flags = np.empty((2, R, n), dtype=bool)
+    flags = np.empty((2, max(BLOCK_FLOATS, R * n)), dtype=bool)
     # a row leaves [lo, hi] by blowing up (|x| > bound; NaN and +-inf fail
     # every comparison) or by leaving the freeze domain
     bound = min(float(sys.blowup_bound), _FLOAT_MAX)
@@ -379,8 +379,8 @@ def run_sweep(
         contiguous."""
         nonlocal xbuf, dbuf, XB, DB, args, by_period, above, below
         r = rows.size
-        above, below = flags[:, :r]
         K = min(max(BLOCK_FLOATS // (r * n), 1), BLOCK_STEPS)
+        above, below = flags[:, : K * r * n].reshape(2, K, r, n)
         if xbuf.size < (K + 1) * r * n:
             xbuf = np.empty((K + 1) * r * n)
         if dbuf.size < K * r * n:
@@ -459,30 +459,33 @@ def run_sweep(
         while k < n_steps and rows.size:
             r = rows.size
             kk = min(DB.shape[0], n_steps - k)
-            j, failed = 0, False
-            while j < kk and not failed:
+            due: dict[int, list] = {}
+            for period, members in by_period:
+                for j in range(-k % period, kk, period):
+                    due.setdefault(j, []).extend(members)
+            for j in range(kk):
                 if j:
                     np.copyto(DB[j], DB[j - 1])
-                for period, members in by_period:
-                    if (k + j) % period == 0:
-                        for pol, block in members:
-                            pol.values((k + j) * dt, XB[j][block], DB[j][block])
+                for pol, block in due.get(j, ()):
+                    pol.values((k + j) * dt, XB[j][block], DB[j][block])
                 step(*(args[j] or slot_args(j)))
-                j += 1
-                np.greater_equal(XB[j], lo, out=above)
-                np.less_equal(XB[j], hi, out=below)
-                ok = _fold(np.logical_and, np.logical_and(above, below, out=above))
-                failed = np.count_nonzero(ok) < r
+            # one bounds test for the block; it ends at the first failing
+            # step, and the rows still running are integrated again from there
+            X, A, B = XB[1 : kk + 1], above[:kk], below[:kk]
+            np.greater_equal(X, lo, out=A)
+            ok = _fold(np.logical_and, np.logical_and(A, np.less_equal(X, hi, out=B), out=A))
+            failed = np.count_nonzero(ok) < kk * r
+            j = int(np.argmin(ok)) // r + 1 if failed else kk
             if observer is not None and j > failed:
                 observe(k + 1, j - failed, 1, 0)
             k += j
             if failed:
                 # rows the observer retired earlier in the block do not fail
                 running = status[rows] == STATUS_RUNNING
-                np.less_equal(np.abs(XB[j], out=stages[0, :r]), bound, out=below)
-                finite = _fold(np.logical_and, below)
+                np.less_equal(np.abs(XB[j], out=stages[0, :r]), bound, out=B[0])
+                finite = _fold(np.logical_and, B[0])
                 freeze(running & ~finite, STATUS_BLOWUP, k * dt, j - 1, j - 1)
-                freeze(running & finite & ~ok, STATUS_LEFT_DOMAIN, k * dt, j, j - 1)
+                freeze(running & finite & ~ok[j - 1], STATUS_LEFT_DOMAIN, k * dt, j, j - 1)
             compact(j, j - 1)
             if failed and observer is not None and rows.size:
                 observe(k, 1, 0, 0)

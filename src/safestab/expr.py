@@ -450,7 +450,9 @@ class _Emitter:
             return self._const(e.value)
         if isinstance(e, Var):
             return xs[e.index]
-        args = [self._operand(getattr(e, k), xs) for k in _KIDS[type(e)]]
+        args = []
+        for k in _KIDS[type(e)]:  # a loop, not a comprehension: one frame per level
+            args.append(self._operand(getattr(e, k), xs))
         if all(a.startswith("_c") for a in args):
             with np.errstate(all="ignore"):
                 return self._const(eval(self._scalar(e, args), self.ns))

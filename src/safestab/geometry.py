@@ -69,15 +69,16 @@ def _work(bufs: dict, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _fold(ufunc, A: np.ndarray) -> np.ndarray:
-    """``ufunc`` over the columns of the (R, n) array A, folded left to right
-    into A's first column, which is returned: ``ufunc.reduce(A, axis=1)`` bit
-    for bit (up to the sign bit of a NaN or of a zero minimum), except that
-    numpy adds n >= 8 columns pairwise, so such sums keep ``np.add.reduce``."""
-    first = A[:, 0]
-    if A.shape[1] >= 8 and ufunc is np.add:
-        return np.add.reduce(A, axis=1, out=first)
-    for j in range(1, A.shape[1]):
-        ufunc(first, A[:, j], out=first)
+    """``ufunc`` over the n columns of the (..., n) array A, folded left to
+    right into A's first column, which is returned: ``ufunc.reduce(A,
+    axis=-1)`` bit for bit (up to the sign bit of a NaN or of a zero
+    minimum), except that numpy adds n >= 8 columns pairwise, so such sums
+    keep ``np.add.reduce``."""
+    first = A[..., 0]
+    if A.shape[-1] >= 8 and ufunc is np.add:
+        return np.add.reduce(A, axis=-1, out=first)
+    for j in range(1, A.shape[-1]):
+        ufunc(first, A[..., j], out=first)
     return first
 
 

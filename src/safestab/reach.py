@@ -62,6 +62,9 @@ DELTA_FLOOR = 1e-3
 EPS_SCHEDULE = (0.1, 0.25, 0.5)
 #: bisection steps per eps level of probe_uas
 BISECT_ITERS = 10
+#: the steps of each round of probe_uas, summing to BISECT_ITERS: one sweep
+#: tests every radius that a round's steps could visit
+BISECT_ROUNDS = (3, 3, 2, 2)
 #: a probe run whose final distance exceeds GROWTH_FLAG times its start fails
 GROWTH_FLAG = 1.25
 #: time between two distance samples of probe_uas
@@ -722,8 +725,8 @@ def probe_uas(
     that every battery trajectory started at distance c stays strictly inside
     the eps neighborhood; runs whose distance is still growing at the horizon
     (final > GROWTH_FLAG * start) count as failures, so slow escapes are not
-    mistaken for containment.  Each of two rounds tests, in one sweep, every
-    radius that the next half of the steps of every level could visit, then
+    mistaken for containment.  Each round of BISECT_ROUNDS tests, in one
+    sweep, every radius that its steps could visit at every level, then
     replays the bisection from those outcomes.
     Attractivity: from the rho shell (default: 90% of the largest verified
     stability radius), the settle time into each eps neighborhood is the
@@ -785,8 +788,7 @@ def probe_uas(
 
     # per level: the bisection interval (lo, hi) and the failures met on the way
     search = [(0.0, eps, []) for eps in eps_schedule]
-    half = (BISECT_ITERS + 1) // 2
-    for depth in (half, BISECT_ITERS - half):
+    for depth in BISECT_ROUNDS:
         # every interval the next ``depth`` steps test under some outcomes;
         # the bisection's own arithmetic gives each midpoint's exact float
         nodes = {}

@@ -266,6 +266,19 @@ class TestSimulate:
         for t in tables[1:]:
             assert np.array_equal(t, tables[0])
 
+    def test_700_term_sum_compiles_and_runs(self, tmp_path):
+        """A field compiles with one Python frame per term of a sum, so 700
+        terms fit; adding 698 zeros to the benchmark f changes no bit."""
+        csvs = []
+        for f in ("-x + x^2", " + ".join(["-x", "x^2"] + ["0*x"] * 698)):
+            cfg = base_config(system={"dim": 1, "state_vars": ["x"], "f": [f], "delta": 0.25},
+                              simulate={"x0": [-1.0]}, integration={"dt": 0.01, "horizon": 1.0})
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / f"runs{len(csvs)}"
+            assert run_cli(["simulate", "--config", path, "--out", str(out)]).exit_code == 0
+            csvs.append([p.read_bytes() for p in sorted(next(out.glob("simulate-*")).glob("*.csv"))])
+        assert len(csvs[0]) == 11 and csvs[0] == csvs[1]
+
     def test_infinite_constant_term_blows_up(self, tmp_path):
         # 0^-1 is inf like any other non-finite right-hand side
         cfg = base_config(
@@ -607,9 +620,9 @@ class TestInputErrors:
             ("invariant-set", {"invariant_set": {"target": "Omega", "dwell_window": 0.015}},
              [], "invariant_set.dwell_window"),
             ("simulate", {}, ["--x0", "abc"], "--x0[0]: expected a number"),
-            # a 600-term sum is deeper than the recursion limit lets a field compile
+            # a 1200-term sum is deeper than the recursion limit lets a field compile
             ("simulate", {"system": {"dim": 1, "state_vars": ["x"], "delta": 0.25,
-                                     "f": [" + ".join(["-x", "x^2"] + ["0*x"] * 598)]}},
+                                     "f": [" + ".join(["-x", "x^2"] + ["0*x"] * 1198)]}},
              [], "the input nests too deeply"),
         ],
     )

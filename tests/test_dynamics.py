@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from safestab import (
 )
 from safestab.dynamics import (
     _project_ball,
+    BLOCK_FLOATS,
+    BLOCK_STEPS,
     STATUS_BLOWUP,
     STATUS_HORIZON,
     STATUS_LEFT_DOMAIN,
@@ -603,6 +606,40 @@ def test_blocks_equal_single_steps_under_random_retirement(monkeypatch, bench_fi
     assert np.any(late & (blocked.status == cut)) and np.any(~late)
     retired_at = blocked.end_times[late & (blocked.status == STATUS_RETIRED)]
     assert np.unique(retired_at).size > 10  # inside blocks of up to 42 steps
+
+
+@pytest.mark.parametrize("bound", [math.inf, 50.0])
+def test_blocks_equal_single_steps_when_rows_fail_inside_a_block(monkeypatch, bound):
+    """x' = |x| x blows every positive start up and takes every negative one
+    out of the domain, at many steps inside one block; rows that failed are
+    integrated on to the block's end, through inf and NaN under an infinite
+    bound, without a RuntimeWarning, and the observer never sees them."""
+    rng = np.random.default_rng(0)
+    sys = PerturbedSystem(parse_vector_field(["abs(x)*x"], ["x"]), 0.25, bound)
+    starts = np.concatenate([rng.uniform(0.5, 1.0, 6), rng.uniform(-1.0, -0.5, 6)])[:, None]
+    domain = Box((-10.0,), (math.inf,))
+
+    def run():
+        peak = np.zeros(starts.shape[0] * 8)
+
+        def observer(steps, ts, X, rows, D):
+            assert np.all(np.isfinite(X)) and np.all(domain.contains_many(X.reshape(-1, 1)))
+            peak[rows] = np.maximum(peak[rows], np.abs(X).max(axis=(0, 2)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_sweep(sys, starts, [_bench_policy(c) for c in range(8)], 2.0, 1e-2,
+                            freeze_domain=domain, observer=observer)
+        return res, peak
+
+    (blocked, peak_b), (stepped, peak_s) = _blocked_and_stepped(monkeypatch, run)
+    _assert_same_bits(blocked, stepped)
+    assert np.array_equal(peak_b.view(np.int64), peak_s.view(np.int64))
+    blown, left = blocked.status == STATUS_BLOWUP, blocked.status == STATUS_LEFT_DOMAIN
+    assert np.count_nonzero(blown) > 10 and np.count_nonzero(left) > 10
+    fail_steps = np.unique(np.round(blocked.end_times[blown | left] / 1e-2))
+    K = min(BLOCK_FLOATS // starts.shape[0] // 8, BLOCK_STEPS)
+    assert np.any(fail_steps[3:] - fail_steps[:-3] < K)  # four failing steps in K
 
 
 @pytest.mark.parametrize("seed, bound", [(0, 50.0), (1, 1e6), (2, 50.0), (3, 1e6)])

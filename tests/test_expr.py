@@ -120,10 +120,10 @@ class TestParse:
         assert err.value.position == position
 
     def test_nesting_depth_at_module_level(self):
-        # five frames per parenthesis and two per term of a compiled sum
+        # five frames per parenthesis and one per term of a compiled sum
         code = ("from safestab.expr import parse, parse_scalar_field\n"
                 "parse('(' * 197 + 'x' + ')' * 197, ['x'])\n"
-                "parse_scalar_field(' + '.join(['x'] * 496), ['x'])\n")
+                "parse_scalar_field(' + '.join(['x'] * 991), ['x'])\n")
         src = str(Path(safestab.__file__).resolve().parent.parent)
         subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 

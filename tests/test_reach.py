@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from safestab import (
     make_grid,
     parse_vector_field,
 )
+from safestab import reach
 from safestab.geometry import as_report
 from safestab.reach import (
     check_invariance,
@@ -531,8 +533,8 @@ PROBE_CASES = {
         PerturbedSystem(parse_vector_field(["-x + 0.5*y", "-y"], ["x", "y"]), 0.1),
         Box((0.0, 0.0), (0.0, 0.0)), [0.3, 0.5],
         [ZeroPolicy(), ConstantPolicy([0.1, 0.0]), ConstantPolicy([0.0, -0.1])], 5.0, 1e-2, 1e-3),
-    # x' = x fails every shell: the floor stops the search at step 4 (in the
-    # first round), or at steps 7 and 8 (in the second)
+    # x' = x fails every shell: the floor stops the search at bisection step 4
+    # (3 radii tested), or at steps 7 and 8 of the levels 0.25 and 0.5 (6 and 7)
     "floor-round-1": lambda: (
         PerturbedSystem(parse_vector_field(["x"], ["x"]), 0.05), Box((0.0,), (0.0,)), [0.5],
         [ZeroPolicy(), ConstantPolicy([0.05])], 5.0, 1e-2, 0.05),
@@ -544,16 +546,30 @@ PROBE_CASES = {
 }
 
 
+@functools.cache
+def _sequential_report(case):
+    sys, A, eps, battery, horizon, dt, floor = PROBE_CASES[case]()
+    return _sequential_probe(sys, A, eps, battery, horizon, dt, floor)
+
+
 class TestProbeReplaysBisection:
     @pytest.mark.parametrize("case", sorted(PROBE_CASES))
     def test_report_equals_sequential_bisection(self, case):
         sys, A, eps, battery, horizon, dt, floor = PROBE_CASES[case]()
         got = probe_uas(sys, A, eps, battery, horizon, dt, delta_floor=floor)
-        want = _sequential_probe(sys, A, eps, battery, horizon, dt, floor)
-        assert got == want
+        assert got == _sequential_report(case)
         if case.startswith("floor"):
             assert got.verdict == "violated"
             assert len(got.counterexamples) == {"floor-round-1": 3, "floor-round-2": 6 + 7}[case]
+
+    @pytest.mark.parametrize("rounds", [(10,), (5, 5), reach.BISECT_ROUNDS, (1,) * 10])
+    @pytest.mark.parametrize("case", sorted(c for c in PROBE_CASES if not c.startswith("bench")))
+    def test_report_is_independent_of_the_round_schedule(self, monkeypatch, case, rounds):
+        """The rounds only batch the sweeps: any split of the BISECT_ITERS
+        steps replays the same bisection."""
+        assert sum(reach.BISECT_ROUNDS) == reach.BISECT_ITERS
+        monkeypatch.setattr(reach, "BISECT_ROUNDS", rounds)
+        self.test_report_equals_sequential_bisection(case)
 
     def test_bistable_containment_is_not_monotone(self):
         """The search ends near the unstable equilibrium 0.1 although larger

@@ -105,28 +105,39 @@ def _probe_sweeps(*args, **kwargs):
 
 
 @pytest.mark.parametrize("eps_schedule", [[0.5], [0.1, 0.25, 0.5]])
-def test_consistent_probe_runs_two_shell_sweeps_and_one_attractivity_sweep(eps_schedule):
+def test_consistent_probe_runs_one_shell_sweep_per_round_and_one_attractivity_sweep(
+        eps_schedule):
+    """Every shell of x' = -x passes, so each level's search climbs toward
+    eps, far above the floor, and every round of BISECT_ROUNDS has radii to
+    sweep."""
     sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.05)
     rep, sweeps = _probe_sweeps(sys_, geometry.Box((0.0,), (0.0,)), eps_schedule,
                                 dynamics.default_policy_battery(sys_, n_random=1, seed=3),
                                 5.0, 1e-2)
     assert rep.verdict == "consistent_with_UAS"
-    assert len(sweeps) == 3
+    assert len(sweeps) == len(reach.BISECT_ROUNDS) + 1 == 5
     # the attractivity sweep runs the shell at rho only
     assert sweeps[-1][2] == 2
 
 
-def test_violated_benchmark_probe_runs_two_shell_sweeps():
+def test_violated_benchmark_probe_runs_shell_sweeps_down_to_the_floor():
     """Criterion 3's probe at delta = 0.25, on a shorter horizon with a
-    floor to match, needs both bisection rounds (the search at eps = 0.5
-    stops at its 7th step) and, being violated, no attractivity sweep."""
+    floor to match: every shell fails, so level eps tests the radii
+    eps / 2^k down to the floor (the search at eps = 0.5 stops at its 7th
+    step), only the rounds that begin by then run a sweep, and, being
+    violated, the probe runs no attractivity sweep."""
     sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x + x^2"], ["x"]), 0.25)
     A = geometry.Box(((1.0 - math.sqrt(2.0)) / 2.0,), (0.5,))
-    rep, sweeps = _probe_sweeps(sys_, A, [0.1, 0.25, 0.5],
+    levels, floor = [0.1, 0.25, 0.5], 0.005
+    rep, sweeps = _probe_sweeps(sys_, A, levels,
                                 dynamics.default_policy_battery(sys_, 8, 2024), 60.0, 5e-3,
-                                delta_floor=0.005)
+                                delta_floor=floor)
     assert rep.verdict == "violated"
-    assert len(sweeps) == 2
+    steps = max(k for eps in levels for k in range(1, reach.BISECT_ITERS + 1)
+                if eps / 2**k >= floor)
+    first_steps = np.cumsum((0,) + reach.BISECT_ROUNDS[:-1])
+    assert steps == 6
+    assert len(sweeps) == np.count_nonzero(first_steps < steps) == 2
 
 
 def test_observer_runs_once_per_block_of_steps():
