@@ -137,6 +137,15 @@ def _strict_tol(values: np.ndarray, strict_tol: float) -> np.ndarray:
     return strict_tol * (1.0 + np.abs(values))
 
 
+def _points_in(D: SetSpec, grid: Grid) -> tuple[np.ndarray, int]:
+    """The grid points inside D, and the number of grid points outside it."""
+    pts = grid.points
+    X = pts[D.contains_many(pts)]
+    if X.shape[0] == 0:
+        raise CertificateError("no grid points fall inside D; enlarge the grid")
+    return X, int(pts.shape[0] - X.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # Certificate checks
 
@@ -157,12 +166,7 @@ def check_lyapunov_certificate(
     """
     if cert.alpha1 is None or cert.alpha2 is None or cert.omega is None:
         raise CertificateError("this check needs alpha1, alpha2, and omega")
-    pts = grid.points
-    in_D = cert.D.contains_many(pts)
-    X = pts[in_D]
-    skipped = int(pts.shape[0] - X.shape[0])
-    if X.shape[0] == 0:
-        raise CertificateError("no grid points fall inside D; enlarge the grid")
+    X, skipped = _points_in(cert.D, grid)
     V = cert.V.eval_many(X)
     w = np.asarray(cert.omega.value_many(X), dtype=float)
     a1 = cert.alpha1.value_many(w)
@@ -205,12 +209,7 @@ def check_lyapunov_barrier_pair(
     """
     if cert.B is None:
         raise CertificateError("this check needs the barrier B")
-    pts = grid.points
-    in_D = cert.D.contains_many(pts)
-    X = pts[in_D]
-    skipped = int(pts.shape[0] - X.shape[0])
-    if X.shape[0] == 0:
-        raise CertificateError("no grid points fall inside D; enlarge the grid")
+    X, skipped = _points_in(cert.D, grid)
 
     rA = A.dist_many(X)
     on_A = rA == 0.0
@@ -235,6 +234,7 @@ def check_lyapunov_barrier_pair(
         note="worst-case Lie derivative of V < 0 on D minus the A tube",
     )
 
+    pts = grid.points
     w_pts = pts[W.contains_many(pts)]
     Bw = cert.B.eval_many(w_pts)
     conditions["B_nonneg_on_W"] = _reduce(Bw, w_pts, lhs=Bw)

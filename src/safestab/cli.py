@@ -40,7 +40,7 @@ from .converse import (
     validate_lyapunov,
 )
 from .dynamics import ensemble
-from .geometry import Box, ProperIndicator, _write_csv, as_report, make_grid
+from .geometry import Box, MaskSet, ProperIndicator, _write_csv, as_report, make_grid
 from .reach import (
     DELTA_FLOOR,
     EPS_SCHEDULE,
@@ -202,7 +202,7 @@ def reach(cfg, run):
         cfg.system, W, (t_lo, cfg.horizon), cfg.make_grid(), cfg.make_battery(seed=run.seed),
         cfg.dt,
     )
-    result.mask_set().to_csv(run.artifact("reach_mask.csv"))
+    MaskSet(result.grid, result.mask).to_csv(run.artifact("reach_mask.csv"))
     run.finish(
         semantics=result.semantics,
         horizon=[result.horizon[0], result.horizon[1]],
@@ -239,10 +239,10 @@ def winning_set_cmd(cfg, run):
         cfg.system, A, U, cfg.make_grid(), cfg.make_battery(seed=run.seed), cfg.horizon, cfg.dt,
         conv_radius=conv_radius,
     )
-    result.mask_set().to_csv(run.artifact("winning_mask.csv"))
+    MaskSet(result.grid, result.mask).to_csv(run.artifact("winning_mask.csv"))
     run.finish(
         n_marked=int(result.mask.sum()),
-        n_inconclusive=result.n_inconclusive(),
+        n_inconclusive=int(result.inconclusive.sum()),
         conv_radius=result.conv_radius,
         notes=result.notes,
     )
@@ -350,13 +350,15 @@ def construct_lyapunov(cfg, run):
     A = blk.set("stable", "A")
     om_dom = blk.get("omega_domain", blk.get("region", "D"))
     omega = ProperIndicator(A, blk.set("omega_domain", om_dom))
-    sample_res = blk.num("sample_resolution", 10 * cfg.grid_resolution)
+    sample_res = blk.num("sample_resolution", 10 * cfg.grid_resolution, positive=True)
     n_validation = blk.count("n_validation", 200)
     n_bins = blk.count("n_bins", 20)
     taus = blk.spans("taus", [0.5, 1.0, 2.0])
+    if not taus:
+        raise ConfigError("lyapunov.taus", "expected at least one time span")
     horizon = blk.span("horizon", cfg.horizon)
-    lam_cfg = blk.num("lam", None)
-    mu_cfg = blk.num("mu", None)
+    lam_cfg = blk.num("lam", None, positive=True)
+    mu_cfg = blk.num("mu", None, positive=True)
     battery = cfg.make_battery(seed=run.seed)
 
     samples = make_grid(region, sample_res, size_cap=cfg.grid_size_cap).points

@@ -33,7 +33,7 @@ from .dynamics import (
     run_sweep,
     step_count,
 )
-from .geometry import _work, _write_csv
+from .geometry import Box, _work, _write_csv
 
 #: time columns of the envelope table (fewer when the horizon has fewer steps)
 ENVELOPE_TIMES = 241
@@ -48,11 +48,6 @@ MAX_POWER = 8
 TRUNCATE_CHECK_STEPS = 250
 #: additive floor of the validation inequalities
 ZERO_FLOOR = 1e-12
-
-
-def _freeze_box(region):
-    """Sweeps freeze rows leaving the box hull of the evaluation region."""
-    return None if region is None else region.hull_box()
 
 __all__ = [
     "MonotoneFn",
@@ -182,7 +177,7 @@ def estimate_kl_envelope(
     dt: float,
     *,
     n_bins: int = 20,
-    region=None,
+    region: Box | None = None,
 ) -> KLEnvelope:
     """Bin the sampled initial omega values, take the max of omega along all
     battery trajectories per (bin, time), and apply the double monotone
@@ -208,7 +203,7 @@ def estimate_kl_envelope(
     t_samples = t_idx * dt
     res, profiles = record_sweep(sys, X0, battery, horizon, dt, t_idx,
                                  value=lambda X, D: omega.value_many(X),
-                                 freeze_domain=_freeze_box(region))
+                                 freeze_domain=region)
     if np.any(res.status != STATUS_HORIZON):
         r = int(np.nonzero(res.status != STATUS_HORIZON)[0][0])
         raise NotSettlingError(
@@ -379,7 +374,7 @@ class NumericLyapunov:
         dt: float,
         *,
         pair: "SontagPair | None" = None,
-        region=None,
+        region: Box | None = None,
     ):
         if mu <= 0:
             raise ValueError("mu must be positive")
@@ -450,7 +445,7 @@ class NumericLyapunov:
             return np.where(done, c, -1)
 
         res = run_sweep(self.sys, X0, self.battery, self.horizon, self.dt, observer=obs,
-                        freeze_domain=_freeze_box(self.region))
+                        freeze_domain=self.region)
         bad = (res.status != STATUS_HORIZON) & (res.status != STATUS_RETIRED)
         if np.any(bad):
             r = int(np.nonzero(bad)[0][0])
@@ -521,7 +516,7 @@ def validate_lyapunov(
 
     steps = sorted(set(tau_steps))
     res, states = record_sweep(sys, X, battery, max(taus), Vnum.dt, steps,
-                               freeze_domain=_freeze_box(Vnum.region))
+                               freeze_domain=Vnum.region)
     worst_ratio = 0.0
     decrease_ok = True
     V_start = np.tile(Vx, P)  # V at each row's start

@@ -138,17 +138,6 @@ class DisturbancePolicy:
         raise NotImplementedError
 
 
-class ZeroPolicy(DisturbancePolicy):
-    label = "zero"
-
-    def refresh_period(self, dt: float) -> int:
-        return 1 << 30
-
-    def values(self, t, X, out):
-        out[:] = 0.0
-        return out
-
-
 class ConstantPolicy(DisturbancePolicy):
     def __init__(self, vector):
         self.vector = np.asarray(vector, dtype=float).ravel()
@@ -164,6 +153,12 @@ class ConstantPolicy(DisturbancePolicy):
     def values(self, t, X, out):
         out[:] = self._clamped
         return out
+
+
+class ZeroPolicy(ConstantPolicy):
+    def __init__(self):
+        super().__init__([0.0])  # d = 0, one entry broadcast over every axis
+        self.label = "zero"
 
 
 class PiecewiseRandomPolicy(DisturbancePolicy):
@@ -638,20 +633,9 @@ def default_policy_battery(
     ``n_random`` seeded piecewise-random signals."""
     if n_random < 0:
         raise ValueError("n_random must be nonnegative")
-    n = sys.dim
-    delta = sys.delta
     policies: list[DisturbancePolicy] = [ZeroPolicy()]
-    seen: set[tuple] = set()
-
-    def add_constant(direction: np.ndarray):
-        key = tuple(np.round(direction, 12))
-        if key in seen or not np.any(direction):
-            return
-        seen.add(key)
-        policies.append(ConstantPolicy(delta * direction))
-
-    for d in _directions(n):
-        add_constant(d / np.linalg.norm(d))
+    for d in _directions(sys.dim):
+        policies.append(ConstantPolicy(sys.delta * (d / np.linalg.norm(d))))
     for g in set_fields:
         policies.append(ExtremalFeedbackPolicy(g, +1))
         policies.append(ExtremalFeedbackPolicy(g, -1))

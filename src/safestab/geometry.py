@@ -428,20 +428,16 @@ class Grid:
         return np.nonzero(mask)[0]
 
     def dilate(self, mask: np.ndarray, cells: int = 1) -> np.ndarray:
-        """Inflate a boolean cell mask by ``cells`` cells along every axis."""
-        m = mask.reshape(self.shape)
-        out = m.copy()
+        """Inflate a boolean cell mask by ``cells`` cells along every axis:
+        mark each cell within Chebyshev index distance ``cells`` of a marked
+        one."""
+        out = mask.reshape(self.shape).copy()
         for axis in range(self.dim):
-            acc = m.copy()
+            acc = np.moveaxis(out, axis, 0)  # a view: writes land in out
+            m = acc.copy()
             for shift in range(1, cells + 1):
-                acc |= np.roll(m, shift, axis=axis) & (np.arange(m.shape[axis]) >= shift).reshape(
-                    [-1 if a == axis else 1 for a in range(self.dim)]
-                )
-                acc |= np.roll(m, -shift, axis=axis) & (
-                    np.arange(m.shape[axis]) < m.shape[axis] - shift
-                ).reshape([-1 if a == axis else 1 for a in range(self.dim)])
-            out |= acc
-            m = out.copy()
+                acc[shift:] |= m[:-shift]
+                acc[:-shift] |= m[shift:]
         return out.ravel()
 
 

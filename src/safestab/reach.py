@@ -244,9 +244,6 @@ class ReachResult:
     n_starts: int = 0
     n_policies: int = 0
 
-    def mask_set(self) -> MaskSet:
-        return MaskSet(self.grid, self.mask)
-
 
 class _Occupancy:
     def __init__(self, grid: Grid, t_lo: float = 0.0):
@@ -422,35 +419,25 @@ def maximal_invariant(
         candidate = new_candidate
         if not candidate.any():
             break
-    kernel_mask = candidate
-    kernel = MaskSet(grid, kernel_mask)
+    kernel = MaskSet(grid, candidate)
 
-    if mode == "kernel" or not kernel_mask.any():
-        return InvariantSetResult(
-            grid, kernel, kernel, iterations, mode,
-            empty=not kernel_mask.any(),
-            notes="" if kernel_mask.any() else "empty fixpoint: Omega holds no sampled-invariant cells",
-        )
-
-    # late-time occupancy over the kernel, then forward closure
-    tail = reach_tube(sys, kernel, (SETTLE_FRACTION * horizon, horizon), grid, battery, dt)
-    seed_mask = tail.mask & kernel_mask
-    notes = ""
-    if not seed_mask.any():
-        return InvariantSetResult(
-            grid, kernel, kernel, iterations, mode,
-            empty=False,
-            notes="no late-time occupancy inside the kernel; returning the kernel",
-        )
-    closure = reach_tube(sys, MaskSet(grid, seed_mask), horizon, grid, battery, dt)
-    core_mask = (closure.mask | seed_mask) & kernel_mask
-    clipped = int(np.count_nonzero(closure.mask & ~kernel_mask))
-    if clipped:
-        notes = f"{clipped} closure cells fell outside the kernel and were clipped"
-    return InvariantSetResult(
-        grid, MaskSet(grid, core_mask), kernel, iterations, mode,
-        empty=not core_mask.any(), notes=notes,
-    )
+    mask, notes = candidate, ""
+    if not candidate.any():
+        notes = "empty fixpoint: Omega holds no sampled-invariant cells"
+    elif mode == "core":
+        # late-time occupancy over the kernel, then forward closure
+        tail = reach_tube(sys, kernel, (SETTLE_FRACTION * horizon, horizon), grid, battery, dt)
+        seed_mask = tail.mask & candidate
+        if not seed_mask.any():
+            notes = "no late-time occupancy inside the kernel; returning the kernel"
+        else:
+            closure = reach_tube(sys, MaskSet(grid, seed_mask), horizon, grid, battery, dt)
+            mask = (closure.mask | seed_mask) & candidate
+            clipped = int(np.count_nonzero(closure.mask & ~candidate))
+            if clipped:
+                notes = f"{clipped} closure cells fell outside the kernel and were clipped"
+    return InvariantSetResult(grid, MaskSet(grid, mask), kernel, iterations, mode,
+                              empty=not mask.any(), notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +453,6 @@ class WinningSetResult:
     conv_radius: float
     settle_deadline: float
     notes: str = ""
-
-    def mask_set(self) -> MaskSet:
-        return MaskSet(self.grid, self.mask)
-
-    def n_inconclusive(self) -> int:
-        return int(self.inconclusive.sum())
 
 
 def winning_set(

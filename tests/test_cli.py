@@ -846,6 +846,18 @@ class TestWholeNumberFields:
         assert field in result.output
         assert_no_run_dir(out)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lyapunov.taus", []),
+            ("lyapunov.sample_resolution", 0),
+            ("lyapunov.mu", -1),
+            ("lyapunov.lam", -1),
+        ],
+    )
+    def test_bad_lyapunov_input_exits_2_and_names_field(self, tmp_path, field, value):
+        self.test_bad_count_exits_2_and_names_field(tmp_path, field, value)
+
     def test_whole_float_and_large_int_are_kept(self, tmp_path):
         cfg = base_config(battery={"n_random": 2.0, "seed": 2**62 + 1})
         cfg["grid"]["size_cap"] = 1e6

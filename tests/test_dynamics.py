@@ -195,10 +195,43 @@ class TestBattery:
         labels = [p.label for p in bat]
         assert labels == ["zero", "const[+0.25]", "const[-0.25]"]
 
-    def test_2d_battery_count(self):
-        sys = PerturbedSystem(parse_vector_field(["-x", "-y"], ["x", "y"]), 0.5)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_2d_battery_count(self, n):
+        names = ["x", "y", "z", "w"][:n]
+        delta = 0.5
+        sys = PerturbedSystem(parse_vector_field([f"-{v}" for v in names], names), delta)
         bat = default_policy_battery(sys, n_random=0)
-        assert len(bat) == 9  # 1 zero + 4 axis + 4 diagonal
+        assert len(bat) == 1 + 2 * n + (2**n if n > 1 else 0)  # zero + axes + vertices
+        if n == 2:
+            assert len(bat) == 9  # 1 zero + 4 axis + 4 diagonal
+
+        # zero, then +e_1, -e_1, ..., +e_n, -e_n, then the cube's vertices
+        # (bit i of k set: +1 on axis i), all scaled onto the delta-sphere
+        expected = [np.zeros(n)]
+        for i in range(n):
+            expected += [delta * np.eye(n)[i], 0.0 - delta * np.eye(n)[i]]
+        if n > 1:
+            expected += [
+                delta / np.sqrt(n) * np.array([1.0 if k >> i & 1 else -1.0 for i in range(n)])
+                for k in range(2**n)
+            ]
+        labels = ["zero"] + [
+            "const[" + ",".join(f"{v:+.4g}" for v in e) + "]" for e in expected[1:]
+        ]
+        assert [p.label for p in bat] == labels
+        assert len(set(labels)) == len(labels)
+
+        X = np.zeros((3, n))
+        written = []
+        for pol in bat:
+            pol.prepare(sys, 1.0, 0.1)
+            out = pol.values(0.0, X, np.full((3, n), -1.0))
+            assert np.all(out == out[0])
+            written.append(out[0].copy())
+        np.testing.assert_allclose(written, expected, rtol=0, atol=1e-15)
+        assert len({tuple(w) for w in written}) == len(written)
+        assert isinstance(bat[0], ZeroPolicy)
+        assert not np.signbit(written[0]).any()
 
     def test_random_count_arithmetic(self):
         sys = PerturbedSystem(parse_vector_field(["-x", "-y"], ["x", "y"]), 0.5)

@@ -187,6 +187,22 @@ class TestGrid:
         edge[0] = True
         assert set(np.nonzero(g.dilate(edge, 2))[0]) == {0, 1, 2}
 
+    @pytest.mark.parametrize("shape", [(7, 5), (5, 4, 6)])
+    @pytest.mark.parametrize("cells", [0, 1, 2, 3])
+    def test_dilate_matches_chebyshev_reference(self, shape, cells):
+        g = make_grid(Box((0.0,) * len(shape), tuple(0.5 * k for k in shape)), 0.5)
+        assert g.shape == shape
+        rng = np.random.default_rng(cells + 10 * len(shape))
+        mask = rng.random(g.size) < 0.06
+        mask[0] = mask[-1] = True  # two opposite corners
+        before = mask.copy()
+        # brute force: a cell within Chebyshev index distance `cells` of a marked one
+        index = np.rint(g.points / g.widths - 0.5).astype(int)
+        gap = np.abs(index[:, None, :] - index[None, mask, :]).max(axis=2)
+        expected = (gap <= cells).any(axis=1)
+        np.testing.assert_array_equal(g.dilate(mask, cells), expected)
+        np.testing.assert_array_equal(mask, before)
+
     def test_points_read_only(self):
         g = make_grid(Box((0.0,), (1.0,)), 0.25)
         with pytest.raises(ValueError):
