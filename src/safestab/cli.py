@@ -223,7 +223,10 @@ def invariant_set(cfg, run):
         dwell_window=blk.span("dwell_window", None), mode=mode,
     )
     result.mask.to_csv(run.artifact("invariant_mask.csv"))
-    run.finish(result=result.to_dict())
+    run.finish(result=dict(
+        mode=result.mode, iterations=result.iterations, empty=result.empty,
+        n_cells=int(result.mask.mask.sum()), n_kernel_cells=int(result.kernel.mask.sum()),
+        endpoints=result.endpoints(), notes=result.notes))
     return EXIT_INCONCLUSIVE if result.empty else EXIT_YES
 
 

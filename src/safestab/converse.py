@@ -162,11 +162,6 @@ class KLEnvelope:
         rows = np.column_stack([s.ravel(), t.ravel(), self.table.ravel()])
         _write_csv(path, rows, "s,t,beta")
 
-    def check_monotone(self) -> bool:
-        ok_s = np.all(np.diff(self.table, axis=0) >= -1e-15)
-        ok_t = np.all(np.diff(self.table, axis=1) <= 1e-15)
-        return bool(ok_s and ok_t)
-
 
 def estimate_kl_envelope(
     sys: PerturbedSystem,

@@ -554,9 +554,6 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def max_disturbance_norm(self) -> float:
-        return float(_row_norms(self.disturbances).max())
-
     def to_csv(self, path) -> None:
         n = self.states.shape[1]
         header = ",".join(["t"] + [f"x{i+1}" for i in range(n)] + [f"d{i+1}" for i in range(n)])

@@ -406,18 +406,30 @@ def _compiled(source: str):
     return compile(source, "<safestab-expr>", "exec")
 
 
+def _fold_negation(e: Binary) -> Expr:
+    """The + or - node e with a negated varying operand folded into it."""
+    a, b = (k.arg if isinstance(k, Unary) and k.op == "neg"
+            and any(isinstance(n, Var) for n in _nodes(k.arg)) else None for k in (e.a, e.b))
+    return (Binary("+" if e.op == "-" else "-", e.a, b) if b is not None
+            else Binary("-", e.b, a) if a is not None and e.op == "+" else e)
+
+
 class _Emitter:
     """Straight-line numpy source writing expressions into given arrays.
 
     Each node that depends on a variable is one ufunc call writing into a
-    scratch row ``_s<k>`` (the root writes into its output), run in the
-    order of the operators it replaces, so the values are bitwise those of
-    numpy operators and only ``Where`` allocates.  A constant-only subtree is
-    folded once into a float64 by numpy's scalar operators, so constants
-    follow numpy semantics (0^-1 is inf, (-1)^1.5 is NaN) like the rest."""
+    scratch row ``_s<k>`` (the root writes into its output), so the values
+    are bitwise those of numpy operators and only ``Where`` allocates.  Two
+    rewrites keep every bit: a^2 is ``square(a)``, as numpy's ``a ** 2`` is
+    (``sqrt`` and ``reciprocal`` differ from ``power`` at -0.0 and -inf, so
+    no other exponent is rewritten); (-a) + b, a + (-b) and a - (-b), for a
+    varying a or b, are b - a, a - b and a + b, as IEEE defines a - b as
+    a + (-b) and + commutes.  A constant-only subtree is folded once into a
+    float64 by numpy's scalar operators, so constants follow numpy semantics
+    (0^-1 is inf, (-1)^1.5 is NaN) like the rest."""
 
     def __init__(self, bindings=()):
-        self.ns: dict = {"_np": np, **{u: getattr(np, u) for u in _UFUNCS.values()}}
+        self.ns: dict = {"_np": np, **{u: getattr(np, u) for u in (*_UFUNCS.values(), "square")}}
         self.ns.update(bindings)
         self.lines: list[str] = []
         self.n_scratch = 0
@@ -450,6 +462,8 @@ class _Emitter:
             return self._const(e.value)
         if isinstance(e, Var):
             return xs[e.index]
+        if getattr(e, "op", "") in ("+", "-") and (folded := _fold_negation(e)) is not e:
+            return self._operand(folded, xs, out)
         args = []
         for k in _KIDS[type(e)]:  # a loop, not a comprehension: one frame per level
             args.append(self._operand(getattr(e, k), xs))
@@ -462,6 +476,8 @@ class _Emitter:
             self.n_scratch = max(self.n_scratch, int(out[2:]) + 1)
         if isinstance(e, Where):
             self.lines.append(f"_np.copyto({out}, {self._scalar(e, args)})")
+        elif e.op == "^" and args[1].startswith("_c") and self.ns[args[1]] == 2.0:
+            self.lines.append(f"square({args[0]}, out={out})")
         else:
             self.lines.append(f"{_UFUNCS[e.op]}({', '.join(args)}, out={out})")
         return out

@@ -353,17 +353,6 @@ class InvariantSetResult:
         pts = self.grid.points[self.mask.mask]
         return [(float(pts[:, i].min()), float(pts[:, i].max())) for i in range(self.grid.dim)]
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "empty": self.empty,
-            "n_cells": int(self.mask.mask.sum()),
-            "n_kernel_cells": int(self.kernel.mask.sum()),
-            "endpoints": self.endpoints(),
-            "notes": self.notes,
-        }
-
 
 def maximal_invariant(
     sys: PerturbedSystem,

@@ -479,8 +479,12 @@ _EVAL_TREE = st.one_of(
     _trees(3, _SMALL, _UNARY, _BINARY, leaves=_SMALL.map(Const)),
     st.builds(derivative, _trees(3, _SMALL, _UNARY, _BINARY), st.sampled_from([0, 1])),
 )
-# NaN and inf domains: zeros of both signs, infinities, NaN, huge and tiny values
-_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, np.inf, -np.inf, np.nan, 1e300, -1e-300])
+# NaN and inf domains: zeros of both signs, infinities, NaN, huge and tiny
+# values, subnormals, the largest finite floats and a value whose square
+# underflows
+_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, np.inf, -np.inf, np.nan, 1e300, -1e-300,
+                   5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e-160])
 _EDGE_POINTS = np.concatenate([
     np.stack(np.meshgrid(_EDGES, _EDGES, indexing="ij"), axis=-1).reshape(-1, 2),
     np.random.default_rng(5).uniform(-3.0, 3.0, size=(40, 2)),
@@ -503,6 +507,39 @@ def test_evaluator_equals_numpy_operators_bitwise(e):
     # a vector field writes each component into a column of its output
     vec = VectorField([ScalarField(Var("y", 1), XY), ScalarField(e, XY)])
     assert _same_bits(vec.eval_many(_EDGE_POINTS)[:, 1], want)
+
+
+@pytest.mark.parametrize("source", ["-x + y", "x + -y", "x - -y", "-x - -y", "-x + -y",
+                                    "-(x*y) + x^2", "2 - -x", "-x + 2"])
+def test_folded_negations_equal_numpy_operators_bitwise(source):
+    e = parse(source, XY)
+    assert _same_bits(ScalarField(e, XY).eval_many(_EDGE_POINTS), _reference_many(e, _EDGE_POINTS))
+
+
+def _kernel_names(sources, names):
+    step, _ = parse_vector_field(sources, names).rk4_step(0.01)
+    return set(step.__code__.co_names)
+
+
+def test_rk4_kernel_squares_and_folds_negations():
+    names = _kernel_names(["-x + x^2"], ["x"])
+    assert {"square", "subtract"} <= names
+    assert not {"power", "negative"} & names
+
+
+@pytest.mark.parametrize("source", ["x^3", "x^2.5", "x^-2", "x^y"])
+def test_rk4_kernel_keeps_power_for_other_exponents(source):
+    names = _kernel_names([source, "y"], XY)
+    assert "power" in names and "square" not in names
+
+
+def test_square_equals_power_of_two_bitwise():
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 1e-160, -1e-160, 1.5e154, -1.5e154,
+                1.7976931348623157e308, -1.7976931348623157e308]
+    x = np.concatenate([np.random.default_rng(10).standard_normal(10**6), specials])
+    with np.errstate(all="ignore"):
+        assert _same_bits(np.square(x), np.power(x, 2.0))
 
 
 def _textbook_sweep(sys, starts, policies, horizon, dt):
