@@ -110,7 +110,8 @@ class _Monitor:
     * ``first``: the first time ``first(pts, g, rows)`` flagged the row (inf
       if never);
     * ``last``: the last time ``last(pts, g, rows)`` flagged it (-inf if
-      never), of shape (k, R) when ``last`` flags k levels at once;
+      never), of shape (k, R) when ``last`` flags k levels at once; only
+      the blocks whose last step time is after ``last_from`` are tested;
     * ``peak`` and ``latest``: the running max and the latest value of
       ``gauge(pts)``, which the two events receive as ``g``.
 
@@ -124,10 +125,11 @@ class _Monitor:
     the sweep runs (``RowState``); reading an outcome gives the full array.
     """
 
-    def __init__(self, n_rows: int, *, first=None, last=None, gauge=None,
-                 groups=None, stride: int = 1):
+    def __init__(self, n_rows: int, *, first=None, last=None, last_from=-math.inf,
+                 gauge=None, groups=None, stride: int = 1):
         self.first_event = first
         self.last_event = last
+        self.last_from = last_from
         self.gauge = gauge
         self.stride = max(1, stride)
         self.n_rows = n_rows
@@ -144,10 +146,12 @@ class _Monitor:
 
     def _outcome(self, name):
         self._table.sync()
+        if name == "last" and name not in self._table.full:  # no block was tested
+            self._table.add(name, np.full(self.n_rows, -np.inf))
         return self._table.full.get(name)
 
     first = property(lambda self: self._outcome("first"))
-    # shaped by the first flags seen (every row is live at t=0)
+    # shaped by the first flags seen (every row is live at t=0 unless gated)
     last = property(lambda self: self._outcome("last"))
     peak = property(lambda self: self._outcome("peak"))
     latest = property(lambda self: self._outcome("latest"))
@@ -204,7 +208,7 @@ class _Monitor:
             if stop is not None:  # a row that retires keeps its value at its stop
                 lost = np.flatnonzero(stop)
                 table["latest"][lost] = g[end[lost], lost]
-        if self.last_event is not None:
+        if self.last_event is not None and ts[-1] > self.last_from:
             flags = self.last_event(pts, g, rows)
             flags = flags.reshape(kk, r) if flags.ndim == 1 else flags
             if live is not None:
@@ -219,7 +223,7 @@ class _Monitor:
 def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt, **watch):
     """The sweep shared by ``check_ras`` and ``winning_set``: per row, the
     first entry into U (``first``) and the last time outside the target
-    (``last``); ``watch`` passes ``gauge`` or ``groups`` to the monitor."""
+    (``last``); ``watch`` passes the monitor's other arguments."""
     mon = _Monitor(
         starts.shape[0] * len(battery),
         first=lambda pts, g, rows: U.contains_many(pts),
@@ -458,7 +462,8 @@ def winning_set(
 ) -> WinningSetResult:
     """Mark the grid cells from which every battery trajectory (i) never
     enters U and (ii) has entered A + conv_radius*B by the settle deadline
-    SETTLE_FRACTION*horizon and stays there for the rest of the horizon.  Sampled semantics throughout.
+    SETTLE_FRACTION*horizon and stays there for the rest of the horizon.
+    Sampled semantics throughout; only sweep blocks ending after the deadline test the target.
 
     conv_radius defaults to twice the grid cell radius: below the grid
     resolution, membership in A is not observable.  A negative or NaN one
@@ -478,10 +483,10 @@ def winning_set(
     starts = grid.point_of(eval_cells)
     m, P = starts.shape[0], len(battery)
     member = A.within(conv_radius)
+    deadline = SETTLE_FRACTION * horizon
     # one row in U loses its cell, so the cell's other rows stop too
     res, mon = _avoid_and_settle(sys, starts, battery, U, member, grid, horizon, dt,
-                                 groups=np.arange(m * P) % m)
-    deadline = SETTLE_FRACTION * horizon
+                                 groups=np.arange(m * P) % m, last_from=deadline)
     safe_row = np.isinf(mon.first)
     settled_row = (mon.last <= deadline) & (res.status == STATUS_HORIZON)
     safe = safe_row.reshape(P, m).all(axis=0)
@@ -660,23 +665,6 @@ def _bisect(lo: float, hi: float, steps: int, floor: float, fails) -> tuple:
     return lo, hi, tested
 
 
-def _check_probe_inputs(eps_schedule, rho, delta_floor) -> None:
-    """Reject the probe inputs that would silently change its meaning."""
-    for name, values in (("eps_schedule", eps_schedule), ("rho", [rho]),
-                         ("delta_floor", [delta_floor])):
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise ValueError(f"{name} must be finite, got {values}")
-    if delta_floor <= 0:
-        raise ValueError(f"delta_floor must be positive, got {delta_floor}")
-    if rho is not None and rho <= 0:
-        raise ValueError(f"rho must be positive (the attractivity shell would lie "
-                         f"inside A), got {rho}")
-    for eps in eps_schedule:
-        if 0.5 * eps < delta_floor:
-            raise ValueError(f"eps_schedule level {eps:g} is below twice delta_floor="
-                             f"{delta_floor:g}, so no shell radius would be tested")
-
-
 def probe_uas(
     sys: PerturbedSystem,
     A: SetSpec,
@@ -711,7 +699,19 @@ def probe_uas(
     eps_schedule = sorted(float(e) for e in eps_schedule)
     if not eps_schedule:
         raise ValueError("eps_schedule must be non-empty")
-    _check_probe_inputs(eps_schedule, rho, delta_floor)
+    for name, values in (("eps_schedule", eps_schedule), ("rho", [rho]),
+                         ("delta_floor", [delta_floor])):
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{name} must be finite, got {values}")
+    if delta_floor <= 0:
+        raise ValueError(f"delta_floor must be positive, got {delta_floor}")
+    if rho is not None and rho <= 0:
+        raise ValueError(f"rho must be positive (the attractivity shell would lie "
+                         f"inside A), got {rho}")
+    for eps in eps_schedule:
+        if 0.5 * eps < delta_floor:
+            raise ValueError(f"eps_schedule level {eps:g} is below twice delta_floor="
+                             f"{delta_floor:g}, so no shell radius would be tested")
     hull = A.hull_box()
     P = len(battery)
 

@@ -39,6 +39,56 @@ def bench():
     return sys, grid, battery
 
 
+def _watch_blocks(monkeypatch) -> list:
+    """Make reach's sweeps record, per observer call, the block's steps, its
+    last time and how many times a box's tolerant membership test ran."""
+    blocks, calls = [], [0]
+    within = Box.within
+    run_sweep = reach.run_sweep
+
+    def counted_within(self, tol):
+        member = within(self, tol)
+
+        def counted(X):
+            calls[0] += 1
+            return member(X)
+        return counted
+
+    def watched_sweep(*args, observer, **kwargs):
+        def watched(steps, ts, X, rows, D):
+            before = calls[0]
+            stop = observer(steps, ts, X, rows, D)
+            blocks.append((steps.copy(), float(ts[-1]), calls[0] - before))
+            return stop
+        return run_sweep(*args, observer=watched, **kwargs)
+
+    monkeypatch.setattr(Box, "within", counted_within)
+    monkeypatch.setattr(reach, "run_sweep", watched_sweep)
+    return blocks
+
+
+def _assert_every_step_agrees(sys, A, U, grid, battery, horizon, dt, res):
+    """Assert that ``res`` marks the cells of ``res.eval_cells`` as a monitor
+    does that tests the target at every step and runs every row to its end;
+    return that monitor."""
+    from safestab.dynamics import STATUS_HORIZON, run_sweep
+    from safestab.reach import _Monitor
+
+    member = A.within(res.conv_radius)
+    starts = grid.point_of(res.eval_cells)
+    m = starts.shape[0]
+    mon = _Monitor(m * len(battery), first=lambda pts, g, rows: U.contains_many(pts),
+                   last=lambda pts, g, rows: ~member(pts))
+    ref = run_sweep(sys, starts, battery, horizon, dt, freeze_domain=grid.domain,
+                    observer=mon)
+    safe = np.isinf(mon.first).reshape(-1, m).all(axis=0)
+    settled = (mon.last <= res.settle_deadline) & (ref.status == STATUS_HORIZON)
+    settled = settled.reshape(-1, m).all(axis=0)
+    assert np.array_equal(res.mask[res.eval_cells], safe & settled)
+    assert np.array_equal(res.inconclusive[res.eval_cells], safe & ~settled)
+    return mon
+
+
 # ---------------------------------------------------------------------------
 # reach_tube
 
@@ -276,9 +326,7 @@ class TestWinningSet:
         Its mask and inconclusive cells equal those of a plain monitor that
         runs every row to its end, on a grid with cells that start in U and
         cells lost mid-sweep."""
-        import safestab.reach as reach_mod
-        from safestab.dynamics import STATUS_HORIZON, STATUS_RETIRED, run_sweep
-        from safestab.reach import _Monitor
+        from safestab.dynamics import STATUS_RETIRED, run_sweep
 
         sys, grid, battery = bench
         A, U = bench_sets["A"], bench_sets["U"]
@@ -288,26 +336,80 @@ class TestWinningSet:
             sweeps.append(run_sweep(*args, **kwargs))
             return sweeps[-1]
 
-        monkeypatch.setattr(reach_mod, "run_sweep", recording_sweep)
+        monkeypatch.setattr(reach, "run_sweep", recording_sweep)
         res = winning_set(sys, A, U, grid, battery, 10.0, 5e-3)
         assert np.any(sweeps[0].status == STATUS_RETIRED)
 
-        member = A.within(res.conv_radius)
-        starts = grid.point_of(res.eval_cells)
-        m = starts.shape[0]
-        mon = _Monitor(m * len(battery), first=lambda pts, g, rows: U.contains_many(pts),
-                       last=lambda pts, g, rows: ~member(pts))
-        ref = run_sweep(sys, starts, battery, 10.0, 5e-3, freeze_domain=grid.domain,
-                        observer=mon)
-        safe = np.isinf(mon.first).reshape(-1, m).all(axis=0)
-        settled = ((mon.last <= res.settle_deadline) & (ref.status == STATUS_HORIZON))
-        settled = settled.reshape(-1, m).all(axis=0)
-        assert np.array_equal(res.mask[res.eval_cells], safe & settled)
-        assert np.array_equal(res.inconclusive[res.eval_cells], safe & ~settled)
-        lost_at = mon.first.reshape(-1, m).min(axis=0)
+        mon = _assert_every_step_agrees(sys, A, U, grid, battery, 10.0, 5e-3, res)
+        lost_at = mon.first.reshape(-1, res.eval_cells.size).min(axis=0)
         assert np.any(lost_at == 0.0)
         assert np.any(np.isfinite(lost_at) & (lost_at > 0.0))
         assert res.mask.any() and res.inconclusive.any()
+
+    @pytest.mark.parametrize("n_cells, offset, wins", [
+        (2200, 0.5, True), (2200, 1.5, False), (2, 0.5, True), (1, 1.5, False),
+    ])
+    def test_target_test_after_the_deadline_keeps_the_result(
+        self, linear_sys, monkeypatch, n_cells, offset, wins
+    ):
+        """winning_set tests the target only in blocks that end after the
+        settle deadline.  Its mask and inconclusive cells equal those of a
+        monitor that tests every step: with cells outside the target only
+        before the deadline, with a last exit at the deadline step itself
+        (settled) or one step after it (not), in one-step blocks (2200
+        rows) and in 64-step blocks, one of which straddles the deadline."""
+        A, U = Box((0.0,), (0.0,)), Box((3.0,), (4.0,))
+        grid = make_grid(Box((0.0,), (2.2,)), 0.001)
+        horizon, dt = 4.0, 1e-2
+        cells = np.arange(grid.size)[-n_cells:]
+        # x0 e^{-t} from the last cell leaves the tolerance between the
+        # steps at deadline + (offset -/+ 0.5) dt
+        conv = float(grid.points[-1, 0]) * math.exp(-(0.75 * horizon + offset * dt))
+        blocks = _watch_blocks(monkeypatch)
+        res = winning_set(linear_sys, A, U, grid, [ZeroPolicy()], horizon, dt,
+                          conv_radius=conv, eval_cells=cells)
+        mon = _assert_every_step_agrees(linear_sys, A, U, grid, [ZeroPolicy()],
+                                        horizon, dt, res)
+        k = round(res.settle_deadline / dt)
+        assert k * dt == res.settle_deadline
+        assert mon.last[-1] == (k + round(offset - 0.5)) * dt
+        assert res.mask[-1] == wins and res.inconclusive[-1] != wins
+        if n_cells > 2048:
+            assert all(steps.size == 1 for steps, _, _ in blocks)
+            early = (mon.last > 0.0) & (mon.last < res.settle_deadline)
+            assert np.any(res.mask[cells] & early)
+        else:
+            assert any(steps[0] < k < steps[-1] for steps, _, _ in blocks)
+
+    def test_every_cell_lost_before_the_deadline(self, linear_sys, monkeypatch):
+        """Every start passes through U on its way to 0, so every row stops
+        before the target is first tested: no cell wins and none is
+        inconclusive."""
+        grid = make_grid(Box((-1.5,), (1.5,)), 0.05)
+        cells = grid.select(Box((0.5,), (1.5,)))
+        blocks = _watch_blocks(monkeypatch)
+        res = winning_set(linear_sys, Box((0.0,), (0.0,)), Box((0.5,), (0.6,)), grid,
+                          [ZeroPolicy()], 8.0, 1e-2, eval_cells=cells)
+        assert blocks and not any(calls for *_, calls in blocks)
+        assert cells.size == 20 and not res.mask.any() and not res.inconclusive.any()
+
+    def test_target_is_tested_only_after_the_deadline(self, bench, bench_sets, monkeypatch):
+        """On a sweep of one-step blocks (200 cells x 11 policies),
+        winning_set calls the target test on no block that ends at or
+        before the settle deadline and once on every later block; check_ras,
+        whose witness_T reads every settle time, calls it on every block."""
+        sys, grid, battery = bench
+        W, U = Box((-1.5,), (0.5,)), bench_sets["U"]
+        cells = grid.select(W)
+        assert cells.size * len(battery) == 2200
+        blocks = _watch_blocks(monkeypatch)
+        res = winning_set(sys, bench_sets["A"], U, grid, battery, 2.0, 5e-3, eval_cells=cells)
+        assert len(blocks) == 401 and all(steps.size == 1 for steps, _, _ in blocks)
+        assert all(calls == (t > res.settle_deadline) for _, t, calls in blocks)
+        assert sum(calls for *_, calls in blocks) == 100
+        blocks.clear()
+        check_ras(sys, W, U, bench_sets["Omega"], grid, battery, 2.0, 5e-3)
+        assert len(blocks) == 401 and all(calls == 1 for *_, calls in blocks)
 
     def test_overlapping_sets_rejected(self, bench):
         sys, grid, battery = bench
@@ -315,6 +417,32 @@ class TestWinningSet:
             winning_set(
                 sys, Box((0.0,), (0.5,)), Box((0.4,), (0.6,)), grid, battery, 1.0, 1e-2
             )
+
+
+@pytest.mark.parametrize("horizon", [4.0, 4.12])
+def test_winning_set_matches_closed_form_settle_times(linear_sys, horizon):
+    """x' = -x from x0 is x0 e^{-t}, so the cell center x0 settles into
+    {0} + conv_radius B at t* = ln(|x0| / conv_radius).  A cell with t* two
+    steps or more before the settle deadline wins, one with t* two steps or
+    more after it is inconclusive, and the few in between are skipped and
+    counted.  The deadline ends a 6-step block at horizon 4 and falls
+    inside one at 4.12.  The expected sets use plain float arithmetic."""
+    lo, h, dt, conv = -3.0, 0.01, 0.01, 0.01
+    grid = make_grid(Box((lo,), (-lo,)), h)
+    res = winning_set(linear_sys, Box((0.0,), (0.0,)), Box((5.0,), (6.0,)), grid,
+                      [ZeroPolicy()], horizon, dt, conv_radius=conv)
+    deadline = 0.75 * horizon
+    skipped = 0
+    for i in range(600):
+        t_star = math.log(abs(lo + (i + 0.5) * h) / conv)
+        if t_star < deadline - 2 * dt:
+            assert res.mask[i] and not res.inconclusive[i], i
+        elif t_star > deadline + 2 * dt:
+            assert res.inconclusive[i] and not res.mask[i], i
+        else:
+            skipped += 1
+    assert grid.size == 600 and skipped <= 4
+    assert res.mask.sum() > 30 and res.inconclusive.sum() > 400
 
 
 # ---------------------------------------------------------------------------
@@ -871,3 +999,30 @@ def test_monitor_updates_its_table_in_place(bench):
         tracemalloc.stop()
     assert np.any(res.status == STATUS_RETIRED) and len(excess) >= 45
     assert max(excess) < 1.75 * 8 * n_rows
+
+
+def test_gated_monitor_tests_only_blocks_after_its_start(bench):
+    """A last event runs only on the blocks whose last step time is after
+    ``last_from``: every time after it equals the ungated monitor's and the
+    earlier ones stay at or before it, in the ungated (levels, rows) shape.
+    When no block is tested, each row reads -inf."""
+    from safestab.dynamics import run_sweep
+    from safestab.reach import _Monitor
+
+    sys, _, battery = bench
+    starts = np.linspace(-1.0, 0.4, 5)[:, None]
+    n_rows = starts.shape[0] * len(battery)
+    A = Box((ROOT_LEFT,), (0.2,))
+    levels = np.array([[0.05], [0.2]])[..., None]
+
+    def swept(last_from):
+        mon = _Monitor(n_rows, gauge=A.dist_many, last=lambda pts, d, rows: d >= levels,
+                       last_from=last_from)
+        run_sweep(sys, starts, battery, 1.0, 0.01, observer=mon)
+        return mon.last
+
+    plain, gated, never = swept(-math.inf), swept(0.5), swept(1.0)
+    late = plain > 0.5
+    assert plain.shape == gated.shape == (2, n_rows) and late.any() and (~late).any()
+    assert np.array_equal(gated[late], plain[late]) and np.all(gated[~late] <= 0.5)
+    assert never.shape == (n_rows,) and np.all(never == -np.inf)
