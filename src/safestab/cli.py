@@ -95,7 +95,7 @@ class _Run:
         self.report["elapsed_seconds"] = round(time.perf_counter() - self.t0, 3)
         out = self.dir / "report.json"
         with open(out, "w") as fh:
-            json.dump(self.report, fh, indent=2)
+            fh.write(json.dumps(self.report, indent=2))
         click.echo(f"report: {out}")
         return out
 
@@ -187,7 +187,7 @@ def simulate(cfg, run, x0):
             }
         )
     with open(run.artifact("index.json"), "w") as fh:
-        json.dump(index, fh, indent=2)
+        fh.write(json.dumps(index, indent=2))
     run.finish(x0=start, n_trajectories=len(trajectories))
     return EXIT_YES
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import ScalarField, VectorField
-from .geometry import Box, _fold, _write_csv
+from .geometry import Box, _fold, _work, _write_csv
 
 __all__ = [
     "PerturbedSystem",
@@ -203,15 +203,26 @@ class ExtremalFeedbackPolicy(DisturbancePolicy):
         self.sign = 1 if sign >= 0 else -1
         self.field = source
         self.label = f"extremal[{'+' if self.sign > 0 else '-'}grad {source.source}]"
-        self._delta = 0.0
-        self._grad: VectorField | None = None
 
     def prepare(self, sys, horizon, dt):
         self._delta = sys.delta
         self._grad = self.field.grad()
+        self._scratch = max(c._scratch for c in self._grad.components)
+        self._bufs: dict = {}
+
+    def _gradient(self, X: np.ndarray) -> np.ndarray:
+        """grad g at the rows of X in kept work arrays, laid out as in ``eval_many``."""
+        (m, n), comps = X.shape, self._grad.components
+        cols = _work(self._bufs, "cols", (n * m,)).reshape(n, m)
+        np.copyto(cols, X.T)
+        G = _work(self._bufs, "G", (m, n))
+        scratch = _work(self._bufs, "scratch", (self._scratch * m,)).reshape(self._scratch, m)
+        for j, c in enumerate(comps):
+            c._eval(*cols, G[:, j], *scratch[: c._scratch])
+        return G
 
     def values(self, t, X, out):
-        G = self._grad.eval_many(X)
+        G = self._gradient(X)
         norms = _row_norms(G)
         safe = norms > 1e-12
         np.divide(self.sign * self._delta, norms, out=norms, where=safe)
@@ -394,7 +405,7 @@ def run_sweep(
         """The step's arguments from slot j to slot j + 1."""
         r = rows.size
         K1, K2, K3, K4 = stages[:, :r]
-        blocks = (XB[j], XB[j + 1], K1, K2, K3, K4)
+        blocks = (XB[j], XB[j + 1], K1, K2, K3, K4, DB[j])
         args[j] = (XB[j], DB[j], XB[j + 1], K1, K2, K3, K4,
                    *(B[:, c] for B in blocks for c in range(n)), *scratch[:, :r])
         return args[j]
@@ -441,29 +452,34 @@ def run_sweep(
 
     layout()
     XB[0] = np.tile(starts, (P, 1))
-    for p, pol in enumerate(policies):
-        pol.values(0.0, XB[0, p * m : (p + 1) * m], DB[0, p * m : (p + 1) * m])
-    if freeze_domain is not None:
-        freeze(~freeze_domain.contains_many(XB[0]), STATUS_LEFT_DOMAIN, 0.0, 0, 0)
-    if observer is not None:
-        observe(0, 1, 0, 0)
-    compact(0, 0)
-
     k = 0
     with np.errstate(all="ignore"):
+        for p, pol in enumerate(policies):
+            pol.values(0.0, XB[0, p * m : (p + 1) * m], DB[0, p * m : (p + 1) * m])
+        if freeze_domain is not None:
+            freeze(~freeze_domain.contains_many(XB[0]), STATUS_LEFT_DOMAIN, 0.0, 0, 0)
+        if observer is not None:
+            observe(0, 1, 0, 0)
+        compact(0, 0)
+
         while k < n_steps and rows.size:
             r = rows.size
             kk = min(DB.shape[0], n_steps - k)
-            due: dict[int, list] = {}
+            # the block's refresh steps, 0 included: slot 0 holds the last
+            # disturbance, and a segment's slot is copied on to the next
+            # refresh slot, where only the due rows change
+            due: dict[int, list] = {0: []}
             for period, members in by_period:
                 for j in range(-k % period, kk, period):
                     due.setdefault(j, []).extend(members)
-            for j in range(kk):
-                if j:
-                    np.copyto(DB[j], DB[j - 1])
-                for pol, block in due.get(j, ()):
-                    pol.values((k + j) * dt, XB[j][block], DB[j][block])
-                step(*(args[j] or slot_args(j)))
+            cuts = [*sorted(due), kk]
+            for s, e in zip(cuts, cuts[1:]):
+                for pol, block in due[s]:
+                    pol.values((k + s) * dt, XB[s][block], DB[s][block])
+                if s + 1 < kk:
+                    np.copyto(DB[s + 1 : min(e + 1, kk)], DB[s])
+                for j in range(s, e):
+                    step(*(args[j] or slot_args(j)))
             # one bounds test for the block; it ends at the first failing
             # step, and the rows still running are integrated again from there
             X, A, B = XB[1 : kk + 1], above[:kk], below[:kk]
@@ -505,6 +521,7 @@ def record_sweep(sys: PerturbedSystem, starts, policies, horizon: float, dt: flo
     R = np.atleast_2d(starts).shape[0] * len(policies)
     seen = np.zeros(R, dtype=np.int64)  # each row's entries recorded so far
     out = []
+    todo = [0]  # the first entry of ``at`` after every step shown so far
 
     def put(i, rows, v):
         if not out:
@@ -512,12 +529,14 @@ def record_sweep(sys: PerturbedSystem, starts, policies, horizon: float, dt: flo
         out[0][i, rows] = v
 
     def record(steps, ts, X, rows, D):
+        # steps come once each, in order: a block before the next entry records nothing
+        if todo[0] == at.size or at[todo[0]] > steps[-1]:
+            return
         lo, hi = np.searchsorted(at, (steps[0], steps[-1] + 1))
-        if lo < hi:
-            k, n = at[lo:hi] - steps[0], X.shape[2]
-            v = value(X[k].reshape(-1, n), D[k].reshape(-1, n))
-            put(slice(lo, hi), rows, v.reshape(hi - lo, rows.size, *v.shape[1:]))
-            seen[rows] = hi
+        k, n = at[lo:hi] - steps[0], X.shape[2]
+        v = value(X[k].reshape(-1, n), D[k].reshape(-1, n))
+        put(slice(lo, hi), rows, v.reshape(hi - lo, rows.size, *v.shape[1:]))
+        seen[rows] = todo[0] = hi
 
     res = run_sweep(sys, starts, policies, horizon, dt, freeze_domain=freeze_domain,
                     observer=record)

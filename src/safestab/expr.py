@@ -426,7 +426,9 @@ class _Emitter:
     varying a or b, are b - a, a - b and a + b, as IEEE defines a - b as
     a + (-b) and + commutes.  A constant-only subtree is folded once into a
     float64 by numpy's scalar operators, so constants follow numpy semantics
-    (0^-1 is inf, (-1)^1.5 is NaN) like the rest."""
+    (0^-1 is inf, (-1)^1.5 is NaN) like the rest; the built function sees
+    every float constant as a read-only 0-d float64 array, which a ufunc
+    takes without the per-call conversion of a scalar."""
 
     def __init__(self, bindings=()):
         self.ns: dict = {"_np": np, **{u: getattr(np, u) for u in (*_UFUNCS.values(), "square")}}
@@ -446,6 +448,10 @@ class _Emitter:
         """Compile the lines into a function of ``params`` and then the
         scratch rows; return it and the number of scratch rows."""
         params = list(params) + [f"_s{k}" for k in range(self.n_scratch)]
+        for name, v in self.ns.items():
+            if isinstance(v, float):  # np.float64 included
+                self.ns[name] = np.array(v, dtype=np.float64)
+                self.ns[name].flags.writeable = False
         body = "".join(f"    {line}\n" for line in self.lines) or "    pass\n"
         exec(_compiled(f"def _fn({', '.join(params)}):\n{body}"), self.ns)
         return self.ns.pop("_fn"), self.n_scratch
@@ -583,9 +589,6 @@ class VectorField:
         self.dim = len(names)
         self._steps: dict = {}
 
-    def __len__(self) -> int:
-        return len(self.components)
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         m, cols = _columns(points, self.dim)
         out = np.empty((m, len(self.components)), dtype=np.float64)
@@ -598,23 +601,32 @@ class VectorField:
     def rk4_step(self, dt: float):
         """One RK4 step of x' = f(x) + D, D held over the step, as a generated
         ``step(X, D, Xt, K1, K2, K3, K4, *cols, *scratch)`` and its number of
-        scratch rows.  It takes the (R, n) arrays, the columns of X, Xt and
-        K1-K4, and the scratch rows of length R; it evaluates the stages into
-        K1-K4 and leaves ``X + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` in Xt."""
+        scratch rows.  It takes the (R, n) arrays, the columns of X, Xt,
+        K1-K4 and D, and the scratch rows of length R; it evaluates the
+        stages into K1-K4 and leaves ``X + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` in
+        Xt.  When every component is a negation -a, a stage adds D to it as
+        D_j - a per column, as a negation beside a + is folded."""
         if dt not in self._steps:
             xs, ys = [f"_x{i}" for i in range(self.dim)], [f"_y{i}" for i in range(self.dim)]
+            ds = [f"_d{i}" for i in range(self.dim)]
             stages = ("_K1", "_K2", "_K3", "_K4")
             cols = [[f"_k{s}_{j}" for j in range(self.dim)] for s in range(4)]
-            em = _Emitter({"_half": 0.5 * dt, "_dt": dt, "_sixth": dt / 6.0})
+            negs = all(getattr(c.expr, "op", "") == "neg" for c in self.components)
+            em = _Emitter({"_half": 0.5 * dt, "_dt": float(dt), "_sixth": dt / 6.0, "_two": 2.0})
             for s, (K, h) in enumerate(zip(stages, ("_half", "_half", "_dt", None))):
-                for c, out in zip(self.components, cols[s]):
-                    em.assign(c.expr, out, ys if s else xs)
-                em.lines.append(f"add({K}, _D, {K})")
+                for c, out, d in zip(self.components, cols[s], ds):
+                    if negs:
+                        a = em._operand(c.expr.arg, ys if s else xs, out)
+                        em.lines.append(f"subtract({d}, {a}, out={out})")
+                    else:
+                        em.assign(c.expr, out, ys if s else xs)
+                if not negs:
+                    em.lines.append(f"add({K}, _D, {K})")
                 if h:  # the next stage's state
                     em.lines += [f"multiply({K}, {h}, _Xt)", "add(_Xt, _X, _Xt)"]
-            em.lines += ["add(_K2, _K3, _K2)", "multiply(_K2, 2.0, _K2)", "add(_K2, _K1, _K2)",
+            em.lines += ["add(_K2, _K3, _K2)", "multiply(_K2, _two, _K2)", "add(_K2, _K1, _K2)",
                          "add(_K2, _K4, _K2)", "multiply(_K2, _sixth, _Xt)", "add(_Xt, _X, _Xt)"]
-            params = ["_X", "_D", "_Xt", *stages, *xs, *ys, *(c for col in cols for c in col)]
+            params = ["_X", "_D", "_Xt", *stages, *xs, *ys, *(c for col in cols for c in col), *ds]
             self._steps[dt] = em.build(params)
         return self._steps[dt]
 

@@ -162,12 +162,15 @@ class _Monitor:
     def _flagged(self, flags, ts, last=False):
         """Per row of ``flags`` (..., steps, rows): whether it is flagged in
         the block, the index of its first (or last) flag (None for a one-step
-        block) and that index's time, in kept work arrays."""
+        block) and that index's time, in kept work arrays; None when no row
+        is flagged."""
         kk = flags.shape[-2]
         if kk == 1:
-            return flags[..., 0, :], None, ts[0]
+            return (flags[..., 0, :], None, ts[0]) if flags.any() else None
         shape = flags.shape[:-2] + flags.shape[-1:]
         hit = np.logical_or.reduce(flags, axis=-2, out=self._work("hit", shape, bool))
+        if not hit.any():
+            return None
         at = np.argmax(flags[..., ::-1, :] if last else flags, axis=-2,
                        out=self._work(f"at{last}", shape, np.intp))
         if last:
@@ -185,10 +188,11 @@ class _Monitor:
         table = self._table.align(rows)
         g = None if self.gauge is None else self.gauge(pts).reshape(kk, r)
         stop = live = None
-        if self.first_event is not None:
-            hit, at, t = self._flagged(self.first_event(pts, g, rows).reshape(kk, r), ts)
-            flagged = hit.any()
-            if flagged and self._groups is not None:
+        found = None if self.first_event is None else self._flagged(
+            self.first_event(pts, g, rows).reshape(kk, r), ts)
+        if found is not None:
+            hit, at, t = found
+            if self._groups is not None:
                 groups = self._groups.align(rows)["groups"]
                 np.minimum.at(self._lost_at, groups[hit], 0 if at is None else at[hit])
                 end = np.take(self._lost_at, groups, out=self._work("end", (r,), np.intp),
@@ -198,8 +202,8 @@ class _Monitor:
                 np.minimum(end, kk - 1, out=end)
                 if at is not None:  # a lost group's later steps are not recorded
                     hit, live = hit & (at == end), np.arange(kk)[:, None] <= end
-            if flagged:  # t only grows, so the minimum keeps the first time
-                np.minimum(table["first"], t, out=table["first"], where=hit)
+            # t only grows, so the minimum keeps the first time
+            np.minimum(table["first"], t, out=table["first"], where=hit)
         if g is not None:
             top = g[0] if kk == 1 else np.max(g, axis=0, out=self._work("top", (r,)),
                                               initial=-np.inf, where=True if live is None else live)
@@ -215,8 +219,8 @@ class _Monitor:
                 flags = flags & live
             if "last" not in table:
                 self._table.add("last", np.full(flags.shape[:-2] + (self.n_rows,), -np.inf))
-            hit, _, t = self._flagged(flags, ts, last=True)
-            np.copyto(table["last"], t, where=hit)
+            if (found := self._flagged(flags, ts, last=True)) is not None:
+                np.copyto(table["last"], found[2], where=found[0])
         return None if stop is None else np.where(stop, i0 + self.stride * end, -1)
 
 

@@ -128,6 +128,29 @@ class TestPolicies:
         same = [np.array_equal(d[i], d[i + 1]) for i in range(5)]
         assert same == [True, True, False, True, False]
 
+    def test_extremal_gradient_equals_eval_many(self, rng):
+        """The feedback's gradient, evaluated into the policy's kept work
+        arrays, and so its values are bitwise those of the ``eval_many`` path
+        on random 2-D states of shrinking and growing batches, zero-gradient
+        points, signed zeros and non-finite states included."""
+        names = ["x", "y"]
+        sys = PerturbedSystem(parse_vector_field(["0", "0"], names), 0.3)
+        g = parse_scalar_field("x^2 + sin(y)^2 + x*y^3 + exp(0.5*x*y)", names)
+        pol, ref = ExtremalFeedbackPolicy(g, -1), ExtremalFeedbackPolicy(g, -1)
+        for p in (pol, ref):
+            p.prepare(sys, 1.0, 0.01)
+        ref._gradient = lambda X: ref._grad.eval_many(X)
+        edges = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [math.inf, 1.0],
+                          [math.nan, 0.5], [1e-300, -1e-300], [1e200, 2.0]])
+        for m in (1, 7, 40, 3, 200, 40):
+            X = np.concatenate([edges, rng.uniform(-2.0, 2.0, (m, 2))])
+            with np.errstate(all="ignore"):
+                assert pol._gradient(X).tobytes() == g.grad().eval_many(X).tobytes(), m
+                got = pol.values(0.0, X, np.empty_like(X))
+                want = ref.values(0.0, X, np.empty_like(X))
+            assert got.tobytes() == want.tobytes(), m
+            assert not got[:3].any()  # zero gradient: no push
+
     def test_extremal_feedback_follows_gradient(self):
         sys = PerturbedSystem(parse_vector_field(["0", "0"], ["x", "y"]), 1.0)
         g = parse_scalar_field("x", ["x", "y"])  # gradient (1, 0)
@@ -733,3 +756,36 @@ def test_blocks_equal_single_steps_in_the_monitor(monkeypatch, bench_field, stri
     _assert_same_bits(blocked, stepped)
     _assert_same_bits(mon_b, mon_s, ("first", "last", "peak", "latest"))
     assert np.any((blocked.status == STATUS_RETIRED) & (blocked.end_times > 0))
+
+
+@pytest.mark.parametrize("extremal", [True, False], ids=["extremal", "no-extremal"])
+def test_disturbance_segments_equal_single_steps(monkeypatch, extremal):
+    """A battery of a constant, a random signal refreshed every 3 steps (so
+    refreshes fall inside blocks) and, with ``extremal``, a feedback policy
+    due at every step records bitwise the same per-step states and
+    disturbances in blocks as step by step, through a block cut short by a
+    row that blows up."""
+    from safestab.dynamics import record_sweep
+
+    names = ["x", "y"]
+    sys = PerturbedSystem(parse_vector_field(["x^2 - y", "0.5*x - y"], names), 0.2, 50.0)
+    starts = np.array([[0.2, 0.1], [-0.5, 0.3], [2.5, 0.0], [0.0, -0.4]])
+    dt = 1e-2
+    at = np.arange(121)  # the horizon is step 120
+
+    def run():
+        policies = [ConstantPolicy([0.1, -0.1]), PiecewiseRandomPolicy(seed=5, dwell=3 * dt)]
+        if extremal:
+            policies.append(ExtremalFeedbackPolicy(parse_scalar_field("x^2 + y^2", names), +1))
+        return record_sweep(sys, starts, policies, 1.2, dt, at,
+                            value=lambda X, D: np.stack((X, D), axis=1))
+
+    (blocked_res, blocked), (stepped_res, stepped) = _blocked_and_stepped(monkeypatch, run)
+    _assert_same_bits(blocked_res, stepped_res)
+    assert np.array_equal(blocked.view(np.int64), stepped.view(np.int64))
+    end = np.rint(blocked_res.end_times / dt).astype(int)
+    blown = blocked_res.status == STATUS_BLOWUP
+    assert np.any(blown) and np.all(end[blown] % BLOCK_STEPS > 0)  # inside a block
+    random_rows = slice(starts.shape[0], 2 * starts.shape[0])
+    changes = np.flatnonzero(np.any(np.diff(blocked[1:, random_rows, 1], axis=0), axis=(1, 2)))
+    assert np.array_equal(changes[:3] + 1, [3, 6, 9])  # the random rows move every 3 steps

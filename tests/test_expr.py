@@ -1,3 +1,4 @@
+import dis
 import math
 import operator
 import os
@@ -540,6 +541,80 @@ def test_square_equals_power_of_two_bitwise():
     x = np.concatenate([np.random.default_rng(10).standard_normal(10**6), specials])
     with np.errstate(all="ignore"):
         assert _same_bits(np.square(x), np.power(x, 2.0))
+
+
+_CONST_FIELDS = {  # every field has the constants 0.5 and 3, a min and a max
+    "1d": (["0.5*x - x^3 + min(x, 0.2) - max(x, -0.3)"], ["x"]),
+    "2d": (["0.5*x - y^3", "min(x, y) + max(0.5*y, -x)"], XY),
+    "3d": (["0.5*x*z - y", "x^3 - min(y, 0.5)", "max(x, z) - 0.5*z"], ["x", "y", "z"]),
+    "2d-negated": (["-x^3", "-(0.5*y + min(x, max(y, 0.5)))"], XY),
+}
+
+
+def _kernel_step(field, dt, X, D):
+    """One generated RK4 step from the (R, n) states X under D, called as
+    ``run_sweep`` calls it; the new states."""
+    step, n_scratch = field.rk4_step(dt)
+    R, n = X.shape
+    Xt, K = np.empty_like(X), np.empty((4, R, n))
+    blocks = (X, Xt, *K, D)
+    step(X, D, Xt, *K, *(B[:, c] for B in blocks for c in range(n)), *np.empty((n_scratch, R)))
+    return Xt
+
+
+@pytest.mark.parametrize("name", list(_CONST_FIELDS))
+def test_kernel_constants_are_read_only_0d_arrays(name):
+    field = parse_vector_field(*_CONST_FIELDS[name])
+    fns = [field.rk4_step(0.01)[0], *(c._eval for c in field.components)]
+    for fn in fns:
+        consts = [v for v in fn.__globals__.values()
+                  if isinstance(v, (float, np.floating, np.ndarray))]
+        assert consts and all(isinstance(v, np.ndarray) and v.shape == () and
+                              v.dtype == np.float64 and not v.flags.writeable for v in consts)
+    assert {"_half", "_dt", "_sixth", "_two"} <= set(fns[0].__globals__)
+
+
+@pytest.mark.parametrize("R", [1, 22, 2409])
+@pytest.mark.parametrize("name", list(_CONST_FIELDS))
+def test_rk4_kernel_equals_numpy_operator_rk4_bitwise(name, R):
+    """The kernel's step against plain numpy operators with float64 scalar
+    constants, grouped as the kernel groups the final sum; the negated
+    field adds D as D - a."""
+    sources, names = _CONST_FIELDS[name]
+    field, dt = parse_vector_field(sources, names), 0.01
+    rng = np.random.default_rng(R)
+    X = rng.uniform(-2.0, 2.0, (R, len(names)))
+    X[: min(R, _EDGES.size), 0] = _EDGES[: min(R, _EDGES.size)]
+    D = rng.uniform(-0.3, 0.3, X.shape)
+
+    def f(Y):
+        return np.stack([_reference_many(c.expr, Y) for c in field.components], axis=1)
+
+    h, full, sixth = np.float64(0.5 * dt), np.float64(dt), np.float64(dt / 6.0)
+    with np.errstate(all="ignore"):
+        k1 = f(X) + D
+        k2 = f(X + h * k1) + D
+        k3 = f(X + h * k2) + D
+        k4 = f(X + full * k3) + D
+        want = X + sixth * (2.0 * (k2 + k3) + k1 + k4)
+        got = _kernel_step(field, dt, X, D)
+    for j in range(len(names)):
+        assert _same_bits(got[:, j], want[:, j]), (name, R, j)
+
+
+def _kernel_calls(sources, names):
+    step, _ = parse_vector_field(sources, names).rk4_step(0.01)
+    loads = [i.argval for i in dis.get_instructions(step) if i.opname == "LOAD_GLOBAL"]
+    return [name for name in loads if not name.startswith("_")]
+
+
+def test_rk4_kernel_folds_negated_roots_into_d():
+    """[-x, -y] runs D_j - x_j per column, with no negative and no
+    whole-array add of D: 20 calls per step instead of 24."""
+    calls = _kernel_calls(["-x", "-y"], XY)
+    assert calls.count("subtract") == 8 and "negative" not in calls and len(calls) == 20
+    # a root that is not a negation keeps the whole-array add of D
+    assert _kernel_calls(["-x", "y"], XY).count("negative") == 4
 
 
 def _textbook_sweep(sys, starts, policies, horizon, dt):
