@@ -405,7 +405,7 @@ def run_sweep(
         """The step's arguments from slot j to slot j + 1."""
         r = rows.size
         K1, K2, K3, K4 = stages[:, :r]
-        blocks = (XB[j], XB[j + 1], K1, K2, K3, K4, DB[j])
+        blocks = (XB[j], XB[j + 1], K1, K2, K3, K4)
         args[j] = (XB[j], DB[j], XB[j + 1], K1, K2, K3, K4,
                    *(B[:, c] for B in blocks for c in range(n)), *scratch[:, :r])
         return args[j]

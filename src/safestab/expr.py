@@ -601,32 +601,23 @@ class VectorField:
     def rk4_step(self, dt: float):
         """One RK4 step of x' = f(x) + D, D held over the step, as a generated
         ``step(X, D, Xt, K1, K2, K3, K4, *cols, *scratch)`` and its number of
-        scratch rows.  It takes the (R, n) arrays, the columns of X, Xt,
-        K1-K4 and D, and the scratch rows of length R; it evaluates the
-        stages into K1-K4 and leaves ``X + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` in
-        Xt.  When every component is a negation -a, a stage adds D to it as
-        D_j - a per column, as a negation beside a + is folded."""
+        scratch rows.  It takes the (R, n) arrays, the columns of X, Xt and
+        K1-K4, and the scratch rows of length R; it evaluates the stages into
+        K1-K4 and leaves ``X + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` in Xt."""
         if dt not in self._steps:
             xs, ys = [f"_x{i}" for i in range(self.dim)], [f"_y{i}" for i in range(self.dim)]
-            ds = [f"_d{i}" for i in range(self.dim)]
             stages = ("_K1", "_K2", "_K3", "_K4")
             cols = [[f"_k{s}_{j}" for j in range(self.dim)] for s in range(4)]
-            negs = all(getattr(c.expr, "op", "") == "neg" for c in self.components)
             em = _Emitter({"_half": 0.5 * dt, "_dt": float(dt), "_sixth": dt / 6.0, "_two": 2.0})
             for s, (K, h) in enumerate(zip(stages, ("_half", "_half", "_dt", None))):
-                for c, out, d in zip(self.components, cols[s], ds):
-                    if negs:
-                        a = em._operand(c.expr.arg, ys if s else xs, out)
-                        em.lines.append(f"subtract({d}, {a}, out={out})")
-                    else:
-                        em.assign(c.expr, out, ys if s else xs)
-                if not negs:
-                    em.lines.append(f"add({K}, _D, {K})")
+                for c, out in zip(self.components, cols[s]):
+                    em.assign(c.expr, out, ys if s else xs)
+                em.lines.append(f"add({K}, _D, {K})")
                 if h:  # the next stage's state
                     em.lines += [f"multiply({K}, {h}, _Xt)", "add(_Xt, _X, _Xt)"]
             em.lines += ["add(_K2, _K3, _K2)", "multiply(_K2, _two, _K2)", "add(_K2, _K1, _K2)",
                          "add(_K2, _K4, _K2)", "multiply(_K2, _sixth, _Xt)", "add(_Xt, _X, _Xt)"]
-            params = ["_X", "_D", "_Xt", *stages, *xs, *ys, *(c for col in cols for c in col), *ds]
+            params = ["_X", "_D", "_Xt", *stages, *xs, *ys, *(c for col in cols for c in col)]
             self._steps[dt] = em.build(params)
         return self._steps[dt]
 

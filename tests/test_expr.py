@@ -1,4 +1,3 @@
-import dis
 import math
 import operator
 import os
@@ -557,7 +556,7 @@ def _kernel_step(field, dt, X, D):
     step, n_scratch = field.rk4_step(dt)
     R, n = X.shape
     Xt, K = np.empty_like(X), np.empty((4, R, n))
-    blocks = (X, Xt, *K, D)
+    blocks = (X, Xt, *K)
     step(X, D, Xt, *K, *(B[:, c] for B in blocks for c in range(n)), *np.empty((n_scratch, R)))
     return Xt
 
@@ -578,8 +577,7 @@ def test_kernel_constants_are_read_only_0d_arrays(name):
 @pytest.mark.parametrize("name", list(_CONST_FIELDS))
 def test_rk4_kernel_equals_numpy_operator_rk4_bitwise(name, R):
     """The kernel's step against plain numpy operators with float64 scalar
-    constants, grouped as the kernel groups the final sum; the negated
-    field adds D as D - a."""
+    constants, grouped as the kernel groups the final sum."""
     sources, names = _CONST_FIELDS[name]
     field, dt = parse_vector_field(sources, names), 0.01
     rng = np.random.default_rng(R)
@@ -600,21 +598,6 @@ def test_rk4_kernel_equals_numpy_operator_rk4_bitwise(name, R):
         got = _kernel_step(field, dt, X, D)
     for j in range(len(names)):
         assert _same_bits(got[:, j], want[:, j]), (name, R, j)
-
-
-def _kernel_calls(sources, names):
-    step, _ = parse_vector_field(sources, names).rk4_step(0.01)
-    loads = [i.argval for i in dis.get_instructions(step) if i.opname == "LOAD_GLOBAL"]
-    return [name for name in loads if not name.startswith("_")]
-
-
-def test_rk4_kernel_folds_negated_roots_into_d():
-    """[-x, -y] runs D_j - x_j per column, with no negative and no
-    whole-array add of D: 20 calls per step instead of 24."""
-    calls = _kernel_calls(["-x", "-y"], XY)
-    assert calls.count("subtract") == 8 and "negative" not in calls and len(calls) == 20
-    # a root that is not a negation keeps the whole-array add of D
-    assert _kernel_calls(["-x", "y"], XY).count("negative") == 4
 
 
 def _textbook_sweep(sys, starts, policies, horizon, dt):
