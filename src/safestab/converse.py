@@ -313,8 +313,8 @@ def fit_sontag_pair(
     """
     if lam is None:
         lam = SAFETY_FACTOR * env.decay_rate
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not lam > 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
     if lam > SAFETY_FACTOR * env.decay_rate * (1.0 + 1e-9):
         raise ValueError(
             f"lambda={lam:.4g} exceeds safety_factor*decay_rate="
@@ -371,8 +371,8 @@ class NumericLyapunov:
         pair: "SontagPair | None" = None,
         region: Box | None = None,
     ):
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not mu > 0:
+            raise ValueError(f"mu must be positive, got {mu}")
         if pair is not None and mu >= pair.lam:
             raise ValueError(
                 f"mu={mu:g} must stay below the split rate lam={pair.lam:g}"
@@ -482,10 +482,13 @@ def validate_lyapunov(
     decrease V(phi(tau;x,d)) <= V(x) e^{-mu tau} (1+tol) for each tau.  Both
     inequalities get the additive slack ZERO_FLOOR.
 
-    Each tau must be a positive whole number of ``Vnum.dt`` steps, or
-    ValueError is raised.  alpha1(omega(x)) <= V(x) holds by construction
-    (the t=0 term of the maximum); it is still checked and reported.
+    Each tau must be a positive whole number of ``Vnum.dt`` steps and ``tol``
+    positive, or ValueError is raised.  alpha1(omega(x)) <= V(x) holds by
+    construction (the t=0 term of the maximum); it is still checked and
+    reported.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     m = X.shape[0]
     sys = Vnum.sys

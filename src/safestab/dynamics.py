@@ -9,9 +9,12 @@ results "sampled".
 Integration is fixed-step RK4 with the disturbance held constant within each
 step.  The batched engine (`run_sweep`) advances many trajectories at once as
 numpy arrays; `record_sweep` records chosen steps of a sweep, `ensemble` every
-path of a battery from one start, and `integrate` is its one-policy case.  A
-row's result does not depend on the other rows of its sweep, so results are
-bit-identical for identical (system, start, policy, horizon, dt, seed).
+path of a battery from one start, and `integrate` is its one-policy case.
+`_Monitor` is the one per-row outcome monitor of a sweep: its tables exist,
+with fixed shapes, from construction, and it keeps them in running-block
+order in `RowState`, which writes back every array it holds.  A row's result
+does not depend on the other rows of its sweep, so results are bit-identical
+for identical (system, start, policy, horizon, dt, seed).
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ BLOCK_FLOATS = 4096
 #: relative slack allowed when a time span must be a whole number of steps
 _WHOLE_STEP_RTOL = 1e-9
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+#: the lost-at index of a ``_Monitor`` group that still runs
+_RUNS = np.iinfo(np.intp).max
 
 _STATUS_REASON = {
     STATUS_HORIZON: "horizon_reached",
@@ -254,29 +259,22 @@ class RowState:
     ``arrays`` maps names to arrays whose last axis is indexed by sweep row.
     ``align(rows)`` maps the same names to the parts of the rows in
     ``rows``, in that order, for the observer to update in place; they are
-    gathered again, the old parts written back, only when the running set
-    (which only shrinks, so its size identifies it) changes.  ``sync()``
-    writes the parts back.  With ``write_back=False`` they are read only."""
+    gathered again, every old part written back (a read-only one unchanged),
+    only when the running set (which only shrinks, so its size identifies
+    it) changes.  ``sync()`` writes the parts back."""
 
-    def __init__(self, write_back: bool = True, **arrays):
+    def __init__(self, **arrays):
         self.full = arrays
         self.part: dict = {}
-        self._write_back = write_back
         self._rows = None
         self._dirty = False
-
-    def add(self, name: str, array: np.ndarray) -> None:
-        """Track one more full array from now on."""
-        self.full[name] = array
-        if self._rows is not None:
-            self.part[name] = array[..., self._rows]
 
     def align(self, rows: np.ndarray) -> dict:
         if self._rows is None or rows.size != self._rows.size:
             self.sync()
             self._rows = rows
             self.part = {k: a[..., rows] for k, a in self.full.items()}
-        self._dirty = self._write_back
+        self._dirty = True
         return self.part
 
     def sync(self) -> None:
@@ -330,8 +328,10 @@ def run_sweep(
     times ``ts = steps * dt``, and the read-only (k, r, n) states and
     disturbances (of the step that reached each state) of the r running
     rows, with ascending sweep indices ``rows`` (they only shrink, so an
-    observer can keep per-row state in that order: ``RowState``).  t=0 is a
-    block of its own with every row, a start frozen there included; then
+    observer can keep per-row state in that order in a ``RowState``, which
+    writes back every array it holds, as the one per-row outcome monitor
+    ``_Monitor`` keeps its fixed-shape tables).  t=0 is a block of its own
+    with every row, a start frozen there included; then
     k = clamp(BLOCK_FLOATS // (r n), 1, BLOCK_STEPS), fewer at the horizon
     or before a step where some row blows up or leaves the domain, which is
     a block of its own.  The observer returns None or an (r,) int array of
@@ -547,6 +547,123 @@ def record_sweep(sys: PerturbedSystem, starts, policies, horizon: float, dt: flo
             hit = seen[fill] == i
             put(slice(i, None), fill[hit], v[:, hit])
     return res, out[0]
+
+
+class _Monitor:
+    """The per-row outcome table of one sweep.  At t=0 and then every
+    ``stride`` steps it records, for each row the sweep passes,
+
+    * ``first``: the first time ``first(pts, g, rows)`` flagged the row (inf
+      if never);
+    * ``last``: the last time ``last(pts, g, rows)`` flagged it (-inf if
+      never), shaped (levels, R) when it flags ``levels`` levels at once;
+      only the blocks whose last step time is after ``last_from`` are tested;
+    * ``peak`` and ``latest``: the running max and the latest value of
+      ``gauge(pts)``, which the two events receive as ``g``.
+
+    Each runs once per block of sampled steps: ``pts`` holds its states as
+    (steps x rows, n), ``g`` is shaped (steps, rows), an event flags the
+    flat ``pts`` or has (steps, rows) as its last two axes, and ``rows`` are
+    the block's sweep indices.  Only what the caller passes is computed, and
+    each table exists, with its final shape, from construction.  With
+    ``groups`` (the group of each sweep row), a row that ``first`` flags
+    retires every running row of its group at that step, whose later steps
+    are not recorded.  The table is kept in running-block order while the
+    sweep runs (``RowState``); reading an outcome gives the full array.
+    """
+
+    def __init__(self, n_rows: int, *, first=None, last=None, levels: int | None = None,
+                 last_from=-math.inf, gauge=None, groups=None, stride: int = 1):
+        self.first_event = first
+        self.last_event = last
+        self.last_from = last_from
+        self.gauge = gauge
+        self.stride = max(1, stride)
+        table = {"first": np.full(n_rows, np.inf)}
+        if last is not None:
+            table["last"] = np.full((n_rows,) if levels is None else (levels, n_rows), -np.inf)
+        if gauge is not None:
+            table.update(peak=np.full(n_rows, -np.inf), latest=np.zeros(n_rows))
+        if groups is not None:
+            # the block index at which each group is lost (_RUNS while it runs)
+            self._lost_at = np.full(int(groups.max()) + 1, _RUNS)
+            table["groups"] = groups
+        self._table = RowState(**table)
+        self._bufs: dict = {}
+
+    def _outcome(self, name):
+        self._table.sync()
+        return self._table.full.get(name)
+
+    first = property(lambda self: self._outcome("first"))
+    last = property(lambda self: self._outcome("last"))
+    peak = property(lambda self: self._outcome("peak"))
+    latest = property(lambda self: self._outcome("latest"))
+
+    def _work(self, key, shape, dtype=np.float64):
+        return _work(self._bufs, key, (math.prod(shape),), dtype).reshape(shape)
+
+    def _flagged(self, flags, ts, last=False):
+        """Per row of ``flags`` (..., steps, rows): whether it is flagged in
+        the block, the index of its first (or last) flag (None for a one-step
+        block) and that index's time, in kept work arrays; None when no row
+        is flagged."""
+        kk = flags.shape[-2]
+        if kk == 1:
+            return (flags[..., 0, :], None, ts[0]) if flags.any() else None
+        shape = flags.shape[:-2] + flags.shape[-1:]
+        hit = np.logical_or.reduce(flags, axis=-2, out=self._work("hit", shape, bool))
+        if not hit.any():
+            return None
+        at = np.argmax(flags[..., ::-1, :] if last else flags, axis=-2,
+                       out=self._work(f"at{last}", shape, np.intp))
+        if last:
+            np.subtract(kk - 1, at, out=at)
+        return hit, at, np.take(ts, at, out=self._work("t", shape), mode="clip")
+
+    def __call__(self, steps, ts, X, rows, D):
+        i0 = -int(steps[0]) % self.stride
+        if self.stride > 1:
+            X, ts = X[i0 :: self.stride], ts[i0 :: self.stride]
+        kk, r = X.shape[:2]
+        if not kk:
+            return None
+        pts = X.reshape(kk * r, -1)
+        table = self._table.align(rows)
+        g = None if self.gauge is None else self.gauge(pts).reshape(kk, r)
+        stop = live = None
+        found = None if self.first_event is None else self._flagged(
+            self.first_event(pts, g, rows).reshape(kk, r), ts)
+        if found is not None:
+            hit, at, t = found
+            if "groups" in table:
+                groups = table["groups"]
+                np.minimum.at(self._lost_at, groups[hit], 0 if at is None else at[hit])
+                end = np.take(self._lost_at, groups, out=self._work("end", (r,), np.intp),
+                              mode="clip")
+                self._lost_at[groups[hit]] = _RUNS
+                stop = end < _RUNS
+                np.minimum(end, kk - 1, out=end)
+                if at is not None:  # a lost group's later steps are not recorded
+                    hit, live = hit & (at == end), np.arange(kk)[:, None] <= end
+            # t only grows, so the minimum keeps the first time
+            np.minimum(table["first"], t, out=table["first"], where=hit)
+        if g is not None:
+            top = g[0] if kk == 1 else np.max(g, axis=0, out=self._work("top", (r,)),
+                                              initial=-np.inf, where=True if live is None else live)
+            np.maximum(table["peak"], top, out=table["peak"])
+            np.copyto(table["latest"], g[-1])
+            if stop is not None:  # a row that retires keeps its value at its stop
+                lost = np.flatnonzero(stop)
+                table["latest"][lost] = g[end[lost], lost]
+        if self.last_event is not None and ts[-1] > self.last_from:
+            flags = self.last_event(pts, g, rows)
+            flags = flags.reshape(kk, r) if flags.ndim == 1 else flags
+            if live is not None:
+                flags = flags & live
+            if (found := self._flagged(flags, ts, last=True)) is not None:
+                np.copyto(table["last"], found[2], where=found[0])
+        return None if stop is None else np.where(stop, i0 + self.stride * end, -1)
 
 
 # ---------------------------------------------------------------------------

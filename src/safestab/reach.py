@@ -25,11 +25,12 @@ from .dynamics import (
     PerturbedSystem,
     RowState,
     _directions,
+    _Monitor,
     record_sweep,
     run_sweep,
     step_count,
 )
-from .geometry import Box, Grid, MaskSet, SetSpec, _work, as_report
+from .geometry import Box, Grid, MaskSet, SetSpec, as_report
 
 __all__ = [
     "Counterexample",
@@ -69,8 +70,6 @@ BISECT_ROUNDS = (3, 3, 2, 2)
 GROWTH_FLAG = 1.25
 #: time between two distance samples of probe_uas
 OBSERVE_DT = 0.01
-#: the lost-at index of a group that still runs
-_RUNS = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -100,128 +99,6 @@ def _counterexample(res, starts, battery, r, time, kind, value=math.nan) -> Coun
         kind=kind,
         value=float(value),
     )
-
-
-class _Monitor:
-    """Per-row outcome table of one sweep; the observer behind every battery
-    check here.  At t=0 and then every ``stride`` steps it looks at the rows
-    the sweep passes and records, per row,
-
-    * ``first``: the first time ``first(pts, g, rows)`` flagged the row (inf
-      if never);
-    * ``last``: the last time ``last(pts, g, rows)`` flagged it (-inf if
-      never), of shape (k, R) when ``last`` flags k levels at once; only
-      the blocks whose last step time is after ``last_from`` are tested;
-    * ``peak`` and ``latest``: the running max and the latest value of
-      ``gauge(pts)``, which the two events receive as ``g``.
-
-    Each runs once per block of sampled steps: ``pts`` holds its states as
-    (steps x rows, n), ``g`` is shaped (steps, rows), an event flags the
-    flat ``pts`` or has (steps, rows) as its last two axes, and ``rows`` are
-    the block's sweep indices.  Only what the caller passes is computed.
-    With ``groups`` (the group of each sweep row), a row that ``first``
-    flags retires every running row of its group at that step, whose later
-    steps are not recorded.  The table is kept in running-block order while
-    the sweep runs (``RowState``); reading an outcome gives the full array.
-    """
-
-    def __init__(self, n_rows: int, *, first=None, last=None, last_from=-math.inf,
-                 gauge=None, groups=None, stride: int = 1):
-        self.first_event = first
-        self.last_event = last
-        self.last_from = last_from
-        self.gauge = gauge
-        self.stride = max(1, stride)
-        self.n_rows = n_rows
-        table = {"first": np.full(n_rows, np.inf)}
-        if gauge is not None:
-            table.update(peak=np.full(n_rows, -np.inf), latest=np.zeros(n_rows))
-        self._table = RowState(**table)
-        self._bufs: dict = {}
-        self._groups = None
-        if groups is not None:
-            # the block index at which each group is lost (_RUNS while it runs)
-            self._lost_at = np.full(int(groups.max()) + 1, _RUNS)
-            self._groups = RowState(write_back=False, groups=groups)
-
-    def _outcome(self, name):
-        self._table.sync()
-        if name == "last" and name not in self._table.full:  # no block was tested
-            self._table.add(name, np.full(self.n_rows, -np.inf))
-        return self._table.full.get(name)
-
-    first = property(lambda self: self._outcome("first"))
-    # shaped by the first flags seen (every row is live at t=0 unless gated)
-    last = property(lambda self: self._outcome("last"))
-    peak = property(lambda self: self._outcome("peak"))
-    latest = property(lambda self: self._outcome("latest"))
-
-    def _work(self, key, shape, dtype=np.float64):
-        return _work(self._bufs, key, (math.prod(shape),), dtype).reshape(shape)
-
-    def _flagged(self, flags, ts, last=False):
-        """Per row of ``flags`` (..., steps, rows): whether it is flagged in
-        the block, the index of its first (or last) flag (None for a one-step
-        block) and that index's time, in kept work arrays; None when no row
-        is flagged."""
-        kk = flags.shape[-2]
-        if kk == 1:
-            return (flags[..., 0, :], None, ts[0]) if flags.any() else None
-        shape = flags.shape[:-2] + flags.shape[-1:]
-        hit = np.logical_or.reduce(flags, axis=-2, out=self._work("hit", shape, bool))
-        if not hit.any():
-            return None
-        at = np.argmax(flags[..., ::-1, :] if last else flags, axis=-2,
-                       out=self._work(f"at{last}", shape, np.intp))
-        if last:
-            np.subtract(kk - 1, at, out=at)
-        return hit, at, np.take(ts, at, out=self._work("t", shape), mode="clip")
-
-    def __call__(self, steps, ts, X, rows, D):
-        i0 = -int(steps[0]) % self.stride
-        if self.stride > 1:
-            X, ts = X[i0 :: self.stride], ts[i0 :: self.stride]
-        kk, r = X.shape[:2]
-        if not kk:
-            return None
-        pts = X.reshape(kk * r, -1)
-        table = self._table.align(rows)
-        g = None if self.gauge is None else self.gauge(pts).reshape(kk, r)
-        stop = live = None
-        found = None if self.first_event is None else self._flagged(
-            self.first_event(pts, g, rows).reshape(kk, r), ts)
-        if found is not None:
-            hit, at, t = found
-            if self._groups is not None:
-                groups = self._groups.align(rows)["groups"]
-                np.minimum.at(self._lost_at, groups[hit], 0 if at is None else at[hit])
-                end = np.take(self._lost_at, groups, out=self._work("end", (r,), np.intp),
-                              mode="clip")
-                self._lost_at[groups[hit]] = _RUNS
-                stop = end < _RUNS
-                np.minimum(end, kk - 1, out=end)
-                if at is not None:  # a lost group's later steps are not recorded
-                    hit, live = hit & (at == end), np.arange(kk)[:, None] <= end
-            # t only grows, so the minimum keeps the first time
-            np.minimum(table["first"], t, out=table["first"], where=hit)
-        if g is not None:
-            top = g[0] if kk == 1 else np.max(g, axis=0, out=self._work("top", (r,)),
-                                              initial=-np.inf, where=True if live is None else live)
-            np.maximum(table["peak"], top, out=table["peak"])
-            np.copyto(table["latest"], g[-1])
-            if stop is not None:  # a row that retires keeps its value at its stop
-                lost = np.flatnonzero(stop)
-                table["latest"][lost] = g[end[lost], lost]
-        if self.last_event is not None and ts[-1] > self.last_from:
-            flags = self.last_event(pts, g, rows)
-            flags = flags.reshape(kk, r) if flags.ndim == 1 else flags
-            if live is not None:
-                flags = flags & live
-            if "last" not in table:
-                self._table.add("last", np.full(flags.shape[:-2] + (self.n_rows,), -np.inf))
-            if (found := self._flagged(flags, ts, last=True)) is not None:
-                np.copyto(table["last"], found[2], where=found[0])
-        return None if stop is None else np.where(stop, i0 + self.stride * end, -1)
 
 
 def _avoid_and_settle(sys, starts, battery, U, target_member, grid, horizon, dt, **watch):
@@ -737,7 +614,7 @@ def probe_uas(
         group = np.tile(np.repeat(np.arange(len(nodes)), sizes), P)
         eps = np.array([eps_schedule[j] for j, _ in nodes])[group]
         c = np.array(cs)[group]
-        eps_at = RowState(write_back=False, eps=eps)
+        eps_at = RowState(eps=eps)
         mon = _Monitor(group.size, gauge=A.dist_many, groups=group, stride=stride,
                        first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"])
         res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
@@ -797,8 +674,8 @@ def probe_uas(
         starts = _shell_points(hull, rho_used)
         # settle time into each eps neighborhood: the last time at distance >= eps
         levels = np.asarray(eps_schedule)[:, None, None]
-        mon = _Monitor(starts.shape[0] * P, gauge=A.dist_many,
-                       last=lambda pts, d, rows: d >= levels, stride=stride)
+        mon = _Monitor(starts.shape[0] * P, gauge=A.dist_many, stride=stride,
+                       last=lambda pts, d, rows: d >= levels, levels=len(eps_schedule))
         res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
         bad = res.status == STATUS_BLOWUP
         unsettled = mon.latest >= eps_schedule[0]

@@ -147,6 +147,11 @@ class TestSontagFit:
         with pytest.raises(ValueError, match="smaller lambda"):
             fit_sontag_pair(env, lam=2.0 * env.decay_rate)
 
+    def test_nan_lambda_rejected(self, linear_setup):
+        _, _, _, _, env = linear_setup
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            fit_sontag_pair(env, lam=math.nan)
+
     def test_synthetic_slow_tail_needs_larger_power(self):
         # beta = s e^{-t} but we ask for lam close to the decay rate with the
         # default safety factor bypassed via an explicit argument
@@ -267,6 +272,21 @@ class TestNumericLyapunov:
         with pytest.raises(ValueError):
             NumericLyapunov(sys, omega, pair.alpha1, 0.6, battery, 8.0, 1e-3, pair=pair)
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_nan_mu_rejected(self, linear_setup, certified):
+        sys, omega, battery, _, env = linear_setup
+        pair = fit_sontag_pair(env, lam=0.5)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            NumericLyapunov(sys, omega, pair.alpha1, math.nan, battery, 8.0, 1e-3,
+                            pair=pair if certified else None)
+
+    def test_a_block_holds_at_most_one_truncation_check(self):
+        """The V observer truncates at the first check in a block only."""
+        from safestab.converse import TRUNCATE_CHECK_STEPS
+        from safestab.dynamics import BLOCK_STEPS
+
+        assert BLOCK_STEPS < TRUNCATE_CHECK_STEPS
+
     def test_escape_raises(self, linear_setup):
         f = parse_vector_field(["x"], ["x"])
         esys = PerturbedSystem(f, 0.0)
@@ -339,6 +359,14 @@ class TestValidation:
         V = NumericLyapunov(sys, omega, pair.alpha1, 0.25, battery, 8.0, 1e-3, pair=pair)
         with pytest.raises(ValueError, match="tau"):
             validate_lyapunov(V, pair.alpha2, np.array([[0.8]]), taus=taus, tol=1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.05])
+    def test_tol_must_be_positive(self, linear_setup, tol):
+        sys, omega, battery, _, env = linear_setup
+        pair = fit_sontag_pair(env, lam=0.5)
+        V = NumericLyapunov(sys, omega, pair.alpha1, 0.25, battery, 8.0, 1e-3, pair=pair)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            validate_lyapunov(V, pair.alpha2, np.array([[0.8]]), taus=(0.5,), tol=tol)
 
     def test_decrease_reads_the_state_at_each_tau(self, linear_setup):
         # the worst ratio equals the one recomputed from recorded trajectories

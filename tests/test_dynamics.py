@@ -22,6 +22,7 @@ from safestab import (
     run_sweep,
 )
 from safestab.dynamics import (
+    _Monitor,
     _project_ball,
     BLOCK_FLOATS,
     BLOCK_STEPS,
@@ -735,8 +736,6 @@ def test_blocks_equal_single_steps_in_the_monitor(monkeypatch, bench_field, stri
     """The battery monitor, with a gauge, two-level last times and groups
     that retire together, gives bitwise the same sweep and outcome table in
     blocks as step by step, at every sampling stride."""
-    from safestab.reach import _Monitor
-
     rng = np.random.default_rng(stride)
     sys = PerturbedSystem(bench_field, 0.25, 50.0)
     starts = rng.uniform(-1.4, 1.9, (10, 1))
@@ -747,7 +746,7 @@ def test_blocks_equal_single_steps_in_the_monitor(monkeypatch, bench_field, stri
     def run():
         mon = _Monitor(groups.size, gauge=A.dist_many, groups=groups, stride=stride,
                        first=lambda pts, d, rows: d >= 2.0,
-                       last=lambda pts, d, rows: d >= levels)
+                       last=lambda pts, d, rows: d >= levels, levels=2)
         res = run_sweep(sys, starts, [_bench_policy(c) for c in range(8)], 2.0, 1e-2,
                         freeze_domain=Box((-1.5,), (100.0,)), observer=mon)
         return res, mon

@@ -71,8 +71,7 @@ def _assert_every_step_agrees(sys, A, U, grid, battery, horizon, dt, res):
     """Assert that ``res`` marks the cells of ``res.eval_cells`` as a monitor
     does that tests the target at every step and runs every row to its end;
     return that monitor."""
-    from safestab.dynamics import STATUS_HORIZON, run_sweep
-    from safestab.reach import _Monitor
+    from safestab.dynamics import STATUS_HORIZON, _Monitor, run_sweep
 
     member = A.within(res.conv_radius)
     starts = grid.point_of(res.eval_cells)
@@ -595,9 +594,9 @@ def _sequential_shell_run(sys, A, battery, c, eps, horizon, dt):
 
 def _sequential_probe(sys, A, eps_schedule, battery, horizon, dt, delta_floor):
     """probe_uas with one sweep per bisection step."""
-    from safestab.dynamics import STATUS_BLOWUP, run_sweep
+    from safestab.dynamics import STATUS_BLOWUP, _Monitor, run_sweep
     from safestab.reach import (
-        BISECT_ITERS, OBSERVE_DT, UASProbeReport, _counterexample, _Monitor, _shell_points)
+        BISECT_ITERS, OBSERVE_DT, UASProbeReport, _counterexample, _shell_points)
 
     eps_schedule = sorted(eps_schedule)
     eps_table, counterexamples, best = [], [], 0.0
@@ -625,7 +624,7 @@ def _sequential_probe(sys, A, eps_schedule, battery, horizon, dt, delta_floor):
     starts = _shell_points(A.hull_box(), rho)
     levels = np.asarray(eps_schedule)[:, None, None]
     mon = _Monitor(starts.shape[0] * len(battery), gauge=A.dist_many,
-                   last=lambda pts, d, rows: d >= levels,
+                   last=lambda pts, d, rows: d >= levels, levels=len(eps_schedule),
                    stride=max(1, int(round(OBSERVE_DT / dt))))
     res = run_sweep(sys, starts, battery, horizon, dt, observer=mon)
     bad = res.status == STATUS_BLOWUP
@@ -914,8 +913,7 @@ def test_monitor_table_equals_full_array_reference(bench, seed, stride, levels, 
     run step by step over each block, exactly, block by block in what it
     retires and at the end.  Without groups a row is flagged first many
     times, and keeps its first time."""
-    from safestab.dynamics import STATUS_RETIRED, RowState, run_sweep
-    from safestab.reach import _Monitor
+    from safestab.dynamics import STATUS_RETIRED, RowState, _Monitor, run_sweep
 
     sys, _, _ = bench
     rng = np.random.default_rng(seed)
@@ -925,11 +923,13 @@ def test_monitor_table_equals_full_array_reference(bench, seed, stride, levels, 
     A = Box((ROOT_LEFT,), (0.2,))
     groups = rng.integers(0, 50, n_rows) if grouped else None
     eps = rng.uniform(0.3, 1.5, n_rows)
-    eps_at = RowState(write_back=False, eps=eps)
+    held = (None if groups is None else groups.copy(), eps.copy())
+    eps_at = RowState(eps=eps)
     block_levels = np.asarray(levels)[..., None]
     mon = _Monitor(n_rows, gauge=A.dist_many, groups=groups, stride=stride,
                    first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"],
-                   last=lambda pts, d, rows: d >= block_levels)
+                   last=lambda pts, d, rows: d >= block_levels,
+                   levels=None if np.ndim(levels) == 0 else len(levels))
     ref = _FullArrayMonitor(n_rows, lambda pts, d, rows: d >= eps[rows],
                             lambda pts, d, rows: d >= levels, A.dist_many, groups, stride)
     retired, blocks = [], []
@@ -958,6 +958,9 @@ def test_monitor_table_equals_full_array_reference(bench, seed, stride, levels, 
     for name in ("first", "last", "peak", "latest"):
         np.testing.assert_array_equal(getattr(mon, name), getattr(ref, name), err_msg=name)
     assert np.isfinite(ref.last).any()
+    # the read-only inputs are written back unchanged
+    eps_at.sync()
+    assert (groups is None or np.array_equal(groups, held[0])) and np.array_equal(eps, held[1])
 
 
 def test_monitor_updates_its_table_in_place(bench):
@@ -968,8 +971,7 @@ def test_monitor_updates_its_table_in_place(bench):
     and scattering them by ``rows`` takes 2.8 per row."""
     import tracemalloc
 
-    from safestab.dynamics import STATUS_RETIRED, RowState, run_sweep
-    from safestab.reach import _Monitor
+    from safestab.dynamics import STATUS_RETIRED, RowState, _Monitor, run_sweep
 
     sys, _, _ = bench
     battery = default_policy_battery(sys, n_random=8, seed=0)
@@ -977,10 +979,10 @@ def test_monitor_updates_its_table_in_place(bench):
     n_rows = starts.shape[0] * len(battery)  # 16,500
     A = Box((ROOT_LEFT,), (0.5,))
     levels = np.array([[0.05], [0.1], [0.2]])[..., None]
-    eps_at = RowState(write_back=False, eps=np.full(n_rows, 0.9))
+    eps_at = RowState(eps=np.full(n_rows, 0.9))
     mon = _Monitor(n_rows, gauge=A.dist_many, groups=np.arange(n_rows) % 1500,
                    first=lambda pts, d, rows: d >= eps_at.align(rows)["eps"],
-                   last=lambda pts, d, rows: d >= levels)
+                   last=lambda pts, d, rows: d >= levels, levels=3)
     excess, size = [], [0]
 
     def observer(steps, ts, X, rows, D):
@@ -1006,8 +1008,7 @@ def test_gated_monitor_tests_only_blocks_after_its_start(bench):
     ``last_from``: every time after it equals the ungated monitor's and the
     earlier ones stay at or before it, in the ungated (levels, rows) shape.
     When no block is tested, each row reads -inf."""
-    from safestab.dynamics import run_sweep
-    from safestab.reach import _Monitor
+    from safestab.dynamics import _Monitor, run_sweep
 
     sys, _, battery = bench
     starts = np.linspace(-1.0, 0.4, 5)[:, None]
@@ -1017,7 +1018,7 @@ def test_gated_monitor_tests_only_blocks_after_its_start(bench):
 
     def swept(last_from):
         mon = _Monitor(n_rows, gauge=A.dist_many, last=lambda pts, d, rows: d >= levels,
-                       last_from=last_from)
+                       levels=2, last_from=last_from)
         run_sweep(sys, starts, battery, 1.0, 0.01, observer=mon)
         return mon.last
 
@@ -1025,4 +1026,4 @@ def test_gated_monitor_tests_only_blocks_after_its_start(bench):
     late = plain > 0.5
     assert plain.shape == gated.shape == (2, n_rows) and late.any() and (~late).any()
     assert np.array_equal(gated[late], plain[late]) and np.all(gated[~late] <= 0.5)
-    assert never.shape == (n_rows,) and np.all(never == -np.inf)
+    assert never.shape == (2, n_rows) and np.all(never == -np.inf)
