@@ -212,22 +212,9 @@ class ExtremalFeedbackPolicy(DisturbancePolicy):
     def prepare(self, sys, horizon, dt):
         self._delta = sys.delta
         self._grad = self.field.grad()
-        self._scratch = max(c._scratch for c in self._grad.components)
-        self._bufs: dict = {}
-
-    def _gradient(self, X: np.ndarray) -> np.ndarray:
-        """grad g at the rows of X in kept work arrays, laid out as in ``eval_many``."""
-        (m, n), comps = X.shape, self._grad.components
-        cols = _work(self._bufs, "cols", (n * m,)).reshape(n, m)
-        np.copyto(cols, X.T)
-        G = _work(self._bufs, "G", (m, n))
-        scratch = _work(self._bufs, "scratch", (self._scratch * m,)).reshape(self._scratch, m)
-        for j, c in enumerate(comps):
-            c._eval(*cols, G[:, j], *scratch[: c._scratch])
-        return G
 
     def values(self, t, X, out):
-        G = self._gradient(X)
+        G = self._grad.eval_many(X)
         norms = _row_norms(G)
         safe = norms > 1e-12
         np.divide(self.sign * self._delta, norms, out=norms, where=safe)

@@ -8,7 +8,8 @@ associate to the left.  There are no user-defined functions and no
 simplification pass.
 
 ASTs and fields are immutable and evaluate into fresh or caller-given arrays,
-so they may be shared across threads (geometry's sets hold work arrays).
+so they may be shared across threads (geometry's Box, Grid, ProperIndicator
+and ``within`` predicates hold work arrays).
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ Open sets (certificate domains D) are represented by a closed spec plus the
 convention that boundary ties count as outside; the proper indicator needs
 that so its boundary branch stays finite on every point it is evaluated at.
 
-Set objects are immutable in value.  Box, Grid and ProperIndicator keep work
-arrays for their row predicates (which still return fresh arrays), so one
-set, grid or indicator object must not be used from two threads at once.
+Set objects are immutable in value.  Box, Grid, ProperIndicator and each
+``within`` predicate keep work arrays but return fresh arrays, so none of
+them may be used from two threads at once.
 A predicate reduces over the n state columns as a left fold of in-place
 column ufuncs (``_fold``), bit for bit what ``ufunc.reduce(axis=1)`` gives
 but without its per-call set-up; float sums of n >= 8 columns keep numpy's
@@ -144,12 +144,17 @@ class SetSpec:
         raise self._lacks("closed-form distance")
 
     def within(self, tol: float):
-        """Vectorized X -> 'within tol of the set'.  Sets with a distance use
-        it; the others fall back to plain membership (a tolerance in g-units
-        is not a Euclidean tolerance)."""
-        if self.exact_distance:
-            return lambda X: self.dist_many(X) <= tol
-        return self.contains_many
+        """Vectorized X -> dist(x, set) <= tol, the distances in an array the
+        predicate keeps; plain membership for a set with no distance (a
+        tolerance in g-units is not a Euclidean tolerance)."""
+        if not self.exact_distance:
+            return self.contains_many
+        bufs: dict = {}
+
+        def near(X):
+            X = self._check_dim(X)
+            return self.dist_many(X, _work(bufs, "result", X.shape[:1])) <= tol
+        return near
 
     def hull_box(self) -> "Box":
         """The smallest box containing the set."""
@@ -186,8 +191,8 @@ class Box(SetSpec):
         if len(lo) != len(hi):
             raise ValueError("box lo/hi dimensions differ")
         for a, b in zip(lo, hi):
-            if a > b:
-                raise ValueError(f"box has lo={a} > hi={b}")
+            if not a <= b:  # a NaN corner too
+                raise ValueError(f"box corner lo={a}, hi={b} is not lo <= hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_lo", np.asarray(lo))
@@ -218,35 +223,20 @@ class Box(SetSpec):
     def dist_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """An infinite corner never binds (max(-inf, -inf) still clamps to
         0); a non-finite point gets an infinite or NaN distance."""
-        return self._dist(X, out)
-
-    def _dist(self, X: np.ndarray, out=None) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(self._lo, X, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(X, self._hi, out=_work(self._bufs, "over", X.shape))
-        np.maximum(gap, over, out=gap)
-        np.maximum(gap, 0.0, out=gap)
+        np.maximum(np.maximum(gap, over, out=gap), 0.0, out=gap)
         np.multiply(gap, gap, out=gap)
-        return np.sqrt(_fold(np.add, gap), out=self._result(X, out))
+        return np.sqrt(_fold(np.add, gap), out=out)
 
     def depth_many(self, X: np.ndarray, out=None) -> np.ndarray:
         """0 outside, the smallest face gap inside."""
-        return self._depth(X, out)
-
-    def _depth(self, X: np.ndarray, out=None) -> np.ndarray:
         X = self._check_dim(X)
         gap = np.subtract(X, self._lo, out=_work(self._bufs, "gap", X.shape))
         over = np.subtract(self._hi, X, out=_work(self._bufs, "over", X.shape))
         np.minimum(gap, over, out=gap)
-        return np.maximum(_fold(np.minimum, gap), 0.0, out=self._result(X, out))
-
-    def _result(self, X: np.ndarray, out):
-        """Where a distance goes: ``out`` (None: a fresh array), or for
-        ``within``, whose mask is fresh, a kept work array (True)."""
-        return _work(self._bufs, "result", X.shape[:1]) if out is True else out
-
-    def within(self, tol: float):
-        return lambda X: self._dist(X, True) <= tol
+        return np.maximum(_fold(np.minimum, gap), 0.0, out=out)
 
     def min_depth(self, box: "Box") -> float:
         """The smallest face gap of ``box`` (negative when it sticks out)."""
@@ -277,13 +267,9 @@ class BoxComplement(SetSpec):
     def depth_many(self, X: np.ndarray, out=None) -> np.ndarray:
         return self.box.dist_many(X, out)
 
-    def within(self, tol: float):
-        return lambda X: self.box._depth(X, True) <= tol
-
     def min_depth(self, box: Box) -> float:
         """The Euclidean distance from ``box`` to the excluded box."""
-        lo, hi = np.asarray(self.box.lo), np.asarray(self.box.hi)
-        gap = np.maximum(np.maximum(lo - box.hi, np.asarray(box.lo) - hi), 0.0)
+        gap = np.maximum(np.maximum(self.box._lo - box._hi, box._lo - self.box._hi), 0.0)
         return float(np.sqrt(np.sum(gap * gap)))
 
 
@@ -295,6 +281,10 @@ class Sublevel(SetSpec):
     g: ScalarField
     level: float
     exact_distance: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        if math.isnan(self.level):
+            raise ValueError(f"sublevel level={self.level} is not a number")
 
     @property
     def dim(self) -> int:
@@ -424,8 +414,7 @@ class Grid:
 
     def select(self, S: SetSpec) -> np.ndarray:
         """Flat indices of cells whose center lies in S."""
-        mask = S.contains_many(self.points)
-        return np.nonzero(mask)[0]
+        return np.nonzero(S.contains_many(self.points))[0]
 
     def dilate(self, mask: np.ndarray, cells: int = 1) -> np.ndarray:
         """Inflate a boolean cell mask by ``cells`` cells along every axis:
@@ -489,7 +478,6 @@ class MaskSet(SetSpec):
         """The mask dilated by tol, rounded up to whole cells."""
         cells = max(0, int(math.ceil(tol / self.grid.widths.min() - 1e-9)))
         dilated = self.grid.dilate(self.mask, cells) if cells else self.mask
-
         return lambda X: self._lookup(dilated, X)
 
     def hull_box(self) -> Box:

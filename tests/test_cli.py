@@ -7,8 +7,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from safestab import parse_scalar_field
+from safestab.certify import Certificate, barrier_from_lyapunov, check_lyapunov_barrier_pair
 from safestab.cli import main
 from safestab.config import ConfigError, load_config
+from safestab.geometry import as_report
 
 ROOT_LEFT = (1.0 - math.sqrt(2.0)) / 2.0
 
@@ -399,6 +402,22 @@ class TestVerdictCommands:
         mask = np.loadtxt(run_dir / "invariant_mask.csv", delimiter=",", skiprows=1)
         assert mask.shape[1] == 2
 
+    def test_invariant_set_of_a_drift_is_empty(self, tmp_path):
+        """x' = 1 carries every Omega cell out within a dwell window, so the
+        fixpoint is empty: the run is inconclusive, with no endpoints and the
+        empty-fixpoint note."""
+        cfg = base_config(system={"dim": 1, "state_vars": ["x"], "f": ["1"], "delta": 0.25},
+                          invariant_set={"target": "Omega", "mode": "core"},
+                          integration={"dt": 0.01, "horizon": 1.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["invariant-set", "--config", path, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        report = json.loads(next(out.glob("invariant-set-*/report.json")).read_text())["result"]
+        assert report["empty"] is True and report["endpoints"] is None
+        assert report["n_cells"] == report["n_kernel_cells"] == 0
+        assert report["notes"].startswith("empty fixpoint")
+
     def test_winning_set_writes_mask(self, tmp_path):
         cfg = base_config(winning_set={"stable": "A", "unsafe": "U"})
         path = write_config(tmp_path, cfg)
@@ -531,6 +550,37 @@ class TestCertificateCommand:
         result = run_cli(["check-cert", "--config", path, "--out", str(tmp_path / "r")])
         assert result.exit_code == 0, result.output
 
+    def test_barrier_from_lyapunov_reports_the_library_pair_check(self, tmp_path):
+        """A pair check whose B is built from V (``barrier_from``) writes the
+        conditions that the library pair check gives on
+        barrier_from_lyapunov's B."""
+        cfg = base_config(
+            system={"dim": 1, "state_vars": ["x"], "f": ["-x"], "delta": 0.0},
+            battery={"n_random": 0, "seed": 1, "dwell": 0.1},
+            grid={"domain": {"lo": [-2.505], "hi": [2.505]}, "resolution": 0.01},
+            certificate={"check": "pair", "V": "x^2", "domain": "D", "stable": "O",
+                         "initial": "Wc", "unsafe": "Uc", "barrier_from": {"neighborhood": "K"}},
+        )
+        cfg["sets"] = {
+            "O": {"kind": "box", "lo": [0.0], "hi": [0.0]},
+            "Wc": {"kind": "box", "lo": [-0.5], "hi": [0.5]},
+            "Uc": {"kind": "complement_box", "lo": [-2.0], "hi": [2.0]},
+            "D": {"kind": "box", "lo": [-1.5], "hi": [1.5]},
+            "K": {"kind": "box", "lo": [-0.3], "hi": [0.3]},
+        }
+        path = write_config(tmp_path, cfg)
+        result = run_cli(["check-cert", "--config", path, "--out", str(tmp_path / "r")])
+        written = json.loads(next((tmp_path / "r").glob("*/certificate_report.json")).read_text())
+
+        rc = load_config(path)
+        A, W, U, D, K = (rc.sets[name] for name in ("O", "Wc", "Uc", "D", "K"))
+        V, grid = parse_scalar_field("x^2", ["x"]), rc.make_grid()
+        cert = Certificate(V=V, D=D, B=barrier_from_lyapunov(V, K, W, grid))
+        report = check_lyapunov_barrier_pair(cert, rc.system, A, W, U, grid,
+                                             strict_tol=rc.strict_tol, pd_coeff=rc.pd_coeff)
+        assert written["conditions"] == json.loads(json.dumps(as_report(report)))["conditions"]
+        assert report.passed and result.exit_code == 0, result.output
+
     def test_missing_barrier_exits_2(self, tmp_path):
         cfg = base_config(
             certificate={"check": "pair", "V": "x^2", "domain": "Omega",
@@ -538,6 +588,40 @@ class TestCertificateCommand:
         )
         path = write_config(tmp_path, cfg)
         assert run_cli(["check-cert", "--config", path, "--out", str(tmp_path / "r")]).exit_code == 2
+
+
+class TestSetReferences:
+    def test_union_member_names_an_earlier_set(self, tmp_path):
+        """A union member given as the name of a set declared above it is
+        that set; with a box across W's path the union is entered."""
+        cfg = base_config(ras={"initial": "W", "unsafe": "UX", "target": "Omega"},
+                          integration={"dt": 0.01, "horizon": 5.0})
+        cfg["sets"]["UX"] = {"kind": "union", "members": [
+            "U", {"kind": "box", "lo": [-0.6], "hi": [-0.55]}]}
+        path = write_config(tmp_path, cfg)
+        sets = load_config(path).sets
+        assert sets["UX"].members[0] is sets["U"]
+        out = tmp_path / "runs"
+        result = run_cli(["verify-ras", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        report = json.loads(next(out.glob("verify-ras-*/report.json")).read_text())
+        assert report["verdict"]["satisfied"] == "no"
+
+    @pytest.mark.parametrize("name, members, index", [
+        ("UX", [{"kind": "box", "lo": [0.0], "hi": [1.0]}, "Nope"], 1),
+        # sets are read in the order written (here sorted), so AU precedes U
+        ("AU", ["U"], 0),
+    ], ids=["undeclared", "declared-below"])
+    def test_unknown_member_name_exits_2_and_names_it(self, tmp_path, name, members, index):
+        cfg = base_config(ras={"initial": "W", "unsafe": name, "target": "Omega"})
+        cfg["sets"][name] = {"kind": "union", "members": members}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["verify-ras", "--config", path, "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"sets.{name}.members[{index}]" in result.output
+        assert "unknown set reference" in result.output
+        assert_no_run_dir(out)
 
 
 class TestLyapunovCommand:

@@ -4,6 +4,7 @@ plain numpy formulas give.  The CSV writer must give savetxt's bytes."""
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from safestab import (
     BoxComplement,
     ExtremalFeedbackPolicy,
     PerturbedSystem,
+    Union,
     ZeroPolicy,
     make_grid,
     parse_scalar_field,
@@ -81,7 +83,10 @@ ROWS = (1, 22, 1000)
 def test_box_predicates_equal_the_reductions(rng, n, R):
     """Box and BoxComplement predicates, the row norms and the grid index
     against the formulas they replace, on a bounded box and on one with
-    infinite corners (n >= 8 covers numpy's pairwise float sum)."""
+    infinite corners (n >= 8 covers numpy's pairwise float sum).  A
+    tolerant-membership predicate, of a box, a box complement or a union of
+    both, gives the same flags on batches that shrink and then grow, and one
+    flag for one (n,) point."""
     lo = np.round(rng.uniform(-1.0, 0.0, n), 1)
     lo[0] = 0.0  # a face at zero, so X - lo can be -0.0
     hi = lo + np.round(rng.uniform(0.5, 1.5, n), 1)
@@ -104,6 +109,14 @@ def test_box_predicates_equal_the_reductions(rng, n, R):
             assert same(C.dist_many(X), depth)
             assert same(C.depth_many(X), dist)
             assert same(C.within(0.25)(X), depth <= 0.25)
+            U = Union((B, BoxComplement(Box(tuple(blo + 0.5), tuple(bhi + 0.5)))))
+            near = np.minimum(dist, old_depth(blo + 0.5, bhi + 0.5, X))
+            assert same(U.dist_many(X), near)
+            for S, d in ((B, dist), (C, depth), (U, near)):
+                member = S.within(0.25)
+                for k in (R, 1, R // 2 + 1, R):
+                    assert same(member(X[:k]), d[:k] <= 0.25)
+                assert same(member(X[0]), d[:1] <= 0.25)
             assert same(_row_norms(X), np.sqrt(np.sum(X * X, axis=1)))
     grid = make_grid(Box(tuple(lo), tuple(hi)), 0.5)
     X = points(rng, lo, hi, R)
@@ -122,7 +135,7 @@ def test_extremal_feedback_equals_the_gathers(rng, n):
     G[rng.random(G.shape) < 0.02] = math.nan
     G[:3] = 0.0
     pol = ExtremalFeedbackPolicy(parse_scalar_field("x1", [f"x{i + 1}" for i in range(n)]), sign)
-    pol._delta, pol._gradient = delta, lambda X: G.copy()
+    pol._delta, pol._grad = delta, SimpleNamespace(eval_many=lambda X: G.copy())
     got = pol.values(0.0, None, np.empty_like(G))
 
     norms = np.sqrt(np.sum(G * G, axis=1))

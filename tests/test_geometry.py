@@ -53,6 +53,18 @@ class TestMembership:
         with pytest.raises(ValueError):
             Box((0.0,), (1.0,)).contains_many(np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize("lo, hi", [((math.nan,), (1.0,)), ((0.0, 0.0), (1.0, math.nan)),
+                                        ((1.0,), (0.0,))])
+    def test_box_corner_must_be_ordered(self, lo, hi):
+        """A NaN corner would build a box that contains nothing and whose
+        distance is NaN, so it is refused like a reversed one."""
+        with pytest.raises(ValueError, match=r"box corner lo=.*, hi=.* is not lo <= hi"):
+            Box(lo, hi)
+
+    def test_sublevel_level_must_be_a_number(self):
+        with pytest.raises(ValueError, match="level=nan"):
+            Sublevel(parse_scalar_field("x^2", ["x"]), math.nan)
+
 
 class TestDistance:
     def test_clamp_formula(self):
@@ -126,13 +138,15 @@ class TestDistance:
 
 @pytest.mark.parametrize("work_rows", [1 << 16, 3], ids=["kept", "own"])
 def test_hot_predicates_return_fresh_results(rng, monkeypatch, work_rows):
-    """Box and Grid reuse work arrays (up to _WORK_ROWS rows), but what a
-    call returns is never overwritten by the next call."""
+    """Box, Grid and the tolerant-membership predicates reuse work arrays
+    (up to _WORK_ROWS rows), but what a call returns is never overwritten
+    by the next call."""
     monkeypatch.setattr(geometry, "_WORK_ROWS", work_rows)
     B = Box((-1.0, 0.5), (1.0, 2.0))
     g = make_grid(B, 0.25)
     a, b = rng.uniform(-2, 3, size=(2, 50, 2))
     calls = [B.contains_many, B.contains_interior_many, B.dist_many, B.depth_many,
+             B.within(0.5), BoxComplement(B).within(0.5),
              ProperIndicator(Box((0.0, 1.0), (0.5, 1.5)), B).value_many,
              lambda X: g.cell_index_many(X)[0], lambda X: g.cell_index_many(X)[1]]
     for call in calls:

@@ -266,6 +266,22 @@ class TestMaximalInvariant:
         rep = check_invariance(sys, res.mask, grid, battery, 10.0, 5e-3)
         assert rep.verdict == "yes_sampled"
 
+    @pytest.mark.parametrize("horizon, note", [
+        (60.0, "no late-time occupancy inside the kernel; returning the kernel"),
+        (20.0, "closure cells fell outside the kernel and were clipped"),
+    ])
+    def test_slow_drift_core_notes(self, horizon, note):
+        """x' = 0.02 keeps every cell center in its cell over a window, so
+        the kernel is all of Omega, but the drift carries every late state
+        out of Omega (horizon 60) or the closure of the late cells past its
+        top (horizon 20)."""
+        sys = PerturbedSystem(parse_vector_field(["0.02"], ["x"]), 0.0)
+        grid = make_grid(Box((-1.505,), (1.505,)), 0.01)
+        omega = Box((-0.25,), (0.5,))
+        res = maximal_invariant(sys, omega, grid, [ZeroPolicy()], horizon, 1e-2, mode="core")
+        assert res.kernel.mask.sum() == grid.select(omega).size
+        assert note in res.notes and not res.empty
+
     def test_empty_omega_rejected(self, bench):
         sys, grid, battery = bench
         with pytest.raises(ValueError):

@@ -158,3 +158,27 @@ def test_observer_runs_once_per_block_of_steps():
         rec.uninstall()
     K = min(max(dynamics.BLOCK_FLOATS // 22, 1), dynamics.BLOCK_STEPS)
     assert K > 1 and calls == math.ceil(500 / K) + 1
+
+
+def test_tolerant_membership_and_extremal_gradient_are_traced():
+    """A winning set's target test runs the set's traced distance inside the
+    observer, and an extremal feedback's gradient runs the traced field
+    evaluation inside the policy refresh."""
+    tracing = _load_tracing()
+    rec = tracing.SpanRecorder()
+    rec.install()
+    try:
+        sys_ = dynamics.PerturbedSystem(expr.parse_vector_field(["-x"], ["x"]), 0.1)
+        grid = geometry.make_grid(geometry.Box((-1.0,), (1.0,)), 0.1)
+        U = geometry.BoxComplement(geometry.Box((-math.inf,), (0.6,)))
+        reach.winning_set(sys_, geometry.Box((-0.05,), (0.05,)), U, grid,
+                          dynamics.default_policy_battery(sys_, n_random=0), 1.0, 1e-2)
+        g = expr.parse_scalar_field("x^2", ["x"])
+        dynamics.run_sweep(sys_, np.array([[0.3], [-0.4]]),
+                           [dynamics.ExtremalFeedbackPolicy(g, +1)], 0.1, 1e-2)
+    finally:
+        rec.uninstall()
+    pairs = {(rec.names[rec.name[i]], rec.names[rec.name[p]])  # (span, its parent)
+             for i, p in enumerate(rec.parent) if p >= 0}
+    assert ("geometry.dist", tracing.OBSERVER) in pairs
+    assert ("expr.eval", tracing.POLICY) in pairs
