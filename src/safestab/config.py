@@ -128,6 +128,12 @@ class Block:
     def __contains__(self, key: str) -> bool:
         return key in self.raw
 
+    def closed(self) -> None:
+        """Reject a field that no read of this mapping resolved."""
+        for key in self.raw:
+            if key not in self.echo:
+                raise ConfigError(self._at(key), "unknown field")
+
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
@@ -257,7 +263,8 @@ class RunConfig:
             self.sets[name] = s
 
         grid = root.block("grid")
-        self.grid_domain = grid.block("domain").box()
+        domain = grid.block("domain")
+        self.grid_domain = domain.box()
         if not self.grid_domain.is_bounded:
             raise ConfigError("grid.domain", "grid domain must be bounded")
         self.grid_resolution = grid.num("resolution", positive=True)
@@ -305,6 +312,8 @@ class RunConfig:
         self.commands = {
             name: root.block(name, as_written=True) for name in _COMMAND_BLOCKS if name in root
         }
+        for blk in (root, system, grid, domain, battery, integ, tol):
+            blk.closed()
         self._echo = root.echo
 
     def make_grid(self) -> Grid:
@@ -342,20 +351,21 @@ def _build_set(cfg: RunConfig, spec, path: str) -> SetSpec:
     blk = Block(cfg, path, spec)
     kind = blk.get("kind")
     if kind in ("box", "complement_box"):
-        return blk.box() if kind == "box" else BoxComplement(blk.box())
-    if kind == "sublevel":
-        return Sublevel(blk.expr("expr"), blk.num("level", 0.0))
-    if kind == "union":
+        s = blk.box() if kind == "box" else BoxComplement(blk.box())
+    elif kind == "sublevel":
+        s = Sublevel(blk.expr("expr"), blk.num("level", 0.0))
+    elif kind == "union":
         members = blk.get("members")
         if not isinstance(members, list) or not members:
             raise ConfigError(f"{path}.members", "expected a non-empty list")
-        return Union(
-            tuple(_build_set(cfg, m, f"{path}.members[{i}]") for i, m in enumerate(members))
+        s = Union(tuple(_build_set(cfg, m, f"{path}.members[{i}]") for i, m in enumerate(members)))
+    else:
+        raise ConfigError(
+            f"{path}.kind",
+            f"unknown set kind {kind!r}; expected box, complement_box, sublevel, or union",
         )
-    raise ConfigError(
-        f"{path}.kind",
-        f"unknown set kind {kind!r}; expected box, complement_box, sublevel, or union",
-    )
+    blk.closed()
+    return s
 
 
 def load_config(path: str) -> RunConfig:

@@ -317,8 +317,9 @@ def run_sweep(
     rows, with ascending sweep indices ``rows`` (they only shrink, so an
     observer can keep per-row state in that order in a ``RowState``, which
     writes back every array it holds, as the one per-row outcome monitor
-    ``_Monitor`` keeps its fixed-shape tables).  t=0 is a block of its own
-    with every row, a start frozen there included; then
+    ``_Monitor`` keeps its fixed-shape tables).  Every state shown lies in
+    the freeze domain and the escape bound: a start outside them is frozen
+    at t=0 unshown.  t=0 is a block of its own; then
     k = clamp(BLOCK_FLOATS // (r n), 1, BLOCK_STEPS), fewer at the horizon
     or before a step where some row blows up or leaves the domain, which is
     a block of its own.  The observer returns None or an (r,) int array of
@@ -407,25 +408,24 @@ def run_sweep(
             states[stopped], dists[stopped] = XB[xs, at], DB[ds, at]
             changed = True
 
-    def observe(k0, kk, xs, ds):
-        """Show steps k0.. in slots xs.., ds.. and retire the rows flagged."""
+    def observe(k0, kk):
+        """Show steps k0.. in slots 1.. and retire the rows flagged."""
         steps = np.arange(k0, k0 + kk)
         ts = steps * dt
-        ret = observer(steps, ts, XB[xs : xs + kk], rows, DB[ds : ds + kk])
+        ret = observer(steps, ts, XB[1 : kk + 1], rows, DB[:kk])
         if ret is not None:
             stop = ret >= 0
             if stop.any():
-                stop &= status[rows] == STATUS_RUNNING
                 at = ret[stop] if kk > 1 else 0
-                freeze(stop, STATUS_RETIRED, ts[at], xs + at, ds + at)
+                freeze(stop, STATUS_RETIRED, ts[at], 1 + at, at)
 
     def compact(xs, ds):
         """Carry slots xs, ds to slot 0, gathering the rows if some stopped."""
         nonlocal rows, changed, XB, args
         if not changed:
-            if xs and XB.shape[0] == 2:  # one step per block: swap the slots' roles
+            if XB.shape[0] == 2:  # one step per block: swap the slots' roles
                 XB, args = XB[::-1], args[::-1]
-            elif xs:
+            else:
                 XB[0] = XB[xs]
             if ds:
                 DB[0] = DB[ds]
@@ -439,45 +439,43 @@ def run_sweep(
 
     layout()
     XB[0] = np.tile(starts, (P, 1))
-    k = 0
+    k, cut = 0, True
     with np.errstate(all="ignore"):
         for p, pol in enumerate(policies):
             pol.values(0.0, XB[0, p * m : (p + 1) * m], DB[0, p * m : (p + 1) * m])
-        if freeze_domain is not None:
-            freeze(~freeze_domain.contains_many(XB[0]), STATUS_LEFT_DOMAIN, 0.0, 0, 0)
-        if observer is not None:
-            observe(0, 1, 0, 0)
-        compact(0, 0)
-
-        while k < n_steps and rows.size:
+        while rows.size and (cut or k < n_steps):
             r = rows.size
-            kk = min(DB.shape[0], n_steps - k)
-            # the block's refresh steps, 0 included: slot 0 holds the last
-            # disturbance, and a segment's slot is copied on to the next
-            # refresh slot, where only the due rows change
-            due: dict[int, list] = {0: []}
-            for period, members in by_period:
-                for j in range(-k % period, kk, period):
-                    due.setdefault(j, []).extend(members)
-            cuts = [*sorted(due), kk]
-            for s, e in zip(cuts, cuts[1:]):
-                for pol, block in due[s]:
-                    pol.values((k + s) * dt, XB[s][block], DB[s][block])
-                if s + 1 < kk:
-                    np.copyto(DB[s + 1 : min(e + 1, kk)], DB[s])
-                for j in range(s, e):
-                    step(*(args[j] or slot_args(j)))
+            if cut:  # t=0, or the step a block was cut at: a block that integrates nothing
+                k, kk = k - 1, 1
+                XB[1] = XB[0]
+            else:
+                kk = min(DB.shape[0], n_steps - k)
+                # the block's refresh steps, 0 included: slot 0 holds the last
+                # disturbance, and a segment's slot is copied on to the next
+                # refresh slot, where only the due rows change
+                due: dict[int, list] = {0: []}
+                for period, members in by_period:
+                    for j in range(-k % period, kk, period):
+                        due.setdefault(j, []).extend(members)
+                cuts = [*sorted(due), kk]
+                for s, e in zip(cuts, cuts[1:]):
+                    for pol, block in due[s]:
+                        pol.values((k + s) * dt, XB[s][block], DB[s][block])
+                    if s + 1 < kk:
+                        np.copyto(DB[s + 1 : min(e + 1, kk)], DB[s])
+                    for j in range(s, e):
+                        step(*(args[j] or slot_args(j)))
             # one bounds test for the block; it ends at the first failing
             # step, and the rows still running are integrated again from there
             X, A, B = XB[1 : kk + 1], above[:kk], below[:kk]
             np.greater_equal(X, lo, out=A)
             ok = _fold(np.logical_and, np.logical_and(A, np.less_equal(X, hi, out=B), out=A))
-            failed = np.count_nonzero(ok) < kk * r
-            j = int(np.argmin(ok)) // r + 1 if failed else kk
-            if observer is not None and j > failed:
-                observe(k + 1, j - failed, 1, 0)
+            cut = np.count_nonzero(ok) < kk * r
+            j = int(np.argmin(ok)) // r + 1 if cut else kk
+            if observer is not None and j > cut:
+                observe(k + 1, j - cut)
             k += j
-            if failed:
+            if cut:
                 # rows the observer retired earlier in the block do not fail
                 running = status[rows] == STATUS_RUNNING
                 np.less_equal(np.abs(XB[j], out=stages[0, :r]), bound, out=B[0])
@@ -485,9 +483,6 @@ def run_sweep(
                 freeze(running & ~finite, STATUS_BLOWUP, k * dt, j - 1, j - 1)
                 freeze(running & finite & ~ok[j - 1], STATUS_LEFT_DOMAIN, k * dt, j, j - 1)
             compact(j, j - 1)
-            if failed and observer is not None and rows.size:
-                observe(k, 1, 0, 0)
-                compact(0, 0)
 
     if rows.size:
         states[rows], dists[rows] = XB[0], DB[0]
@@ -718,7 +713,7 @@ def ensemble(
     for p, pol in enumerate(policies):
         reason = res.reason(p)
         # a blown-up row's state at its freeze time is undefined: keep the last good one
-        last = int(round(res.end_times[p] / dt)) - (reason == "blow_up")
+        last = max(0, int(round(res.end_times[p] / dt)) - (reason == "blow_up"))
         path = paths[: last + 1, p]
         trajectories.append(Trajectory(at[: last + 1] * dt, path[:, 0].copy(),
                                        path[:, 1].copy(), reason, pol.label))

@@ -130,20 +130,6 @@ class ReachResult:
     n_policies: int = 0
 
 
-class _Occupancy:
-    def __init__(self, grid: Grid, t_lo: float = 0.0):
-        self.grid = grid
-        self.t_lo = t_lo
-        self.mask = np.zeros(grid.size, dtype=bool)
-
-    def __call__(self, steps, ts, X, rows, D):
-        late = X[np.searchsorted(ts, self.t_lo) :]
-        if not late.size:
-            return
-        flat, inside = self.grid.cell_index_many(late.reshape(-1, X.shape[2]))
-        self.mask[flat if np.count_nonzero(inside) == flat.size else flat[inside]] = True
-
-
 def reach_tube(
     sys: PerturbedSystem,
     W: SetSpec,
@@ -163,11 +149,18 @@ def reach_tube(
     if not 0.0 <= t_lo <= t_hi:
         raise ValueError(f"t_lo={t_lo:g} must lie in [0, {t_hi:g}]")
     _, starts = _grid_starts(grid, W, "W")
-    occ = _Occupancy(grid, t_lo)
-    res = run_sweep(sys, starts, battery, t_hi, dt, freeze_domain=grid.domain, observer=occ)
+    mask = np.zeros(grid.size, dtype=bool)
+
+    def occupy(steps, ts, X, rows, D):
+        # every state shown lies in the freeze domain, the grid's, so each has a cell
+        late = X[np.searchsorted(ts, t_lo) :]
+        if late.size:
+            mask[grid.cell_index_many(late.reshape(-1, X.shape[2]))[0]] = True
+
+    res = run_sweep(sys, starts, battery, t_hi, dt, freeze_domain=grid.domain, observer=occupy)
     exits = int(np.count_nonzero(res.status == STATUS_LEFT_DOMAIN))
     return ReachResult(
-        grid, occ.mask, (t_lo, t_hi), "sampled_under",
+        grid, mask, (t_lo, t_hi), "sampled_under",
         boundary_exits=exits, n_starts=starts.shape[0], n_policies=len(battery),
     )
 

@@ -20,6 +20,7 @@ from safestab import (
     BoxComplement,
     ConstantPolicy,
     DistanceIndicator,
+    MaskSet,
     PerturbedSystem,
     ProperIndicator,
     default_policy_battery,
@@ -337,8 +338,7 @@ def test_criterion_8_property_suites():
     """Bundled property checks at their stated tolerances: RK4 order, tube
     monotonicity in delta and horizon, the 1-D extremal-disturbance oracle,
     winning-set safety/closure, and symbolic-vs-FD gradients."""
-    from safestab import ZeroPolicy, run_sweep
-    from safestab.reach import _Occupancy
+    from safestab import ZeroPolicy
     from test_expr import _smooth_corpus, central_fd
 
     notes = []
@@ -387,10 +387,9 @@ def test_criterion_8_property_suites():
     U = BoxComplement(Box((-1e9,), (0.6,)))
     win = winning_set(s02, A, U, grid, bat02, 30.0, 5e-3)
     assert not win.mask[U.contains_many(grid.points)].any()
-    idx = np.nonzero(win.mask)[0][::4]
-    occ = _Occupancy(grid)
-    run_sweep(s02, grid.point_of(idx), bat02, 10.0, 5e-3,
-              freeze_domain=grid.domain, observer=occ)
+    starts = np.zeros(grid.size, dtype=bool)
+    starts[np.nonzero(win.mask)[0][::4]] = True
+    occ = reach_tube(s02, MaskSet(grid, starts), 10.0, grid, bat02, 5e-3)
     target = A.dist_many(grid.points) <= win.conv_radius
     assert np.all(grid.dilate(win.mask | target, 1)[occ.mask])
     notes.append("winning set safe and forward-closed")

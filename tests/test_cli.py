@@ -374,6 +374,31 @@ class TestVerdictCommands:
         result = run_cli(["verify-ras", "--config", path, "--out", str(tmp_path / "r")])
         assert result.exit_code == 1
 
+    def test_start_beyond_the_escape_bound_blows_up_at_t0(self, tmp_path):
+        """x' = -x from W = [-1, -0.9] with blowup_bound 0.95: the starts
+        beyond the bound have escaped at t = 0, although the first step
+        brings each of them back inside it."""
+        cfg = base_config(system={"dim": 1, "state_vars": ["x"], "f": ["-x"], "delta": 0.0},
+                          battery={"n_random": 0},
+                          integration={"dt": 0.1, "horizon": 20.0, "blowup_bound": 0.95},
+                          ras={"initial": "W", "unsafe": "U", "target": "Omega"})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "runs"
+        result = run_cli(["verify-ras", "--config", path, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        verdict = json.loads(next(out.glob("verify-ras-*/report.json")).read_text())["verdict"]
+        assert verdict["satisfied"] == "no"
+        escaped = [c for c in verdict["counterexamples"] if c["x0"][0] < -0.95]
+        assert escaped and all(c["kind"] == "blow_up" and c["time"] == 0.0 for c in escaped)
+        result = run_cli(["simulate", "--config", path, "--out", str(out), "--x0", "-1.0"])
+        assert result.exit_code == 0, result.output
+        run = next(out.glob("simulate-*"))
+        for entry in json.loads((run / "index.json").read_text()):
+            assert entry["terminated"] == "blow_up" and entry["final_time"] == 0.0
+            assert entry["final_state"] == [-1.0]
+            rows = (run / entry["file"]).read_text().splitlines()[1:]
+            assert len(rows) == 1 and float(rows[0].split(",")[1]) == -1.0
+
     def test_reports_reproduce_bit_identically(self, tmp_path):
         cfg = base_config(ras={"initial": "W", "unsafe": "U", "target": "Omega"})
         path = write_config(tmp_path, cfg)
@@ -704,6 +729,10 @@ class TestInputErrors:
             ("invariant-set", {"invariant_set": {"target": "Omega", "dwell_window": 0.015}},
              [], "invariant_set.dwell_window"),
             ("simulate", {}, ["--x0", "abc"], "--x0[0]: expected a number"),
+            ("simulate", {"simulate": {"x0": [0.1, 0.2]}}, [],
+             "simulate.x0: expected 1 coordinates"),
+            ("construct-lyapunov", {"lyapunov": {"region": "U"}}, [],
+             "lyapunov.region: the sampling region must be a box"),
             # a 1200-term sum is deeper than the recursion limit lets a field compile
             ("simulate", {"system": {"dim": 1, "state_vars": ["x"], "delta": 0.25,
                                      "f": [" + ".join(["-x", "x^2"] + ["0*x"] * 1198)]}},
@@ -802,17 +831,64 @@ class TestInputErrors:
             ("battery.extremal_sets", [["W"]], "battery.extremal_sets[0]"),
             # a string is not a list of one name per character
             ("battery.extremal_sets", "G", "battery.extremal_sets: expected a list"),
+            ("grid.domain.lo", [-1.5, 0.0], "grid.domain.lo: expected 1 entries, got 2"),
+            ("grid.domain.hi", 1.5, "grid.domain.hi: expected a list of numbers"),
+            ("system.f", "-x", "system.f: expected a list"),
+            ("sets.W", {"kind": "box", "lo": [-0.9], "hi": [-1.0]},
+             "sets.W: box corner lo=-0.9, hi=-1.0 is not lo <= hi"),
+            ("sets.W", {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+             "sets.W.lo: expected 1 entries, got 2"),
+            ("grid.domain.hi", [math.inf], "grid.domain: grid domain must be bounded"),
+            ("sets.W", 5, "sets.W: expected a set declaration mapping"),
+            ("sets.W", {"kind": "union", "members": []},
+             "sets.W.members: expected a non-empty list"),
+            # a misspelt key would otherwise run on the defaults
+            ("integraton", {"dt": 0.01, "horizon": 1.0}, "integraton: unknown field"),
+            ("integration.horizn", 2.0, "integration.horizn: unknown field"),
+            ("system.Delta", 0.1, "system.Delta: unknown field"),
+            ("grid.spacing", 0.1, "grid.spacing: unknown field"),
+            ("grid.domain.mid", [0.0], "grid.domain.mid: unknown field"),
+            ("battery.seeds", 3, "battery.seeds: unknown field"),
+            ("tolerances.strict", 1e-9, "tolerances.strict: unknown field"),
+            ("sets.W.hi_", [0.0], "sets.W.hi_: unknown field"),
+            ("sets.G.lvl", 1.0, "sets.G.lvl: unknown field"),
+            ("sets.UW.lo", [0.0], "sets.UW.lo: unknown field"),
+            ("sets.UW.members", [{"kind": "box", "lo": [0.0], "hi": [1.0], "level": 1.0}],
+             "sets.UW.members[0].level: unknown field"),
         ],
         ids=["sets-list", "battery-list", "integration-number", "tolerances-string",
-             "grid-domain-number", "expr-list", "extremal-nested-list", "extremal-string"],
+             "grid-domain-number", "expr-list", "extremal-nested-list", "extremal-string",
+             "list-length", "numbers-not-a-list", "strings-not-a-list", "box-lo-above-hi",
+             "set-dimension", "unbounded-grid", "set-not-a-mapping", "empty-union",
+             "unknown-top-level", "unknown-integration", "unknown-system", "unknown-grid",
+             "unknown-grid-domain", "unknown-battery", "unknown-tolerances", "unknown-box-set",
+             "unknown-sublevel-set", "unknown-union-set", "unknown-union-member"],
     )
     def test_malformed_section_exits_2_and_names_field(self, tmp_path, field, value, message):
         cfg = base_config(integration={"dt": 0.01, "horizon": 1.0})
         cfg["sets"]["G"] = {"kind": "sublevel", "expr": "x^2 - 1", "level": 0.0}
+        cfg["sets"]["UW"] = {"kind": "union", "members": [
+            {"kind": "box", "lo": [-1.0], "hi": [-0.9]}, {"kind": "box", "lo": [0.0], "hi": [0.1]}]}
         _set_field(cfg, field, value)
         path = write_config(tmp_path, cfg)
         out = tmp_path / "runs"
         result = run_cli(["simulate", "--config", path, "--out", str(out), "--x0", "0.1"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert_no_run_dir(out)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config: file not found"),
+        ("- 1\n- 2\n", "config: top level must be a mapping"),
+        ({**base_config(), "system": {"dim": 1, "f": ["-x"]}},
+         "system.delta: missing required field"),
+    ], ids=["missing-file", "top-level-list", "missing-field"])
+    def test_unreadable_or_incomplete_config_exits_2(self, tmp_path, text, message):
+        path = tmp_path / "run.yaml"
+        if text is not None:
+            path.write_text(text if isinstance(text, str) else yaml.safe_dump(text))
+        out = tmp_path / "runs"
+        result = run_cli(["simulate", "--config", str(path), "--out", str(out), "--x0", "0.1"])
         assert result.exit_code == 2
         assert message in result.output
         assert_no_run_dir(out)

@@ -415,7 +415,7 @@ class TestSweepEngine:
             observer=lambda steps, ts, X, rows, D: calls.append(
                 (steps.tolist(), X[:, 0, 0].tolist(), rows.tolist())),
         )
-        assert calls == [([0], [5.0], [0])]
+        assert calls == []
         assert res.reason(0) == "left_domain" and res.end_times[0] == 0.0
         assert res.states[0, 0] == 5.0
 
@@ -557,7 +557,7 @@ def _check_rows_alone(run, n_rows, retire, dt):
     retire=st.dictionaries(st.integers(0, 200), st.lists(st.integers(0, 15), max_size=3),
                            max_size=4),
 )
-# a start frozen at t=0 is passed to the observer but cannot be retired
+# a start frozen at t=0 is never shown, so the observer cannot retire it
 @example(starts=[-1.8, 0.0], codes=[0], bound=1e6, retire={0: [0, 1]})
 def test_batched_row_equals_row_alone(bench_field, starts, codes, bound, retire):
     """Each (start, policy) row of a sweep is bitwise what it is when run
@@ -585,6 +585,48 @@ def test_batched_property_reaches_every_status(bench_field):
                         freeze_domain=Box((-1.5,), (100.0,)))
         assert res.status.tolist() == [STATUS_LEFT_DOMAIN, STATUS_HORIZON, last]
         assert 0.0 < res.end_times[2] < 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    starts=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=4),
+    codes=st.lists(st.integers(0, 7), min_size=1, max_size=3),
+    bound=st.sampled_from([1e6, 50.0, 1.2]),
+    retire=st.dictionaries(st.integers(0, 200), st.lists(st.integers(0, 11), max_size=3),
+                           max_size=3),
+)
+# starts that blow up and leave the domain at t=0, and one that blows up inside a block
+@example(starts=[1.5, 0.0, 0.9], codes=[0, 1], bound=1.2, retire={})
+@example(starts=[-1.8, 0.0], codes=[0], bound=1e6, retire={})
+def test_observer_sees_only_running_states_in_bounds(bench_field, starts, codes, bound,
+                                                     retire):
+    """Every state an observer is shown lies in the freeze domain and within
+    the escape bound, and no (row, step) is shown twice.  Each row is shown
+    at steps 0, 1, ... without a gap: a row that reaches the horizon at
+    every step, a row that blows up or leaves the domain up to the step
+    before it froze (so one frozen at t=0 never), and a retired row at
+    least up to the step it retired at (the rest of that block may follow)."""
+    sys = PerturbedSystem(bench_field, 0.25, bound)
+    lo, hi = -1.5, 100.0
+    shown = set()
+
+    def observer(steps, ts, X, rows, D):
+        assert np.all((X >= lo) & (X <= hi) & (np.abs(X) <= bound))
+        seen = {(r, k) for k in steps.tolist() for r in rows.tolist()}
+        assert not seen & shown
+        shown.update(seen)
+        at = np.full(rows.size, -1)
+        for i, k in reversed(list(enumerate(steps.tolist()))):
+            at[np.isin(rows, retire.get(k, []))] = i
+        return at
+
+    res = run_sweep(sys, np.array(starts)[:, None], [_bench_policy(c) for c in codes], 2.0,
+                    1e-2, freeze_domain=Box((lo,), (hi,)), observer=observer)
+    for r, (code, t) in enumerate(zip(res.status, res.end_times)):
+        steps = sorted(k for row, k in shown if row == r)
+        last = round(t / 1e-2) - (code in (STATUS_BLOWUP, STATUS_LEFT_DOMAIN))
+        assert steps == list(range(len(steps)))
+        assert len(steps) == last + 1 if code != STATUS_RETIRED else len(steps) > last
 
 
 @settings(max_examples=15, deadline=None)

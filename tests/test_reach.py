@@ -319,19 +319,13 @@ class TestWinningSet:
         assert res.mask.sum() > 0
 
     def test_mask_forward_closed_under_battery(self, bench, bench_sets):
-        from safestab.reach import _Occupancy
-        from safestab.dynamics import run_sweep
-
         sys, grid, battery = bench
         res = winning_set(
             sys, bench_sets["A"], bench_sets["U"], grid, battery, 30.0, 5e-3
         )
-        idx = np.nonzero(res.mask)[0][::5]
-        occ = _Occupancy(grid)
-        run_sweep(
-            sys, grid.point_of(idx), battery, 10.0, 5e-3,
-            freeze_domain=grid.domain, observer=occ,
-        )
+        starts = np.zeros(grid.size, dtype=bool)
+        starts[np.nonzero(res.mask)[0][::5]] = True
+        occ = reach_tube(sys, MaskSet(grid, starts), 10.0, grid, battery, 5e-3)
         target = bench_sets["A"].dist_many(grid.points) <= res.conv_radius
         allowed = grid.dilate(res.mask | target, 1)
         assert np.all(allowed[occ.mask])
